@@ -3,10 +3,14 @@
 Buchberger's algorithm with the Gebauer-Moeller pair-elimination
 criteria and the normal selection strategy (smallest lcm under the
 active ordering, ties broken by generator index), so bases are
-reproducible across runs.  The inner loop works on primitive
-integer-coefficient polynomials (denominators are cleared at reduction
-boundaries); reduced bases are stored monic with exact rational
-coefficients.
+reproducible across runs.  Pending pairs live in a map from the pair
+``(i, j)`` to its lcm, computed once when the pair is created.  A heap
+of ``(key(lcm), i, j)`` entries yields the next pair in exactly that
+``(lcm key, i, j)`` order; a pair the update criteria prune leaves the
+map, and its heap entry is skipped when popped (lazy deletion).  The
+inner loop works on primitive integer-coefficient polynomials
+(denominators are cleared at reduction boundaries); reduced bases are
+stored monic with exact rational coefficients.
 
 On top of the basis engine: membership, sums, products, elimination,
 intersection, quotient, saturation, Krull dimension, radical membership
@@ -17,6 +21,7 @@ supported at the origin.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
@@ -189,8 +194,7 @@ def _reduce_full(p, basis, key):
     return _primitive(rem, key)
 
 
-def _spoly(fi, lti, lci, fj, ltj, lcj):
-    lcm = monomial_lcm(lti, ltj)
+def _spoly(fi, lti, lci, fj, ltj, lcj, lcm):
     si = monomial_div(lcm, lti)
     sj = monomial_div(lcm, ltj)
     out = {}
@@ -229,47 +233,60 @@ def _check_degree(mono):
 
 
 def _interreduce_input(polys, key):
-    """Mutually reduce a generator list until stable (ideal unchanged)."""
-    polys = [_primitive(dict(p), key) for p in polys if p]
+    """Mutually reduce a generator list until stable (ideal unchanged).
+
+    Each polynomial keeps a (lt, lc, terms) row; a row is rebuilt only
+    when its polynomial changes, so a round computes no leading term
+    twice.
+    """
+
+    def row(p):
+        lt = max(p, key=key)
+        return (lt, p[lt], p)
+
+    rows = [row(_primitive(dict(p), key)) for p in polys if p]
     changed = True
     while changed:
         changed = False
-        polys.sort(key=lambda q: key(max(q, key=key)))
-        for i in range(len(polys)):
-            others = [
-                (max(q, key=key), q[max(q, key=key)], q)
-                for j, q in enumerate(polys)
-                if j != i and q
-            ]
-            if not others or not polys[i]:
+        rows.sort(key=lambda r: key(r[0]))
+        for i in range(len(rows)):
+            if rows[i] is None:
                 continue
-            red = _reduce_full(polys[i], others, key)
-            if red != polys[i]:
-                polys[i] = red
+            others = [r for j, r in enumerate(rows) if j != i and r is not None]
+            if not others:
+                continue
+            p = rows[i][2]
+            red = _reduce_full(p, others, key)
+            if red != p:
+                rows[i] = row(red) if red else None
                 changed = True
-        polys = [p for p in polys if p]
-    return polys
+        rows = [r for r in rows if r is not None]
+    return [r[2] for r in rows]
 
 
-def _update_pairs(G, lts, P, new_lt, key):
-    """Gebauer-Moeller pair update for the element about to be appended."""
-    t = len(G)
+def _update_pairs(lts, P, heap, new_lt, key):
+    """Gebauer-Moeller pair update for the element about to be appended.
 
-    def pair_lcm(i, j):
-        return monomial_lcm(lts[i], lts[j])
-
-    kept = set()
-    for (i, j) in P:
-        l = pair_lcm(i, j)
-        if (
-            not monomial_divides(new_lt, l)
-            or l == monomial_lcm(lts[i], new_lt)
-            or l == monomial_lcm(lts[j], new_lt)
-        ):
-            kept.add((i, j))
+    ``P`` maps each pending pair ``(i, j)`` to its lcm.  Pairs the new
+    leading term makes redundant are deleted from ``P``; their entries
+    stay in ``heap`` and the caller skips them when popped.  Each new
+    pair ``(i, t)`` enters both ``P`` and ``heap`` as
+    ``(key(lcm), i, t)``, so selection keeps the ``(lcm key, i, j)``
+    order.  ``lcm(lts[i], new_lt)`` is computed once per ``i``; old
+    pairs reuse their stored lcm.
+    """
+    t = len(lts)
+    new_lcms = [monomial_lcm(lt, new_lt) for lt in lts]
+    pruned = [
+        (i, j)
+        for (i, j), l in P.items()
+        if monomial_divides(new_lt, l) and l != new_lcms[i] and l != new_lcms[j]
+    ]
+    for pair in pruned:
+        del P[pair]
     lcm_groups = {}
-    for i in range(t):
-        lcm_groups.setdefault(monomial_lcm(lts[i], new_lt), []).append(i)
+    for i, l in enumerate(new_lcms):
+        lcm_groups.setdefault(l, []).append(i)
     minimal = []
     for l in sorted(lcm_groups, key=key):
         if not any(monomial_divides(l2, l) for l2 in minimal):
@@ -277,8 +294,9 @@ def _update_pairs(G, lts, P, new_lt, key):
     for l in minimal:
         # Buchberger's coprime criterion: skip when lcm = product.
         if not any(monomial_mul(lts[i], new_lt) == l for i in lcm_groups[l]):
-            kept.add((min(lcm_groups[l]), t))
-    return kept
+            i = min(lcm_groups[l])
+            P[(i, t)] = l
+            heappush(heap, (key(l), i, t))
 
 
 def buchberger(source, ordering=GREVLEX, max_degree=None) -> GroebnerBasis:
@@ -309,31 +327,32 @@ def buchberger(source, ordering=GREVLEX, max_degree=None) -> GroebnerBasis:
         G = []
         lts = []
         basis_view = []  # (lt, lc, terms) rows shared with the reducer
-        P = set()
+        P = {}  # pending pair (i, j) -> lcm(lts[i], lts[j])
+        heap = []  # (key(lcm), i, j); entries of pruned pairs go stale
         for f in ints:
             f = _reduce_full(f, basis_view, key)
             if not f:
                 continue
             lt = max(f, key=key)
             _check_degree(lt)
-            P = _update_pairs(G, lts, P, lt, key)
+            _update_pairs(lts, P, heap, lt, key)
             G.append(f)
             lts.append(lt)
             basis_view.append((lt, f[lt], f))
 
         while P:
-            i, j = min(
-                P, key=lambda p: (key(monomial_lcm(lts[p[0]], lts[p[1]])), p[0], p[1])
-            )
-            P.remove((i, j))
-            _check_degree(monomial_lcm(lts[i], lts[j]))
-            s = _spoly(G[i], lts[i], G[i][lts[i]], G[j], lts[j], G[j][lts[j]])
+            _, i, j = heappop(heap)
+            lcm = P.pop((i, j), None)
+            if lcm is None:
+                continue
+            _check_degree(lcm)
+            s = _spoly(G[i], lts[i], G[i][lts[i]], G[j], lts[j], G[j][lts[j]], lcm)
             s = _reduce_full(s, basis_view, key)
             if not s:
                 continue
             lt = max(s, key=key)
             _check_degree(lt)
-            P = _update_pairs(G, lts, P, lt, key)
+            _update_pairs(lts, P, heap, lt, key)
             G.append(s)
             lts.append(lt)
             basis_view.append((lt, s[lt], s))

@@ -22,12 +22,24 @@ from detsing import (
     ideals_equal,
     in_ideal,
     is_zero_ideal,
+    minors,
     normal_form,
     s_polynomial,
     saturation,
+    singular_locus_ideal,
+    stratum,
     support_is_origin_only,
 )
-from helpers import P, XY, XYZ, omega_vars, random_poly
+from detsing import groebner
+from helpers import (
+    P,
+    XY,
+    XYZ,
+    generic_entry_model,
+    omega_model,
+    omega_vars,
+    random_poly,
+)
 from oracles import (
     monomial_ideal_dimension,
     stable_corank,
@@ -91,6 +103,87 @@ class TestBuchberger:
     def test_degree_cap(self):
         with pytest.raises(LimitError):
             buchberger(ideal(XY, "x^5 - y", "y^5 - x"), GREVLEX, max_degree=2)
+
+    def test_degree_cap_on_pair_lcm(self):
+        # Every input leading term has degree <= 3, so a cap of 3 can
+        # only trip on the S-pair lcm x*y^2*z of y*z and x*y^2.
+        I = ideal(XYZ, "x^2*y - z", "x*y^2 - x", "y*z - 1")
+        with pytest.raises(LimitError):
+            buchberger(I, GREVLEX, max_degree=3)
+        assert groebner._MAX_DEGREE is None
+        basis = buchberger(I, GREVLEX, max_degree=4)
+        assert set(basis) == {
+            P("x^2 - 1", XYZ),
+            P("z^2 - 1", XYZ),
+            P("y - z", XYZ),
+        }
+        assert groebner._MAX_DEGREE is None
+
+    def test_basis_independent_of_generator_order(self):
+        # A pair lost from, or left stale in, the pair queue shows up as
+        # a basis that depends on the order the generators arrive in.
+        rng = random.Random(41)
+        cases = []
+        for _ in range(12):
+            gens = [random_poly(rng, XYZ, 3, allow_constant=False) for _ in range(3)]
+            cases.append(([g for g in gens if not g.is_zero()], XYZ, (GREVLEX, LEX)))
+        s = stratum(generic_entry_model(2, 2, 2), 2)
+        reduced = Ideal(s.ideal.groebner_basis().elements, s.ideal.vars)
+        locus = singular_locus_ideal(reduced, s.expected_codim)
+        cases.append((list(locus.generators), locus.vars, (GREVLEX,)))
+        for gens, vs, orderings in cases:
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            for ordering in orderings:
+                bases = [
+                    buchberger(Ideal(order, vs), ordering).elements
+                    for order in (gens, gens[::-1], shuffled)
+                ]
+                assert bases[0] == bases[1] == bases[2]
+
+    def test_reduced_bases_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        cases = []
+        for k in (1, 3):
+            m = omega_model(k)
+            cases += [stratum(m, i).ideal for i in (1, 2)]
+        for n, k in ((2, 1), (2, 2)):
+            m = generic_entry_model(n, k, 1)
+            cases.append(Ideal(minors(m, 2), m.vars))
+        rng = random.Random(43)
+        while len(cases) < 26:
+            gens = [
+                random_poly(rng, XYZ, 3, allow_constant=False)
+                for _ in range(rng.randint(2, 3))
+            ]
+            gens = [g for g in gens if not g.is_zero()]
+            if gens:
+                cases.append(Ideal(gens, XYZ))
+
+        def monic(terms, ordering):
+            lc = terms[max(terms, key=ordering.key)]
+            return frozenset((m, c / lc) for m, c in terms.items())
+
+        for I in cases:
+            syms = sympy.symbols(I.vars.names)
+            polys = [
+                sympy.Poly.from_dict(
+                    {m: sympy.Rational(c.numerator, c.denominator)
+                     for m, c in g.terms.items()},
+                    *syms,
+                )
+                for g in I.generators
+            ]
+            for ordering, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+                ours = {monic(g.terms, ordering) for g in I.groebner_basis(ordering)}
+                theirs = set()
+                for g in sympy.groebner(polys, *syms, order=name).polys:
+                    terms = {}
+                    for m, c in g.as_dict().items():
+                        c = sympy.Rational(c)
+                        terms[m] = Fraction(int(c.p), int(c.q))
+                    theirs.add(monic(terms, ordering))
+                assert ours == theirs, (I, name)
 
     def test_all_spairs_reduce_to_zero(self):
         rng = random.Random(23)
