@@ -5,12 +5,35 @@ criteria and the normal selection strategy (smallest lcm under the
 active ordering, ties broken by generator index), so bases are
 reproducible across runs.  Pending pairs live in a map from the pair
 ``(i, j)`` to its lcm, computed once when the pair is created.  A heap
-of ``(key(lcm), i, j)`` entries yields the next pair in exactly that
-``(lcm key, i, j)`` order; a pair the update criteria prune leaves the
-map, and its heap entry is skipped when popped (lazy deletion).  The
-inner loop works on primitive integer-coefficient polynomials
-(denominators are cleared at reduction boundaries); reduced bases are
-stored monic with exact rational coefficients.
+of ``(lcm, i, j)`` entries yields the next pair in exactly that order;
+a pair the update criteria prune leaves the map, and its heap entry is
+skipped when popped (lazy deletion).  The inner loop works on primitive
+integer-coefficient polynomials (denominators are cleared at reduction
+boundaries); reduced bases are stored monic with exact rational
+coefficients.
+
+Inside the engine each monomial is one ``int`` (the packing of Monagan
+& Pearce, "Sparse polynomial division using a heap", J. Symb. Comp.
+2011).  Every variable, and every block's degree, has a field of one
+width: a guard bit above a value of at most ``limit``.  From the most
+significant field down the layout is ``[deg | limit-e[n-1] | ... |
+limit-e[0]]`` for grevlex, ``[e[0] | ... | e[n-1]]`` for lex, and the
+grevlex layout of each block in turn for block orders, so integer ``<``
+is the monomial order.  Each field is linear in the exponents, so a
+product is an addition and a quotient a subtraction (each corrected by
+the packed monomial 1).  ``a`` divides ``b`` when the tested guard bits
+of ``sign*(a - b) + guards`` are all set: each such field then holds
+``limit + 1`` plus one exponent difference, so no field borrows from
+its neighbour.
+
+Fields start as narrow as the input's largest field value allows (at
+least 16 bits).  Each new lcm is checked, and each S-polynomial and
+reduction step once against a per-row bound, for a field leaving its
+range; a field above ``limit`` or below 0 shows as a set guard bit.  On
+overflow the basis is recomputed from the start with fields twice as
+wide.  Order, S-pair sequence and basis do not depend on the width.
+Exponent tuples come back only for the returned polynomials and the
+degree-cap check.
 
 On top of the basis engine: membership, sums, products, elimination,
 intersection, quotient, saturation, Krull dimension, radical membership
@@ -24,6 +47,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .errors import (
     DetsingError,
@@ -114,7 +138,119 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# Integer-polynomial engine
+# Integer-polynomial engine on packed monomials
+
+
+class _Overflow(Exception):
+    """A packed field left its range; the basis is recomputed wider."""
+
+
+class _Packing:
+    """Monomials of one ordering packed into one int each, in fields
+    ``bits`` wide (layouts in the module docstring): integer ``<`` is
+    ``ordering.key`` order, the product of ``a`` and ``b`` is
+    ``a + b - one`` and their quotient ``a - b + one``."""
+
+    __slots__ = ("ordering", "width", "bits", "limit", "blocks", "plain",
+                 "slots", "coeffs", "one", "guards", "test", "sign")
+
+    def __init__(self, ordering, width, bits):
+        self.ordering = ordering
+        self.width = width
+        self.bits = bits
+        limit = self.limit = (1 << (bits - 1)) - 1
+        # Fields from the least significant up: (variables whose
+        # exponents the field sums, stored as limit - sum?).
+        if ordering.kind == "lex":
+            self.blocks = ()
+            layout = [((i,), False) for i in reversed(range(width))]
+        else:
+            first = ordering.block if ordering.kind == "block" else tuple(range(width))
+            rest = tuple(i for i in range(width) if i not in first)
+            self.blocks = tuple(b for b in (first, rest) if b)
+            layout = []
+            for b in reversed(self.blocks):
+                layout += [((i,), True) for i in b]
+                layout.append((b, False))
+        self.plain = [pos * bits for pos, (_, comp) in enumerate(layout) if not comp]
+        slots = [None] * width
+        coeffs = [0] * width
+        one = guards = test = 0
+        for pos, (members, comp) in enumerate(layout):
+            shift = pos * bits
+            guard = 1 << (shift + bits - 1)
+            guards |= guard
+            if comp:
+                one += limit << shift
+            if comp or not self.blocks:
+                slots[members[0]] = (shift, comp)
+                test |= guard
+            for i in members:
+                coeffs[i] += -(1 << shift) if comp else 1 << shift
+        self.slots = tuple(slots)
+        self.coeffs = tuple(coeffs)
+        self.one = one
+        self.guards = guards
+        self.test = test  # the guard bits divides() reads
+        self.sign = -1 if ordering.kind == "lex" else 1
+
+    @classmethod
+    def for_input(cls, ordering, width, polys):
+        """The narrowest packing, at least 16 bits a field, holding every
+        monomial of the input."""
+        probe = cls(ordering, width, 16)
+        peak = max((probe.peak(m) for p in polys for m in p), default=0)
+        return cls(ordering, width, max(16, peak.bit_length() + 1))
+
+    def wider(self):
+        """The same layout with fields twice as wide."""
+        return _Packing(self.ordering, self.width, 2 * self.bits)
+
+    def peak(self, exps):
+        """Largest field value of an exponent vector."""
+        if not self.blocks:
+            return max(exps)
+        return max(sum(exps[i] for i in b) for b in self.blocks)
+
+    def pack(self, exps):
+        """Packed form of exponents whose field values are at most
+        ``2*limit``; a guard bit is set exactly when one exceeds
+        ``limit`` (see :meth:`ceiling`)."""
+        return self.one + sum(map(mul, exps, self.coeffs))
+
+    def unpack(self, mono):
+        limit = self.limit
+        return tuple(
+            limit - ((mono >> shift) & limit) if comp else (mono >> shift) & limit
+            for shift, comp in self.slots
+        )
+
+    def divides(self, a, b):
+        """True when packed monomial a divides packed monomial b.
+
+        Each tested field of ``sign*(a - b) + guards`` holds ``limit + 1``
+        plus the exponent of b less that of a, in ``1..2*limit+1``, so no
+        field borrows from the next and its guard bit is set exactly when
+        that exponent of b is at least that of a.
+        """
+        return (self.sign * (a - b) + self.guards) & self.test == self.test
+
+    def ceiling(self, monos):
+        """Largest value of each plain field over packed monomials, with
+        every complement field at exponent 0.
+
+        An exponent never exceeds its block's degree field, so a product
+        fits when its plain fields do.  ``ceiling + m - lt`` therefore has
+        a guard bit set exactly when some product ``mono * m / lt`` does
+        not fit: a field below ``0`` or above ``limit`` reads, with no
+        borrow or carry from the fields under it, as a value with its
+        guard bit set.
+        """
+        limit = self.limit
+        out = self.one
+        for shift in self.plain:
+            out |= max((m >> shift) & limit for m in monos) << shift
+        return out
 
 
 def _poly_to_int(p):
@@ -133,52 +269,64 @@ def _content(terms):
     return g
 
 
-def _primitive(terms, lead_key):
+def _primitive(terms):
     if not terms:
         return terms
     g = _content(terms)
-    lead = max(terms, key=lead_key)
-    if terms[lead] < 0:
+    if terms[max(terms)] < 0:
         g = -g
     if g not in (0, 1):
         terms = {m: c // g for m, c in terms.items()}
     return terms
 
 
-def _reduce_full(p, basis, key):
+def _row(p, packing):
+    """Reducer row of a primitive polynomial with positive leading
+    coefficient: (divisor key, lt, lc, terms, ceiling - lt)."""
+    lt = max(p)
+    return (
+        packing.sign * lt + packing.guards,
+        lt,
+        p[lt],
+        p,
+        packing.ceiling(p) - lt,
+    )
+
+
+def _reduce_full(p, basis, packing):
     """Full pseudo-reduction of an integer polynomial against a basis.
 
-    ``basis`` is a list of (lt, lc, terms) with positive leading
-    coefficients.  Returns a primitive remainder; the remainder is a
-    unit multiple of the rational normal form, which is all the callers
-    need (zero tests, interreduction).
+    ``basis`` is a list of rows from :func:`_row`.  Returns a primitive
+    remainder; the remainder is a unit multiple of the rational normal
+    form, which is all the callers need (zero tests, interreduction).
     """
+    guards, test, sign = packing.guards, packing.test, packing.sign
     rem = {}
     work = dict(p)
     steps = 0
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work[m]
-        hit = None
-        for lt, lc, g in basis:
-            if monomial_divides(lt, m):
-                hit = (lt, lc, g)
+        probe = sign * m
+        for row in basis:
+            if (row[0] - probe) & test == test:
                 break
-        if hit is None:
+        else:
             del work[m]
             rem[m] = c
             continue
-        lt, lc, g = hit
-        shift = monomial_div(m, lt)
+        _, lt, lc, g, rise = row
+        if (rise + m) & guards:
+            raise _Overflow
+        shift = m - lt
         if lc != 1:
             for k2 in work:
                 work[k2] *= lc
             for k2 in rem:
                 rem[k2] *= lc
-            c *= lc
         for mg, cg in g.items():
-            mm = monomial_mul(mg, shift)
-            s = work.get(mm, 0) - (c // lc) * cg
+            mm = mg + shift
+            s = work.get(mm, 0) - c * cg
             if s:
                 work[mm] = s
             else:
@@ -191,17 +339,19 @@ def _reduce_full(p, basis, key):
             if g2 > 1:
                 work = {k2: v // g2 for k2, v in work.items()}
                 rem = {k2: v // g2 for k2, v in rem.items()}
-    return _primitive(rem, key)
+    return _primitive(rem)
 
 
-def _spoly(fi, lti, lci, fj, ltj, lcj, lcm):
-    si = monomial_div(lcm, lti)
-    sj = monomial_div(lcm, ltj)
-    out = {}
-    for m, c in fi.items():
-        out[monomial_mul(m, si)] = c * lcj
+def _spoly(ri, rj, lcm, packing):
+    _, lti, lci, fi, risei = ri
+    _, ltj, lcj, fj, risej = rj
+    if (risei + lcm) & packing.guards or (risej + lcm) & packing.guards:
+        raise _Overflow
+    si = lcm - lti
+    sj = lcm - ltj
+    out = {m + si: c * lcj for m, c in fi.items()}
     for m, c in fj.items():
-        mm = monomial_mul(m, sj)
+        mm = m + sj
         s = out.get(mm, 0) - c * lci
         if s:
             out[mm] = s
@@ -210,77 +360,70 @@ def _spoly(fi, lti, lci, fj, ltj, lcj, lcm):
     return out
 
 
-class _KeyCache:
-    __slots__ = ("fn", "cache")
-
-    def __init__(self, ordering):
-        self.fn = ordering.key
-        self.cache = {}
-
-    def __call__(self, mono):
-        k = self.cache.get(mono)
-        if k is None:
-            k = self.fn(mono)
-            self.cache[mono] = k
-        return k
+def _check_degree(mono, cap, phase, packing):
+    if cap is not None:
+        degree = sum(packing.unpack(mono))
+        if degree > cap:
+            raise LimitError(
+                f"basis computation exceeded the degree cap {cap}: "
+                f"{phase} reached degree {degree}"
+            )
 
 
-def _check_degree(mono):
-    if _MAX_DEGREE is not None and sum(mono) > _MAX_DEGREE:
-        raise LimitError(
-            f"basis computation exceeded the degree cap {_MAX_DEGREE}"
-        )
-
-
-def _interreduce_input(polys, key):
+def _interreduce_input(polys, packing):
     """Mutually reduce a generator list until stable (ideal unchanged).
 
-    Each polynomial keeps a (lt, lc, terms) row; a row is rebuilt only
-    when its polynomial changes, so a round computes no leading term
-    twice.
+    Each polynomial keeps a reducer row; a row is rebuilt only when its
+    polynomial changes, so a round computes no leading term twice.
     """
-
-    def row(p):
-        lt = max(p, key=key)
-        return (lt, p[lt], p)
-
-    rows = [row(_primitive(dict(p), key)) for p in polys if p]
+    rows = [_row(_primitive(dict(p)), packing) for p in polys if p]
     changed = True
     while changed:
         changed = False
-        rows.sort(key=lambda r: key(r[0]))
-        for i in range(len(rows)):
-            if rows[i] is None:
+        rows.sort(key=lambda r: r[1])
+        i = 0
+        while i < len(rows):
+            p = rows[i][3]
+            red = _reduce_full(p, rows[:i] + rows[i + 1 :], packing)
+            if red == p:
+                i += 1
                 continue
-            others = [r for j, r in enumerate(rows) if j != i and r is not None]
-            if not others:
-                continue
-            p = rows[i][2]
-            red = _reduce_full(p, others, key)
-            if red != p:
-                rows[i] = row(red) if red else None
-                changed = True
-        rows = [r for r in rows if r is not None]
-    return [r[2] for r in rows]
+            changed = True
+            if red:
+                rows[i] = _row(red, packing)
+                i += 1
+            else:
+                del rows[i]
+    return [r[3] for r in rows]
 
 
-def _update_pairs(lts, P, heap, new_lt, key):
+def _update_pairs(lts, exps, P, heap, new_lt, new_exps, packing):
     """Gebauer-Moeller pair update for the element about to be appended.
 
-    ``P`` maps each pending pair ``(i, j)`` to its lcm.  Pairs the new
-    leading term makes redundant are deleted from ``P``; their entries
-    stay in ``heap`` and the caller skips them when popped.  Each new
-    pair ``(i, t)`` enters both ``P`` and ``heap`` as
-    ``(key(lcm), i, t)``, so selection keeps the ``(lcm key, i, j)``
-    order.  ``lcm(lts[i], new_lt)`` is computed once per ``i``; old
-    pairs reuse their stored lcm.
+    ``lts`` are the packed leading terms, ``exps`` the same as exponent
+    tuples.  ``P`` maps each pending pair ``(i, j)`` to its packed lcm.
+    Pairs the new leading term makes redundant are deleted from ``P``;
+    their entries stay in ``heap`` and the caller skips them when
+    popped.  Each new pair ``(i, t)`` enters both ``P`` and ``heap`` as
+    ``(lcm, i, t)``, so selection keeps the ``(lcm, i, j)`` order.
+    ``lcm(lts[i], new_lt)`` is computed once per ``i``; old pairs reuse
+    their stored lcm.
     """
     t = len(lts)
-    new_lcms = [monomial_lcm(lt, new_lt) for lt in lts]
+    pack = packing.pack
+    # An lcm's fields are at most twice the limit, so a guard bit flags
+    # any that does not fit.
+    new_lcms = [pack(map(max, e, new_exps)) for e in exps]
+    sign, test, guards = packing.sign, packing.test, packing.guards
+    if any(map(guards.__and__, new_lcms)):
+        raise _Overflow
+    divisor = sign * new_lt + guards
     pruned = [
         (i, j)
         for (i, j), l in P.items()
-        if monomial_divides(new_lt, l) and l != new_lcms[i] and l != new_lcms[j]
+        if (divisor - sign * l) & test == test
+        and l != new_lcms[i]
+        and l != new_lcms[j]
     ]
     for pair in pruned:
         del P[pair]
@@ -288,24 +431,83 @@ def _update_pairs(lts, P, heap, new_lt, key):
     for i, l in enumerate(new_lcms):
         lcm_groups.setdefault(l, []).append(i)
     minimal = []
-    for l in sorted(lcm_groups, key=key):
-        if not any(monomial_divides(l2, l) for l2 in minimal):
+    keys = []  # divisor keys of the minimal lcms
+    for l in sorted(lcm_groups):
+        probe = sign * l
+        if not any((k - probe) & test == test for k in keys):
             minimal.append(l)
+            keys.append(probe + guards)
+    product = new_lt - packing.one
     for l in minimal:
         # Buchberger's coprime criterion: skip when lcm = product.
-        if not any(monomial_mul(lts[i], new_lt) == l for i in lcm_groups[l]):
+        if not any(lts[i] + product == l for i in lcm_groups[l]):
             i = min(lcm_groups[l])
             P[(i, t)] = l
-            heappush(heap, (key(l), i, t))
+            heappush(heap, (l, i, t))
+
+
+def _packed_basis(polys, packing, cap):
+    """Reduced basis, as primitive packed polynomials sorted by leading
+    term, of integer polynomials with exponent-tuple keys.  Raises
+    _Overflow when a monomial does not fit the packing."""
+    pack = packing.pack
+    polys = [{pack(m): c for m, c in p.items()} for p in polys]
+    polys = _interreduce_input(polys, packing)
+    G = []  # (divisor key, lt, lc, terms, ceiling - lt) rows
+    lts = []
+    exps = []
+    P = {}  # pending pair (i, j) -> lcm(lts[i], lts[j])
+    heap = []  # (lcm, i, j); entries of pruned pairs go stale
+
+    def add(f, phase):
+        row = _row(f, packing)
+        lt = row[1]
+        _check_degree(lt, cap, phase, packing)
+        e = packing.unpack(lt)
+        _update_pairs(lts, exps, P, heap, lt, e, packing)
+        G.append(row)
+        lts.append(lt)
+        exps.append(e)
+
+    for f in polys:
+        f = _reduce_full(f, G, packing)
+        if f:
+            add(f, "input leading term")
+
+    while P:
+        _, i, j = heappop(heap)
+        lcm = P.pop((i, j), None)
+        if lcm is None:
+            continue
+        _check_degree(lcm, cap, "S-pair lcm", packing)
+        s = _reduce_full(_spoly(G[i], G[j], lcm, packing), G, packing)
+        if s:
+            add(s, "new basis element")
+
+    # Minimalize: drop elements whose leading term another divides.
+    sign, test = packing.sign, packing.test
+    minimal = []
+    for i in sorted(range(len(G)), key=lts.__getitem__):
+        probe = sign * lts[i]
+        if not any((G[j][0] - probe) & test == test for j in minimal):
+            minimal.append(i)
+    # Interreduce the minimal elements.
+    final = []
+    for pos, i in enumerate(minimal):
+        others = [G[j] for j in minimal[:pos] + minimal[pos + 1 :]]
+        final.append(_reduce_full(G[i][3], others, packing))
+    final.sort(key=max)
+    return final
 
 
 def buchberger(source, ordering=GREVLEX, max_degree=None) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal (or generator list).
 
     Deterministic: normal pair selection and fixed tie-breaking yield
-    the same basis on every run.
+    the same basis on every run.  ``max_degree`` caps the degree of
+    leading terms and S-pair lcms; without it the module-wide cap set by
+    :func:`set_max_degree` applies.
     """
-    global _MAX_DEGREE
     if isinstance(source, Ideal):
         gens = source.generators
         vars = source.vars
@@ -314,74 +516,22 @@ def buchberger(source, ordering=GREVLEX, max_degree=None) -> GroebnerBasis:
         if not gens:
             raise ValidationError("buchberger needs a variable set; use Ideal")
         vars = gens[0].vars
-    key = _KeyCache(ordering)
-    saved_cap = _MAX_DEGREE
-    if max_degree is not None:
-        _MAX_DEGREE = max_degree
-    try:
-        ints = [_poly_to_int(g) for g in gens]
-        ints = _interreduce_input(ints, key)
-        if not ints:
-            return GroebnerBasis((), ordering)
-
-        G = []
-        lts = []
-        basis_view = []  # (lt, lc, terms) rows shared with the reducer
-        P = {}  # pending pair (i, j) -> lcm(lts[i], lts[j])
-        heap = []  # (key(lcm), i, j); entries of pruned pairs go stale
-        for f in ints:
-            f = _reduce_full(f, basis_view, key)
-            if not f:
-                continue
-            lt = max(f, key=key)
-            _check_degree(lt)
-            _update_pairs(lts, P, heap, lt, key)
-            G.append(f)
-            lts.append(lt)
-            basis_view.append((lt, f[lt], f))
-
-        while P:
-            _, i, j = heappop(heap)
-            lcm = P.pop((i, j), None)
-            if lcm is None:
-                continue
-            _check_degree(lcm)
-            s = _spoly(G[i], lts[i], G[i][lts[i]], G[j], lts[j], G[j][lts[j]], lcm)
-            s = _reduce_full(s, basis_view, key)
-            if not s:
-                continue
-            lt = max(s, key=key)
-            _check_degree(lt)
-            _update_pairs(lts, P, heap, lt, key)
-            G.append(s)
-            lts.append(lt)
-            basis_view.append((lt, s[lt], s))
-
-        # Minimalize: drop elements whose leading term another divides.
-        order_idx = sorted(range(len(G)), key=lambda i: key(lts[i]))
-        minimal = []
-        for i in order_idx:
-            if not any(monomial_divides(lts[j], lts[i]) for j in minimal):
-                minimal.append(i)
-        # Interreduce the minimal elements.
-        final = []
-        for pos, i in enumerate(minimal):
-            others = [
-                (lts[j], G[j][lts[j]], G[j]) for j in minimal[:pos] + minimal[pos + 1 :]
-            ]
-            red = _reduce_full(G[i], others, key)
-            final.append(red)
-        final.sort(key=lambda f: key(max(f, key=key)))
-        out = []
-        for f in final:
-            lt = max(f, key=key)
-            lc = f[lt]
-            out.append(
-                Polynomial(vars, {m: Fraction(c, lc) for m, c in f.items()})
-            )
-        return GroebnerBasis(out, ordering)
-    finally:
-        _MAX_DEGREE = saved_cap
+    cap = _MAX_DEGREE if max_degree is None else max_degree
+    ints = [_poly_to_int(g) for g in gens]
+    packing = _Packing.for_input(ordering, len(vars), ints)
+    while True:
+        try:
+            final = _packed_basis(ints, packing, cap)
+            break
+        except _Overflow:
+            packing = packing.wider()
+    out = []
+    for f in final:
+        lc = f[max(f)]
+        out.append(
+            Polynomial(vars, {packing.unpack(m): Fraction(c, lc) for m, c in f.items()})
+        )
+    return GroebnerBasis(out, ordering)
 
 
 # ---------------------------------------------------------------------------

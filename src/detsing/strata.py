@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .detmodel import DeterminantalType, PresentationMatrix, minors, stratum
+from .detmodel import DeterminantalType, PresentationMatrix, _det, minors, stratum
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .groebner import (
     Ideal,
@@ -24,7 +24,6 @@ from .groebner import (
     saturation,
     support_is_origin_only,
 )
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -59,24 +58,8 @@ def singular_locus_ideal(a: Ideal, codim: int) -> Ideal:
     for rows in combinations(range(len(gens)), codim):
         for cols in combinations(range(len(names)), codim):
             grid = [[jac[r][c] for c in cols] for r in rows]
-            minor_gens.append(_grid_det(grid))
+            minor_gens.append(_det(grid))
     return Ideal(list(gens) + minor_gens, a.vars)
-
-
-def _grid_det(grid):
-    size = len(grid)
-    if size == 1:
-        return grid[0][0]
-    vars = grid[0][0].vars
-    total = Polynomial.zero(vars)
-    for c in range(size):
-        entry = grid[0][c]
-        if entry.is_zero():
-            continue
-        sub = [row[:c] + row[c + 1 :] for row in grid[1:]]
-        piece = entry * _grid_det(sub)
-        total = total + piece if c % 2 == 0 else total - piece
-    return total
 
 
 def _reduced_ideal(ideal: Ideal) -> Ideal:

@@ -31,6 +31,13 @@ from detsing import (
     support_is_origin_only,
 )
 from detsing import groebner
+from detsing.poly import (
+    MonomialOrdering,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
 from helpers import (
     P,
     XY,
@@ -101,14 +108,14 @@ class TestBuchberger:
                         assert not all(a <= b for a, b in zip(lt, mono))
 
     def test_degree_cap(self):
-        with pytest.raises(LimitError):
+        with pytest.raises(LimitError, match="input leading term reached degree 5"):
             buchberger(ideal(XY, "x^5 - y", "y^5 - x"), GREVLEX, max_degree=2)
 
     def test_degree_cap_on_pair_lcm(self):
         # Every input leading term has degree <= 3, so a cap of 3 can
         # only trip on the S-pair lcm x*y^2*z of y*z and x*y^2.
         I = ideal(XYZ, "x^2*y - z", "x*y^2 - x", "y*z - 1")
-        with pytest.raises(LimitError):
+        with pytest.raises(LimitError, match="S-pair lcm reached degree 4"):
             buchberger(I, GREVLEX, max_degree=3)
         assert groebner._MAX_DEGREE is None
         basis = buchberger(I, GREVLEX, max_degree=4)
@@ -118,6 +125,35 @@ class TestBuchberger:
             P("y - z", XYZ),
         }
         assert groebner._MAX_DEGREE is None
+
+    def test_degree_cap_on_new_basis_element(self):
+        # In lex the S-polynomial y^4 of x*y and x^2 - y^3 has a higher
+        # degree than their lcm x^2*y, so a cap of 3 trips on the new
+        # basis element only; the next lcm, x*y^4, needs a cap of 5.
+        I = ideal(XY, "x*y", "x^2 - y^3")
+        with pytest.raises(
+            LimitError, match="cap 3: new basis element reached degree 4"
+        ):
+            buchberger(I, LEX, max_degree=3)
+        basis = buchberger(I, LEX, max_degree=5)
+        assert set(basis) == {P("x*y", XY), P("x^2 - y^3", XY), P("y^4", XY)}
+
+    def test_packed_fields_widen_on_overflow(self):
+        # Each input fits the narrowest fields exactly, but the computation
+        # makes a monomial that does not: the lcm x^N*y^N of the leading
+        # terms, the reduction step x*y^K -> y^(2K), the S-polynomial term
+        # z^K*z.  The basis is recomputed with wider fields, not wrapped.
+        N, K = 2**31 - 1, 2**15 - 1
+        cases = [
+            (XY, GREVLEX, N, [f"x^{N} - y", f"y^{N} - x"], [f"x^{N} - y", f"y^{N} - x"]),
+            (XY, LEX, K, ["x^2", f"x - y^{K}"], [f"x - y^{K}", f"y^{2 * K}"]),
+            (XYZ, LEX, K, [f"x*y - z^{K}", "x*z"], [f"x*y - z^{K}", "x*z", f"z^{K + 1}"]),
+        ]
+        for vs, ordering, limit, gens, expected in cases:
+            I = ideal(vs, *gens)
+            ints = [groebner._poly_to_int(g) for g in I.generators]
+            assert groebner._Packing.for_input(ordering, len(vs), ints).limit == limit
+            assert set(buchberger(I, ordering)) == {P(t, vs) for t in expected}
 
     def test_basis_independent_of_generator_order(self):
         # A pair lost from, or left stale in, the pair queue shows up as
@@ -198,6 +234,104 @@ class TestBuchberger:
                 for j in range(i + 1, len(elems)):
                     s = s_polynomial(elems[i], elems[j], GREVLEX)
                     assert normal_form(s, basis).is_zero()
+
+
+def packing_property(check):
+    """Run ``check(packing, exps)`` on exponent vectors over 1-20
+    variables, each ordering kind, packed in the narrowest fields that
+    hold them, so field boundaries are hit."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 20))
+        ordering = draw(
+            st.sampled_from(["grevlex", "lex", "block", "eliminating"])
+        )
+        if ordering == "grevlex":
+            ordering = GREVLEX
+        elif ordering == "lex":
+            ordering = LEX
+        elif ordering == "block":
+            ordering = MonomialOrdering.block_elimination(draw(st.integers(0, n)))
+        else:
+            ordering = MonomialOrdering.eliminating(
+                draw(st.sets(st.integers(0, n - 1), max_size=n))
+            )
+        top = draw(st.sampled_from([1, 3, 100, 2**20]))
+        exps = draw(
+            st.lists(
+                st.tuples(*[st.integers(0, top)] * n), min_size=2, max_size=6
+            )
+        )
+        probe = groebner._Packing(ordering, n, 16)
+        peak = max(probe.peak(e) for e in exps)
+        return groebner._Packing(ordering, n, max(2, peak.bit_length() + 1)), exps
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(cases())
+    def run(case):
+        check(*case)
+
+    run()
+
+
+class TestPackedMonomials:
+    def test_round_trip_order_and_divides(self):
+        def check(packing, exps):
+            key = packing.ordering.key
+            packed = [packing.pack(e) for e in exps]
+            for e, pe in zip(exps, packed):
+                assert pe & packing.guards == 0
+                assert packing.unpack(pe) == e
+            for a, pa in zip(exps, packed):
+                for b, pb in zip(exps, packed):
+                    assert (pa < pb) == (key(a) < key(b))
+                    assert (pa == pb) == (a == b)
+                    assert packing.divides(pa, pb) == monomial_divides(a, b)
+
+        packing_property(check)
+
+    def test_product_quotient_and_lcm(self):
+        def check(packing, exps):
+            fits = lambda e: packing.peak(e) <= packing.limit
+            packed = [packing.pack(e) for e in exps]
+            for a, pa in zip(exps, packed):
+                for b, pb in zip(exps, packed):
+                    for exact, got in (
+                        (monomial_mul(a, b), pa + pb - packing.one),
+                        (monomial_lcm(a, b), packing.pack(monomial_lcm(a, b))),
+                    ):
+                        # A guard bit flags exactly the results that do
+                        # not fit; the others unpack to the exact result.
+                        assert (got & packing.guards == 0) == fits(exact)
+                        if fits(exact):
+                            assert packing.unpack(got) == exact
+                    if monomial_divides(a, b):
+                        quotient = pb - pa + packing.one
+                        assert packing.unpack(quotient) == monomial_div(b, a)
+
+        packing_property(check)
+
+    def test_ceiling_flags_every_overflowing_product(self):
+        # The reducer's one check per step: ceiling(g) - lt + m has a
+        # guard bit set exactly when some term of g times m/lt overflows.
+        def check(packing, exps):
+            packed = [packing.pack(e) for e in exps]
+            ceiling = packing.ceiling(packed)
+            for a, pa in zip(exps, packed):
+                for b, pb in zip(exps, packed):
+                    if not monomial_divides(a, b):
+                        continue
+                    shift = monomial_div(b, a)
+                    overflows = any(
+                        packing.peak(monomial_mul(e, shift)) > packing.limit
+                        for e in exps
+                    )
+                    assert bool((ceiling - pa + pb) & packing.guards) == overflows
+
+        packing_property(check)
 
 
 class TestNormalForm:

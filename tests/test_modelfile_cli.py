@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,8 @@ from detsing.cli import main
 from detsing.modelfile import build_model, format_model, parse_model_file
 from detsing.report import validate_report
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 OMEGA2 = """
 [variables]
@@ -152,6 +154,30 @@ class TestCli:
         assert code == 0
         assert any("user-supplied" in w for w in report["warnings"])
         assert any("necessary condition" in w for w in report["warnings"])
+
+    def test_dim_with_exponent_beyond_32_bits(self, capsys, tmp_path):
+        # y^5000000000 needs 33-bit exponent fields; products of it need
+        # more, which the engine must widen to rather than fail.
+        text = (MODELS / "omega1.model").read_text()
+        assert "x1 + y^2" in text
+        path = tmp_path / "omega1_big.model"
+        path.write_text(text.replace("x1 + y^2", "x1 + y^5000000000"))
+        code, report = self.structured(capsys, "dim", str(path), "--stratum", "2")
+        assert code == 0
+        assert report["dimension"]["value"] == 4
+
+    def test_analyze_matches_reference_digests(self, capsys):
+        # The structured analyze output of every bundled model is pinned
+        # byte for byte by the benchmark's reference digests.
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+        digests = reference["models-analyze"]
+        assert sorted(digests) == sorted(p.stem for p in MODELS.glob("*.model"))
+        for name, digest in sorted(digests.items()):
+            code, out = self.run(
+                capsys, "analyze", str(MODELS / f"{name}.model"), "--format", "structured"
+            )
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
     def test_slice_output_reparses(self, capsys, tmp_path):
         code, out = self.run(
