@@ -41,6 +41,17 @@ from .report import (
 )
 
 
+def _degree_cap(text):
+    """A --max-degree value: a non-negative integer."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return cap
+
+
 def _add_common(parser):
     parser.add_argument("model", help="path to a model file")
     parser.add_argument(
@@ -57,7 +68,7 @@ def _add_common(parser):
     )
     parser.add_argument(
         "--max-degree",
-        type=int,
+        type=_degree_cap,
         default=None,
         help="abort basis computations past this total degree (exit 3)",
     )

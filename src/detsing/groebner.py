@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
 from math import gcd
 from operator import mul
 
@@ -725,11 +724,38 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
 # Dimension, support, colength
 
 
+def _minimal_supports(basis: GroebnerBasis) -> list[int]:
+    """Inclusion-minimal variable supports of the leading terms, each a
+    bitmask (bit i set when variable i divides the leading term), sorted
+    by size and then by mask."""
+    supports = sorted(
+        {sum(1 << i for i, e in enumerate(lt) if e) for lt in basis.leading_monomials()},
+        key=lambda s: (s.bit_count(), s),
+    )
+    minimal = []
+    for s in supports:
+        if all(m & s != m for m in minimal):
+            minimal.append(s)
+    return minimal
+
+
 def dimension(a: Ideal) -> int:
     """Krull dimension of the quotient ring; -1 for the unit ideal.
 
-    Computed as the largest variable subset independent modulo the
-    leading-term ideal of the reduced grevlex basis.
+    A variable subset is independent modulo the leading-term ideal of
+    the reduced grevlex basis when it contains no leading term's support
+    (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9
+    §3), so the dimension is q minus the size of the smallest variable
+    set meeting every minimal support.  That set is found by a
+    depth-first branch-and-bound on an explicit stack.  Each node fixes
+    some variables in the cover (``chosen``) and some out of it
+    (``excluded``).  It branches on the open support with the fewest
+    free variables v_1 < ... < v_k: branch k puts v_k in and keeps
+    v_1 ... v_(k-1) out, so no cover is visited twice and there are at
+    most 2^q nodes.  A node is pruned when an open support lies wholly
+    in ``excluded``, or when its chosen count plus a greedy count of
+    pairwise-disjoint open supports (a lower bound on what is still
+    needed) cannot beat the best cover found.
     """
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
@@ -737,15 +763,34 @@ def dimension(a: Ideal) -> int:
     q = len(a.vars)
     if not basis.elements:
         return q
-    supports = []
-    for lt in basis.leading_monomials():
-        supports.append(frozenset(i for i, e in enumerate(lt) if e))
-    for size in range(q, -1, -1):
-        for subset in combinations(range(q), size):
-            sset = set(subset)
-            if all(not s <= sset for s in supports):
-                return size
-    return 0
+    supports = _minimal_supports(basis)
+    # One variable from each support is a cover, and so is every variable.
+    best = min(q, len(supports))
+    stack = [(0, 0, 0)]
+    while stack:
+        chosen, count, excluded = stack.pop()
+        open_ = [s for s in supports if not s & chosen]
+        if not open_:
+            best = min(best, count)
+            continue
+        if any(not s & ~excluded for s in open_):
+            continue
+        needed = seen = 0
+        for s in open_:
+            if not s & seen:
+                seen |= s
+                needed += 1
+        if count + needed >= best:
+            continue
+        branch = min((s & ~excluded for s in open_), key=int.bit_count)
+        children = []
+        while branch:
+            bit = branch & -branch
+            children.append((chosen | bit, count + 1, excluded))
+            excluded |= bit
+            branch ^= bit
+        stack.extend(reversed(children))
+    return q - best
 
 
 def support_is_origin_only(a: Ideal) -> bool:
@@ -770,12 +815,11 @@ def support_is_origin_only(a: Ideal) -> bool:
 def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
     """Monomials outside the leading-term ideal (finitely many required)."""
     lts = basis.leading_monomials()
-    # Zero-dimensionality certificate: a pure power of every variable leads.
+    # Zero-dimensionality certificate: a pure power of every variable
+    # leads, that is, every {j} is a leading-term support.
+    supports = set(_minimal_supports(basis))
     for j in range(width):
-        if not any(
-            lt[j] > 0 and all(lt[i] == 0 for i in range(width) if i != j)
-            for lt in lts
-        ):
+        if 1 << j not in supports:
             raise PreconditionError(
                 "ideal is not zero-dimensional: no pure-power leading term "
                 f"in variable index {j}"

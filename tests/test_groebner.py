@@ -473,6 +473,59 @@ class TestDimension:
             assert got == monomial_ideal_dimension(lts, 4)
             assert got == monomial_ideal_dimension(monos, 4)
 
+    def test_monomial_ideals_match_oracle_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            q = draw(st.integers(1, 12))
+            supports = draw(
+                st.lists(
+                    st.frozensets(st.integers(0, q - 1), min_size=1),
+                    min_size=1,
+                    max_size=2 * q,
+                )
+            )
+            # Exponent 1 or 2 on each support variable, varied by position.
+            monos = [
+                tuple(1 + (i + k) % 2 if i in s else 0 for i in range(q))
+                for k, s in enumerate(supports)
+            ]
+            return q, monos
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(cases())
+        def run(case):
+            q, monos = case
+            vs = VariableSet(tuple(f"v{i}" for i in range(q)))
+            gens = [Polynomial(vs, {m: Fraction(1)}) for m in monos]
+            assert dimension(Ideal(gens, vs)) == monomial_ideal_dimension(monos, q)
+
+        run()
+
+    @pytest.mark.parametrize(
+        "case, index", [((4, 1, 2), 1), ((4, 1, 2), 2), ((5, 0, 2), 2), ((4, 2, 2), 2)]
+    )
+    def test_wide_generic_strata(self, case, index):
+        # q = 20, 25 and 24: dimensions 0, 8, 9 and 9.
+        st = stratum(generic_entry_model(*case), index)
+        assert dimension(st.ideal) == st.expected_dim
+
+    def test_maximal_ideal_many_variables(self):
+        vs = VariableSet(tuple(f"v{i}" for i in range(24)))
+        assert dimension(groebner.maximal_ideal(vs)) == 0
+
+    def test_not_zero_dimensional_names_variable(self):
+        cases = (
+            (("y", "z^2", "x*y"), 0),
+            (("x^2", "x*y", "z"), 1),
+            (("x*y", "x^2", "y^3"), 2),
+        )
+        for texts, index in cases:
+            with pytest.raises(PreconditionError, match=f"in variable index {index}$"):
+                colength(ideal(XYZ, *texts))
+
 
 class TestSupport:
     def test_fat_point_true(self):

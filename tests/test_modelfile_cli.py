@@ -266,6 +266,13 @@ class TestCli:
             == 3
         )
 
+    def test_negative_max_degree_rejected(self, capsys):
+        code = main(
+            ["dim", str(MODELS / "omega1.model"), "--stratum", "2", "--max-degree", "-1"]
+        )
+        assert code == 1
+        assert "--max-degree" in capsys.readouterr().err
+
     def test_parametric_model_needs_samples(self, capsys):
         assert (
             main(["colength", str(MODELS / "omega1_family.model"), "--stratum", "1"])
