@@ -38,7 +38,11 @@ degree-cap check.
 On top of the basis engine: membership, sums, products, elimination,
 intersection, quotient, saturation, Krull dimension, radical membership
 of variables, and colength (standard-monomial count) for ideals
-supported at the origin.
+supported at the origin.  Saturation and the radical test share one
+Rabinowitsch construction: a fresh tag variable t and the generator
+1 - t*g adjoined to the lifted generators.  A saturation is one
+elimination of t per generator of the saturator and needs no round
+limit: the degree cap bounds every basis it computes.
 """
 
 from __future__ import annotations
@@ -65,8 +69,6 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
-
-_SATURATION_CAP = 50
 
 # Optional safety cap on the total degree of basis elements / S-pair lcms
 # produced during a basis computation (CLI --max-degree).  None = no cap.
@@ -684,31 +686,38 @@ def ideal_quotient(a: Ideal, g: Polynomial) -> Ideal:
     return Ideal(gens, a.vars)
 
 
-def saturation(a: Ideal, b: Ideal) -> Ideal:
-    """Saturation of a by b: iterated quotients per generator of b,
-    combined over generators by intersection.
+def _rabinowitsch(gens, g, vars):
+    """The ideal (gens) + (1 - t*g) over vars extended by a fresh tag t,
+    and the tag's name."""
+    tag = vars.fresh_name("t_")
+    ext = vars.extended(tag)
+    t = Polynomial.variable(ext, tag)
+    one = Polynomial.constant(ext, 1)
+    lifted = [h.lift(ext) for h in gens]
+    return Ideal(lifted + [one - t * g.lift(ext)], ext), tag
 
-    Each per-generator chain stops when the reduced basis stabilizes;
-    more than _SATURATION_CAP rounds raises LimitError.
+
+def saturation(a: Ideal, b: Ideal) -> Ideal:
+    """Saturation a : b^inf, one Rabinowitsch elimination per generator.
+
+    For each non-zero generator g of b, a : g^inf = (a + (1 - t*g)) with
+    t eliminated; a : b^inf is the intersection of these parts (Cox,
+    Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4 §4,
+    Thm. 14).  A constant g gives a itself, and a unit part drops out of
+    the intersection.
     """
     if a.vars != b.vars:
         raise VariableSetMismatchError("saturation over different variable sets")
     gens = [g for g in b.generators if not g.is_zero()]
     if not gens:
         raise PreconditionError("saturation by the zero ideal")
+    if any(g.is_constant() for g in gens):
+        return a
     parts = []
     for g in gens:
-        current = a
-        for _ in range(_SATURATION_CAP):
-            nxt = ideal_quotient(current, g)
-            if ideals_equal(nxt, current):
-                break
-            current = nxt
-        else:
-            raise LimitError(
-                f"saturation did not stabilize within {_SATURATION_CAP} rounds"
-            )
-        parts.append(current)
+        extended, tag = _rabinowitsch(a.generators, g, a.vars)
+        elim = eliminate(extended, [tag])
+        parts.append(Ideal([h.restrict(a.vars) for h in elim.generators], a.vars))
     result = parts[0]
     for part in parts[1:]:
         if is_unit_ideal(result):
@@ -799,14 +808,8 @@ def support_is_origin_only(a: Ideal) -> bool:
     if basis.is_unit():
         raise PreconditionError("support test needs a proper ideal")
     gens = basis.elements if basis.elements else a.generators
-    tag = a.vars.fresh_name("t_")
-    ext = a.vars.extended(tag)
-    t = Polynomial.variable(ext, tag)
-    one = Polynomial.constant(ext, 1)
-    lifted = [g.lift(ext) for g in gens]
     for name in a.vars.names:
-        z = Polynomial.variable(ext, name)
-        test = Ideal(lifted + [one - t * z], ext)
+        test, _ = _rabinowitsch(gens, Polynomial.variable(a.vars, name), a.vars)
         if not is_unit_ideal(test):
             return False
     return True

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .detmodel import DeterminantalType, PresentationMatrix
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .genericity import Hyperplane
 from .invariants import ChiData
 from .poly import VariableSet, parse_polynomial, poly_to_str
@@ -251,7 +251,12 @@ def build_hyperplanes(mf: ModelFile, vars: VariableSet):
 
 def load_model_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
     return parse_model_file(text)
 
 

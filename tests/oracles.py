@@ -4,10 +4,15 @@ Membership and colength are re-derived from truncated multiplication
 matrices (Macaulay-style) over exact integer arithmetic, at a truncation
 degree verified stable: the answers at two consecutive degrees must
 agree before they count.
+
+``quotient_chain_saturation`` is the exception: a reference saturation
+by chains of colon ideals, built from the engine's quotient and
+intersection, to compare the one-elimination saturation against.
 """
 
 from math import gcd
 
+from detsing.groebner import ideal_intersection, ideal_quotient, ideals_equal
 from detsing.poly import GREVLEX
 
 
@@ -162,3 +167,23 @@ def monomial_ideal_dimension(monomials, width):
             if all(not sup <= s for sup in supports):
                 return size
     return best
+
+
+def quotient_chain_saturation(a, b, cap=50):
+    """a : b^inf as a : g, (a : g) : g, ... for each generator g of b until
+    the reduced basis stops changing, intersected over the generators."""
+    parts = []
+    for g in b.generators:
+        current = a
+        for _ in range(cap):
+            nxt = ideal_quotient(current, g)
+            if ideals_equal(nxt, current):
+                break
+            current = nxt
+        else:
+            raise AssertionError(f"quotient chain did not stabilize within {cap} rounds")
+        parts.append(current)
+    result = parts[0]
+    for part in parts[1:]:
+        result = ideal_intersection(result, part)
+    return result

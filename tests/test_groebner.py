@@ -16,6 +16,7 @@ from detsing import (
     colength_at_origin,
     dimension,
     eliminate,
+    ideal_intersection,
     ideal_product,
     ideal_quotient,
     ideal_sum,
@@ -49,6 +50,7 @@ from helpers import (
 )
 from oracles import (
     monomial_ideal_dimension,
+    quotient_chain_saturation,
     stable_corank,
     standard_monomial_count,
 )
@@ -431,6 +433,56 @@ class TestQuotientSaturation:
     def test_zero_divisor_rejected(self):
         with pytest.raises(PreconditionError):
             ideal_quotient(ideal(XY, "x"), Polynomial.zero(XY))
+
+    def test_saturation_certified_property(self):
+        """S = I : J^inf, certified without saturation: I is in S, a power
+        of each g in J takes S into I, and S : J = S.  These three pin S
+        down, since I : J^inf then lies in S : J^inf = S.  S also equals
+        the quotient-chain reference."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        max_power = 12
+
+        @st.composite
+        def cases(draw):
+            vs = draw(st.sampled_from([XY, XYZ]))
+            terms = st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * len(vs)).filter(lambda m: sum(m) <= 3),
+                st.integers(-3, 3).filter(bool),
+                min_size=1,
+                max_size=3,
+            )
+            polys = st.builds(
+                lambda t: Polynomial(vs, {m: Fraction(c) for m, c in t.items()}), terms
+            )
+            gens = draw(st.lists(polys, min_size=1, max_size=3))
+            if draw(st.integers(0, 7)) == 0:
+                gens = []
+            saturator = draw(st.lists(polys, min_size=1, max_size=3))
+            if draw(st.integers(0, 3)) == 0:
+                saturator.append(Polynomial.constant(vs, draw(st.integers(1, 3))))
+            return Ideal(gens, vs), Ideal(saturator, vs)
+
+        # Fixed examples: the reference and the colon check run the
+        # quotient machinery, which takes seconds on some degree-3 inputs.
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(cases())
+        def run(case):
+            I, J = case
+            S = saturation(I, J)
+            assert all(in_ideal(f, S) for f in I.generators)
+            for g in J.generators:
+                for h in S.generators:
+                    assert any(
+                        in_ideal(g**k * h, I) for k in range(max_power + 1)
+                    ), f"no power g^k, k <= {max_power}, takes {h} into I"
+            colon = ideal_quotient(S, J.generators[0])
+            for g in J.generators[1:]:
+                colon = ideal_intersection(colon, ideal_quotient(S, g))
+            assert ideals_equal(colon, S)
+            assert ideals_equal(S, quotient_chain_saturation(I, J))
+
+        run()
 
 
 class TestDimension:

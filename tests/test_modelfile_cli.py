@@ -242,6 +242,14 @@ class TestCli:
         assert main(["analyze", str(bad)]) == 1
         assert main(["analyze", str(tmp_path / "missing.model")]) == 1
 
+    def test_exit_code_non_utf8_model(self, capsys, tmp_path):
+        bad = tmp_path / "binary.model"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["analyze", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "binary.model" in err and "not valid UTF-8" in err
+
     def test_exit_code_precondition(self, capsys):
         # colength of the positive-dimensional top stratum.
         assert (

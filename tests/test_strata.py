@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from detsing import (
@@ -21,6 +23,8 @@ from detsing import (
 )
 from detsing.poly import Polynomial
 from helpers import P, XY, generic_entry_model, omega_model
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def ideal(vs, *texts):
@@ -123,6 +127,44 @@ class TestEidsCheck:
         for g in stratum(sliced, bad[0].index).ideal.generators:
             assert in_ideal(g, witness)
         assert not support_is_origin_only(witness)
+
+    @pytest.mark.parametrize("name", ["omega1", "omega3"])
+    def test_saturation_work_count(self, monkeypatch, name):
+        # One elimination per non-constant saturator generator and one
+        # per intersection of the parts: at most 2r - 1, no colon ideal.
+        from detsing import groebner, strata
+        from detsing.modelfile import build_model, load_model_file
+
+        calls = {"eliminate": 0, "ideal_quotient": 0}
+
+        def counted(fname):
+            real = getattr(groebner, fname)
+
+            def wrapper(*args, **kwargs):
+                calls[fname] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(groebner, fname, wrapper)
+
+        counted("eliminate")
+        counted("ideal_quotient")
+        work = []
+        real_saturation = strata.saturation
+
+        def saturation(a, b):
+            before = dict(calls)
+            out = real_saturation(a, b)
+            r = sum(1 for g in b.generators if not g.is_constant())
+            work.append((r, {k: calls[k] - before[k] for k in calls}))
+            return out
+
+        monkeypatch.setattr(strata, "saturation", saturation)
+        model = build_model(load_model_file(MODELS / f"{name}.model"))
+        assert eids_check(model).overall
+        assert work
+        for r, made in work:
+            assert made["ideal_quotient"] == 0
+            assert 1 <= made["eliminate"] <= 2 * r - 1, (r, made)
 
 
 class TestGoodFamilyScan:
