@@ -38,11 +38,11 @@ degree-cap check.
 On top of the basis engine: membership, sums, products, elimination,
 intersection, quotient, saturation, Krull dimension, radical membership
 of variables, and colength (standard-monomial count) for ideals
-supported at the origin.  Saturation and the radical test share one
-Rabinowitsch construction: a fresh tag variable t and the generator
-1 - t*g adjoined to the lifted generators.  A saturation is one
-elimination of t per generator of the saturator and needs no round
-limit: the degree cap bounds every basis it computes.
+supported at the origin.  A saturation a : b^inf is one elimination: a
+fresh tag t_i for each generator g_i of b, 1 - sum t_i*g_i adjoined to
+the lifted generators of a, and all the tags eliminated in one block
+order.  It needs no round limit: the degree cap bounds its one basis.
+The radical test is the saturation by the maximal ideal.
 """
 
 from __future__ import annotations
@@ -686,25 +686,20 @@ def ideal_quotient(a: Ideal, g: Polynomial) -> Ideal:
     return Ideal(gens, a.vars)
 
 
-def _rabinowitsch(gens, g, vars):
-    """The ideal (gens) + (1 - t*g) over vars extended by a fresh tag t,
-    and the tag's name."""
-    tag = vars.fresh_name("t_")
-    ext = vars.extended(tag)
-    t = Polynomial.variable(ext, tag)
-    one = Polynomial.constant(ext, 1)
-    lifted = [h.lift(ext) for h in gens]
-    return Ideal(lifted + [one - t * g.lift(ext)], ext), tag
-
-
 def saturation(a: Ideal, b: Ideal) -> Ideal:
-    """Saturation a : b^inf, one Rabinowitsch elimination per generator.
+    """Saturation a : b^inf in one elimination, one tag per generator.
 
-    For each non-zero generator g of b, a : g^inf = (a + (1 - t*g)) with
-    t eliminated; a : b^inf is the intersection of these parts (Cox,
-    Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4 §4,
-    Thm. 14).  A constant g gives a itself, and a unit part drops out of
-    the intersection.
+    For the non-zero generators g_1 ... g_r of b and fresh tags
+    t_1 ... t_r, a : b^inf = (a + (1 - sum t_i*g_i)) with every tag
+    eliminated (Cox, Little & O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 4 §4).  Proof: if g_i^N*h lies in a for every i,
+    then (sum t_i*g_i)^(r(N-1)+1)*h lies in a[t] and that power is 1
+    modulo 1 - sum t_i*g_i, so h is in the eliminated ideal; conversely,
+    setting t_i = 1/g_i and the other tags to 0 in a certificate for h
+    and clearing denominators puts g_i^N*h in a for each i, and the
+    a : g_i^inf meet in a : b^inf.  A constant g gives a itself.  A
+    degree-cap trip in the elimination is re-raised naming the
+    saturation and r.
     """
     if a.vars != b.vars:
         raise VariableSetMismatchError("saturation over different variable sets")
@@ -713,20 +708,20 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
         raise PreconditionError("saturation by the zero ideal")
     if any(g.is_constant() for g in gens):
         return a
-    parts = []
-    for g in gens:
-        extended, tag = _rabinowitsch(a.generators, g, a.vars)
-        elim = eliminate(extended, [tag])
-        parts.append(Ideal([h.restrict(a.vars) for h in elim.generators], a.vars))
-    result = parts[0]
-    for part in parts[1:]:
-        if is_unit_ideal(result):
-            result = part
-            continue
-        if is_unit_ideal(part):
-            continue
-        result = ideal_intersection(result, part)
-    return result
+    ext = a.vars
+    for _ in gens:
+        ext = ext.extended(ext.fresh_name("t_"))
+    tags = ext.names[len(a.vars) :]
+    tagged = Polynomial.constant(ext, 1)
+    for tag, g in zip(tags, gens):
+        tagged -= Polynomial.variable(ext, tag) * g.lift(ext)
+    extended = Ideal([h.lift(ext) for h in a.generators] + [tagged], ext)
+    try:
+        elim = eliminate(extended, tags)
+    except LimitError as exc:
+        plural = "s" if len(gens) != 1 else ""
+        raise LimitError(f"saturation by {len(gens)} generator{plural}: {exc}") from exc
+    return Ideal([h.restrict(a.vars) for h in elim.generators], a.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -803,16 +798,12 @@ def dimension(a: Ideal) -> int:
 
 
 def support_is_origin_only(a: Ideal) -> bool:
-    """True when every variable lies in the radical (Rabinowitsch trick)."""
+    """True when a : m^inf is the unit ideal, m the maximal ideal at the
+    origin: every variable then lies in the radical of a."""
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("support test needs a proper ideal")
-    gens = basis.elements if basis.elements else a.generators
-    for name in a.vars.names:
-        test, _ = _rabinowitsch(gens, Polynomial.variable(a.vars, name), a.vars)
-        if not is_unit_ideal(test):
-            return False
-    return True
+    return is_unit_ideal(saturation(Ideal(basis.elements, a.vars), maximal_ideal(a.vars)))
 
 
 def _standard_monomials(basis: GroebnerBasis, width, cap=200000):

@@ -430,6 +430,35 @@ class TestQuotientSaturation:
             twice = saturation(once, J)
             assert ideals_equal(once, twice)
 
+    def test_tags_never_collide_with_model_variables(self):
+        # The variables take the tag names t_, t_1, t_2 that three tags
+        # would get in a fresh ring.  I = m*J for the maximal ideal m
+        # and J = (t_ - 1, t_1 + t_2^2) comaximal with it, so I : m^inf = J.
+        vs = VariableSet(("t_", "t_1", "t_2"))
+        J = ideal(vs, "t_ - 1", "t_1 + t_2^2")
+        m = groebner.maximal_ideal(vs)
+        I = ideal_product(m, J)
+        S = saturation(I, m)
+        assert ideals_equal(S, J)
+        assert ideals_equal(S, quotient_chain_saturation(I, m))
+
+    def test_degree_cap_in_saturation_names_it(self, monkeypatch):
+        # The basis of (x*y, x*z) + (1 - t_*x - t_1*y - t_2*z) needs an
+        # S-pair lcm of degree 4, that of (x*y, x*z, 1 - t_*x) one of 3.
+        monkeypatch.setattr(groebner, "_MAX_DEGREE", 3)
+        I = ideal(XYZ, "x*y", "x*z")
+        with pytest.raises(
+            LimitError,
+            match=r"^saturation by 3 generators: basis computation exceeded "
+            r"the degree cap 3: S-pair lcm reached degree 4$",
+        ):
+            saturation(I, groebner.maximal_ideal(XYZ))
+        monkeypatch.setattr(groebner, "_MAX_DEGREE", 2)
+        with pytest.raises(LimitError, match=r"^saturation by 1 generator: .* cap 2: S-pair"):
+            saturation(I, ideal(XYZ, "x"))
+        monkeypatch.setattr(groebner, "_MAX_DEGREE", 4)
+        assert ideals_equal(saturation(I, groebner.maximal_ideal(XYZ)), I)
+
     def test_zero_divisor_rejected(self):
         with pytest.raises(PreconditionError):
             ideal_quotient(ideal(XY, "x"), Polynomial.zero(XY))
