@@ -6,6 +6,15 @@ Matrices are stored in the orientation they are written in; the type
 normalizes to n = min(rows, cols) and row excess k = |rows - cols|, so a
 model may be entered either as (n+k) x n or as its transpose (the minor
 ideals agree).
+
+Every determinant in the package comes from one routine,
+:func:`_all_minors`, which returns all minors of one size of a polynomial
+grid.  It works fraction-free on integer polynomials with packed
+monomials and forms each smaller minor once, shared by every larger
+minor that expands into it; the results are exact rational polynomials,
+equal term for term to a cofactor expansion.  The strata ideals
+(:func:`minors`), the singular loci of ``strata.singular_locus_ideal``
+and the deformation generators (:func:`n_generators`) all use it.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from .errors import PreconditionError, ValidationError, VariableSetMismatchError
 from .groebner import Ideal
@@ -176,33 +186,100 @@ class GeneratorMatrix:
         return GeneratorMatrix(out)
 
 
-def _det(grid):
-    """Cofactor expansion along the first row, increasing column order."""
-    size = len(grid)
-    if size == 1:
-        return grid[0][0]
-    vars = grid[0][0].vars
-    total = Polynomial.zero(vars)
-    for c in range(size):
-        entry = grid[0][c]
-        if entry.is_zero():
-            continue
-        sub = [row[:c] + row[c + 1 :] for row in grid[1:]]
-        piece = entry * _det(sub)
-        total = total + piece if c % 2 == 0 else total - piece
-    return total
+def _all_minors(grid, size, vars):
+    """Every size x size minor of a polynomial grid, ordered by (row
+    subset, column subset).
+
+    Fraction-free: row r is multiplied by the common denominator d_r of
+    its coefficients, so every entry becomes an integer polynomial.  With
+    D = diag(d_r), det(D·M) = det(D)·det(M), so the minor of the scaled
+    grid on rows R is the true minor times the product of d_r over R;
+    that product is divided out once per minor, when the result is
+    built, and the minors come back exact.
+
+    A monomial is one int with a field per variable, so a product of
+    monomials is an addition.  The fields never overflow: a minor on rows
+    R is a sum of products of one entry from each row, so its exponent
+    in any variable is at most the sum over rows of max(0, the row's
+    largest total degree) (an all-zero row has total degree -1 and adds
+    nothing), and each field is that bound's bit length wide.
+
+    Each k x k minor is expanded along the first row of its row subset.
+    Its (k-1) x (k-1) sub-minors come from a memo keyed on (rows, cols),
+    so each smaller minor is formed once however many larger minors
+    share it.  The top-size minors are not memoized, and the memo lives
+    only for the call.
+    """
+    bound = sum(max(0, max(e.total_degree() for e in row)) for row in grid)
+    width = max(1, bound.bit_length())
+    mask = (1 << width) - 1
+    shifts = tuple(width * j for j in range(len(vars)))
+    scale = []
+    packed = []
+    for row in grid:
+        d = lcm(*(c.denominator for e in row for c in e.terms.values()))
+        scale.append(d)
+        packed.append(
+            [
+                {
+                    sum(x << s for x, s in zip(m, shifts)): c.numerator
+                    * (d // c.denominator)
+                    for m, c in e.terms.items()
+                }
+                for e in row
+            ]
+        )
+    memo = {}
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return packed[rows[0]][cols[0]]
+        top = packed[rows[0]]
+        rest = rows[1:]
+        out = {}
+        for j, c in enumerate(cols):
+            entry = top[c]
+            if not entry:
+                continue
+            key = (rest, cols[:j] + cols[j + 1 :])
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = det(*key)
+            for me, ce in entry.items():
+                if j & 1:
+                    ce = -ce
+                for ms, cs in sub.items():
+                    m = me + ms
+                    out[m] = out.get(m, 0) + ce * cs
+        return {m: c for m, c in out.items() if c}
+
+    exponents = {}  # packed monomial -> exponent tuple, shared by the results
+
+    def unpack(m):
+        mono = exponents.get(m)
+        if mono is None:
+            mono = exponents[m] = tuple((m >> s) & mask for s in shifts)
+        return mono
+
+    result = []
+    col_sets = list(combinations(range(len(grid[0])), size))
+    for rows in combinations(range(len(grid)), size):
+        denom = prod(scale[r] for r in rows)
+        for cols in col_sets:
+            terms = det(rows, cols)
+            result.append(
+                Polynomial(
+                    vars, {unpack(m): Fraction(c, denom) for m, c in terms.items()}
+                )
+            )
+    return result
 
 
 def minors(m: PresentationMatrix, size: int):
     """All size x size minors, ordered by (row subset, column subset)."""
     if not 1 <= size <= min(m.rows, m.cols):
         raise ValidationError(f"minor size {size} outside 1..{min(m.rows, m.cols)}")
-    out = []
-    for rows in combinations(range(m.rows), size):
-        for cols in combinations(range(m.cols), size):
-            grid = [[m.entries[r][c] for c in cols] for r in rows]
-            out.append(_det(grid))
-    return out
+    return _all_minors(m.entries, size, m.vars)
 
 
 def stratum(m: PresentationMatrix, i: int) -> StratumModel:
@@ -243,11 +320,7 @@ def n_generators(m: PresentationMatrix, i: int) -> GeneratorMatrix:
         [Polynomial.variable(gvars, f"g{r + 1}_{c + 1}") for c in range(m.cols)]
         for r in range(m.rows)
     ]
-    gminors = []
-    for rows in combinations(range(m.rows), i):
-        for cols in combinations(range(m.cols), i):
-            grid = [[generic[r][c] for c in cols] for r in rows]
-            gminors.append(_det(grid))
+    gminors = _all_minors(generic, i, gvars)
     assignment = {
         f"g{r + 1}_{c + 1}": m.entries[r][c]
         for r in range(m.rows)

@@ -35,6 +35,12 @@ from .errors import (
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Deepest parenthesis nesting accepted.  Each level costs the recursive
+# descent four stack frames, so the bound keeps a parse well inside
+# Python's default recursion limit and turns deeper input into a
+# ParseError instead of a RecursionError.
+_MAX_NESTING = 200
+
 
 @dataclass(frozen=True)
 class VariableSet:
@@ -165,10 +171,11 @@ class Polynomial:
         if terms:
             width = len(vars)
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff == 0:
                     continue
-                if len(mono) != width or any(e < 0 for e in mono):
+                if len(mono) != width or min(mono) < 0:
                     raise ValidationError(f"bad exponent vector {mono!r}")
                 clean[tuple(mono)] = coeff
         self._terms = clean
@@ -396,6 +403,7 @@ class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -482,9 +490,13 @@ def _parse_base(toks, vars):
     if ch is None:
         toks.error("unexpected end of expression")
     if ch == "(":
+        if toks.depth == _MAX_NESTING:
+            toks.error(f"parentheses nested deeper than {_MAX_NESTING} levels")
         toks.take("(")
+        toks.depth += 1
         inner = _parse_expr(toks, vars)
         toks.expect(")")
+        toks.depth -= 1
         return inner
     if ch.isdigit():
         num = toks.take_nat()

@@ -13,9 +13,8 @@ models whose interesting locus sits at the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .detmodel import DeterminantalType, PresentationMatrix, _det, minors, stratum
+from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors, stratum
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .groebner import (
     Ideal,
@@ -54,12 +53,7 @@ def singular_locus_ideal(a: Ideal, codim: int) -> Ideal:
             f"codimension {codim} exceeds generator or variable count"
         )
     jac = [[g.derivative(n) for n in names] for g in gens]
-    minor_gens = []
-    for rows in combinations(range(len(gens)), codim):
-        for cols in combinations(range(len(names)), codim):
-            grid = [[jac[r][c] for c in cols] for r in rows]
-            minor_gens.append(_det(grid))
-    return Ideal(list(gens) + minor_gens, a.vars)
+    return Ideal(list(gens) + _all_minors(jac, codim, a.vars), a.vars)
 
 
 def _reduced_ideal(ideal: Ideal) -> Ideal:

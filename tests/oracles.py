@@ -8,12 +8,15 @@ agree before they count.
 ``quotient_chain_saturation`` is the exception: a reference saturation
 by chains of colon ideals, built from the engine's quotient and
 intersection, to compare the one-elimination saturation against.
+``cofactor_det`` is the plain cofactor expansion on rational
+polynomials, the reference for the fraction-free shared-sub-minor
+determinant.
 """
 
 from math import gcd
 
 from detsing.groebner import ideal_intersection, ideal_quotient, ideals_equal
-from detsing.poly import GREVLEX
+from detsing.poly import GREVLEX, Polynomial
 
 
 def monomials_up_to(width, degree):
@@ -187,3 +190,20 @@ def quotient_chain_saturation(a, b, cap=50):
     for part in parts[1:]:
         result = ideal_intersection(result, part)
     return result
+
+
+def cofactor_det(grid):
+    """Cofactor expansion along the first row, increasing column order."""
+    size = len(grid)
+    if size == 1:
+        return grid[0][0]
+    vars = grid[0][0].vars
+    total = Polynomial.zero(vars)
+    for c in range(size):
+        entry = grid[0][c]
+        if entry.is_zero():
+            continue
+        sub = [row[:c] + row[c + 1 :] for row in grid[1:]]
+        piece = entry * cofactor_det(sub)
+        total = total + piece if c % 2 == 0 else total - piece
+    return total

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -17,10 +18,35 @@ from detsing import (
     jacobian_generators,
     minors,
     n_generators,
+    singular_locus_ideal,
     stratum,
 )
+from detsing.detmodel import _generic_vars
 from detsing.groebner import Ideal
 from helpers import P, omega_model, random_matrix_model
+from oracles import cofactor_det
+
+
+def _oracle_minors(grid, size):
+    return [
+        cofactor_det([[grid[r][c] for c in cols] for r in rows])
+        for rows in combinations(range(len(grid)), size)
+        for cols in combinations(range(len(grid[0])), size)
+    ]
+
+
+def _oracle_n_generators(m, i):
+    gvars = _generic_vars(m.rows, m.cols)
+    names = gvars.names
+    generic = [
+        [Polynomial.variable(gvars, names[r * m.cols + c]) for c in range(m.cols)]
+        for r in range(m.rows)
+    ]
+    assignment = dict(zip(names, (e for row in m.entries for e in row)))
+    return tuple(
+        tuple(gm.derivative(g).substitute(assignment, target=m.vars) for g in names)
+        for gm in _oracle_minors(generic, i)
+    )
 
 
 class TestMinors:
@@ -55,6 +81,64 @@ class TestMinors:
     def test_size_out_of_range(self):
         with pytest.raises(ValidationError):
             minors(omega_model(1), 3)
+
+    def test_matches_cofactor_oracle_property(self):
+        """minors, singular_locus_ideal and n_generators equal lists built
+        with the cofactor oracle, on every minor size of random grids up
+        to 4 x 4: rational coefficients, zero entries, all-zero rows, a
+        family parameter and exponents of 2^32 and more."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def grids(draw):
+            nvars = draw(st.integers(1, 3))
+            vs = VariableSet(tuple(f"x{i}" for i in range(nvars)), ("u",))
+            exponent = st.sampled_from([0, 0, 1, 2, 3, 4, 2**32, 2**32 + 1])
+            coeff = st.builds(
+                Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 6)
+            )
+            # Pure powers make the exponent bound tight, so a field one
+            # bit too narrow shows.
+            power = st.builds(
+                lambda j, e: tuple(e if i == j else 0 for i in range(len(vs))),
+                st.integers(0, nvars),
+                exponent,
+            )
+            monomial = st.one_of(power, st.tuples(*[exponent] * len(vs)))
+            entry = st.builds(
+                lambda t: Polynomial(vs, t),
+                st.dictionaries(monomial, coeff, max_size=3),
+            )
+            rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            grid = []
+            for _ in range(rows):
+                row = draw(st.lists(entry, min_size=cols, max_size=cols))
+                if draw(st.integers(0, 2)) == 0:
+                    row = [Polynomial.zero(vs)] * cols
+                grid.append(row)
+            return vs, grid
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(grids())
+        def run(case):
+            vs, grid = case
+            n, k = min(len(grid), len(grid[0])), abs(len(grid) - len(grid[0]))
+            m = PresentationMatrix(DeterminantalType(n, k, n), grid, vs)
+            gens = [e for row in grid for e in row if not e.is_zero()]
+            for size in range(1, n + 1):
+                assert minors(m, size) == _oracle_minors(grid, size)
+                if size <= min(len(gens), len(vs)):
+                    jac = [[g.derivative(z) for z in vs.names] for g in gens]
+                    got = singular_locus_ideal(Ideal(gens, vs), size)
+                    want = Ideal(gens + _oracle_minors(jac, size), vs)
+                    assert got.generators == want.generators
+                # The substitutions on both sides dominate; larger grids
+                # only add time.
+                if len(grid) * len(grid[0]) <= 9:
+                    assert n_generators(m, size).entries == _oracle_n_generators(m, size)
+
+        run()
 
 
 class TestStratum:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,6 +252,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "binary.model" in err and "not valid UTF-8" in err
+
+    def test_deep_nesting_exits_one_with_line(self, capsys, tmp_path):
+        entry = "(" * 300 + "x3" + ")" * 300
+        path = tmp_path / "deep.model"
+        path.write_text(OMEGA2.replace("x1, x2, x3", f"x1, x2, {entry}"))
+        for argv in (["analyze", str(path)], ["minors", str(path), "--size", "2"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad matrix entry")
+            assert "nested deeper than 200 levels" in err
+            assert err.rstrip().endswith("(line 11)")
+        assert main(
+            ["slice", str(MODELS / "omega1.model"), "--hyperplane", entry]
+        ) == 1
+        assert "nested deeper than 200 levels" in capsys.readouterr().err
+
+    def test_deep_nesting_within_bound_runs(self, capsys, tmp_path):
+        entry = "(" * 200 + "x3" + ")" * 200
+        path = tmp_path / "deep.model"
+        path.write_text(OMEGA2.replace("x1, x2, x3", f"x1, x2, {entry}"))
+        plain = tmp_path / "plain.model"
+        plain.write_text(OMEGA2)
+        code, report = self.structured(capsys, "minors", str(path), "--size", "2")
+        assert code == 0
+        assert report == self.structured(capsys, "minors", str(plain), "--size", "2")[1]
+
+    def test_python_dash_m_matches_main(self, capsys):
+        argv = ["minors", str(MODELS / "omega1.model"), "--size", "2", "--format", "structured"]
+        code, out = self.run(capsys, *argv)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "detsing", *argv],
+            capture_output=True,
+            cwd=ROOT,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, code) == (0, 0)
+        assert done.stdout == out.encode()
 
     def test_exit_code_precondition(self, capsys):
         # colength of the positive-dimensional top stratum.

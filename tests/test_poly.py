@@ -63,6 +63,15 @@ class TestParse:
         with pytest.raises(ParseError):
             P("x + y )", XY)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        assert P("(" * 200 + "x" + ")" * 200, XY) == P("x", XY)
+        for depth in (201, 300, 5000):
+            with pytest.raises(ParseError, match="nested deeper than 200") as err:
+                P("(" * depth + "x" + ")" * depth, XY)
+            assert err.value.position == 200
+        # Nesting depth, not the count of parentheses, is what is bounded.
+        assert P(" + ".join(["((x))"] * 300), XY) == P("300*x", XY)
+
 
 class TestPrintParseRoundTrip:
     def test_round_trip_random(self):

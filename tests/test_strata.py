@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from detsing import (
     ideals_equal,
     in_ideal,
     is_unit_ideal,
+    minors,
     saturation,
     singular_locus_ideal,
     stably_isolated_check,
@@ -23,6 +26,7 @@ from detsing import (
 )
 from detsing.poly import Polynomial
 from helpers import P, XY, generic_entry_model, omega_model
+from oracles import cofactor_det
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -56,6 +60,29 @@ class TestSingularLocus:
         with pytest.raises(ValidationError):
             singular_locus_ideal(ideal(XY, "x"), 3)
 
+    def test_generic_three_by_three_rank_one_locus(self):
+        # Generic (3,0,2), stratum 2: the 9 quadrics plus the non-zero
+        # 4 x 4 minors of their 9 x 9 Jacobian, C(9,4)^2 = 15876 in all.
+        m = generic_entry_model(3, 0, 2)
+        s = stratum(m, 2)
+        locus = singular_locus_ideal(s.ideal, s.expected_codim)
+        assert len(locus.generators) == 10467
+        assert locus.generators[:9] == s.ideal.generators
+        vs = m.vars
+        jac = [[g.derivative(z) for z in vs.names] for g in s.ideal.generators]
+        as_matrix = PresentationMatrix(DeterminantalType(9, 0, 9), jac, vs)
+        every = minors(as_matrix, 4)
+        assert [f for f in every if not f.is_zero()] == list(locus.generators[9:])
+        subsets = [
+            (rows, cols)
+            for rows in combinations(range(9), 4)
+            for cols in combinations(range(9), 4)
+        ]
+        for pos in random.Random(302).sample(range(len(subsets)), 100):
+            rows, cols = subsets[pos]
+            grid = [[jac[r][c] for c in cols] for r in rows]
+            assert every[pos] == cofactor_det(grid), (rows, cols)
+
 
 def _in_radical(J, f):
     # Rabinowitsch on a single polynomial.
@@ -75,8 +102,9 @@ class TestEidsCheck:
 
     def test_generic_entry_models_pass(self):
         # Feasible corner of the generic grid, kept fast for tier-1.
-        # (3,0,2), with 15876 quartic Jacobian minors, also passes but
-        # takes a few seconds; (3,1,2) needs 17.2 M sextic minors.
+        # (3,0,2), with 15876 quartic Jacobian minors, also passes in
+        # about 2 s (its locus is pinned in TestSingularLocus); (3,1,2)
+        # needs 17.2 M sextic minors.
         cases = [
             (1, 0, 1),
             (1, 1, 1),
