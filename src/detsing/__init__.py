@@ -7,6 +7,7 @@ system for polar multiplicities, chain-rule generator matrices,
 hyperplane sections, and family constancy reports.
 """
 
+from .analysis import Analysis
 from .detmodel import (
     ChainRuleResult,
     DeterminantalType,

@@ -1,0 +1,84 @@
+"""One analysis of one model: each stratum, section and family member is
+built once, and every verdict of a command reads it from here.
+
+The verdict functions and the report sections take an :class:`Analysis`
+or a bare ``PresentationMatrix``, which gets a fresh analysis for that
+one call.  The verdict modules import this one, so the methods that call
+back into them import them when called.
+"""
+
+from __future__ import annotations
+
+from .detmodel import PresentationMatrix, StratumModel, stratum
+from .groebner import colength, colength_at_origin
+
+
+class Analysis:
+    """Memoized strata, sections, family members and verdicts of one model.
+
+    Lifetime rule: an analysis lives for one top-level call (one CLI
+    command, or one verdict function given a bare matrix) and dies with
+    it.  Nothing is kept on the model or at module level, so another call
+    on the same model recomputes everything.  A computation that raises
+    is not kept.  A stratum keeps its ``Ideal`` and so that ideal's basis
+    cache.  Members are keyed on their specialized entries, so samples
+    that give equal matrices share one member; sections are keyed on the
+    normalized hyperplane.  Members and sections are analyses themselves.
+    """
+
+    __slots__ = ("model", "_memo")
+
+    def __init__(self, model: PresentationMatrix):
+        self.model = model
+        self._memo = {}
+
+    @staticmethod
+    def of(m) -> Analysis:
+        """``m`` itself when it is an analysis, else a fresh one of the matrix."""
+        return m if isinstance(m, Analysis) else Analysis(m)
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def stratum(self, i) -> StratumModel:
+        return self._once(("stratum", i), lambda: stratum(self.model, i))
+
+    def colength(self, i) -> int:
+        return self._once(("colength", i), lambda: colength(self.stratum(i).ideal))
+
+    def origin_colength(self, i) -> int:
+        ideal = self.stratum(i).ideal
+        return self._once(("origin colength", i), lambda: colength_at_origin(ideal))
+
+    def eids(self):
+        from .strata import eids_check
+
+        return self._once("eids", lambda: eids_check(self))
+
+    def euler_system(self):
+        from .invariants import build_euler_system
+
+        return self._once("euler system", lambda: build_euler_system(self.model))
+
+    def mvector(self, chi) -> dict:
+        """The Euler system solved with ``chi`` (stratum -> ChiData) and
+        the colengths of the zero-dimensional strata."""
+        from .invariants import m0_colength, solve_for_m
+
+        def solve():
+            sys = self.euler_system()
+            cols = {j: m0_colength(self, j) for j in sys.zero_dim_strata()}
+            return solve_for_m(sys, chi, cols)
+
+        return self._once(("mvector", tuple(sorted(chi.items()))), solve)
+
+    def member(self, point) -> Analysis:
+        m = self.model.specialize(point)
+        return self._once(("member", m.entries), lambda: Analysis(m))
+
+    def section(self, h) -> Analysis:
+        from .genericity import slice_model
+
+        return self._once(("section", h), lambda: Analysis(slice_model(self.model, h)))

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import groebner
+from .analysis import Analysis
 from .detmodel import minors as compute_minors
-from .detmodel import stratum
 from .errors import (
     DetsingError,
     LimitError,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .genericity import Hyperplane
 from .groebner import dimension
-from .invariants import build_euler_system, m0_colength, solve_for_chi_diffs, solve_for_m
+from .invariants import m0_colength
 from .modelfile import build_model, format_model, load_model_file
 from .poly import GREVLEX, LEX, parse_polynomial, poly_to_str
 from .report import (
@@ -34,8 +35,10 @@ from .report import (
     computed,
     consistency_section,
     eids_section,
+    euler_system_echo,
     family_section,
     genericity_section,
+    mvector_echo,
     render_text,
     strata_section,
     to_json,
@@ -85,46 +88,20 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full pipeline report")
-    _add_common(p)
-
-    p = sub.add_parser("minors", help="list the s x s minors")
-    _add_common(p)
-    p.add_argument("--size", type=int, required=True)
-
-    p = sub.add_parser("dim", help="dimension of one stratum")
-    _add_common(p)
-    p.add_argument("--stratum", type=int, required=True)
-
-    p = sub.add_parser("colength", help="colength of a zero-dimensional stratum")
-    _add_common(p)
-    p.add_argument("--stratum", type=int, required=True)
-
-    p = sub.add_parser("eids-check", help="transversality off the origin")
-    _add_common(p)
-
-    p = sub.add_parser("euler-solve", help="solve the Euler system for the m-vector")
-    _add_common(p)
-
-    p = sub.add_parser("slice", help="hyperplane section as a new model file")
-    _add_common(p)
-    p.add_argument("--hyperplane", required=True, help="linear form, e.g. 'x3 - 2*x1'")
-
-    p = sub.add_parser("screen-hyperplanes", help="screen the [hyperplanes] section")
-    _add_common(p)
-    p.add_argument(
+    for name, (_, help_text, _) in VIEWS.items():
+        _add_common(sub.add_parser(name, help=help_text))
+    sub.choices["minors"].add_argument("--size", type=int, required=True)
+    for name in ("dim", "colength"):
+        sub.choices[name].add_argument("--stratum", type=int, required=True)
+    sub.choices["slice"].add_argument(
+        "--hyperplane", required=True, help="linear form, e.g. 'x3 - 2*x1'"
+    )
+    sub.choices["screen-hyperplanes"].add_argument(
         "--hyperplane",
         action="append",
         default=None,
         help="screen this form instead of the [hyperplanes] section (repeatable)",
     )
-
-    p = sub.add_parser("family-scan", help="per-sample transversality and constancy")
-    _add_common(p)
-
-    p = sub.add_parser("consistency", help="check e_pair + polar = m over [supplied]")
-    _add_common(p)
     return parser
 
 
@@ -132,158 +109,106 @@ def _ordering(args):
     return GREVLEX if args.ordering == "grevlex" else LEX
 
 
-def _emit(report, args):
-    if args.format == "structured":
-        sys.stdout.write(to_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+# Command views: each reads one Analysis and returns the fields its report
+# carries between the model echo and the warnings.
 
 
-def _require_specialized(model):
-    if not model.is_specialized():
-        raise PreconditionError(
-            "this command needs a specialized model (no free parameters)"
-        )
+def _analyze(a, mf, args, warnings):
+    return analyze_report(a, mf, warnings, _ordering(args))
+
+
+def _minors(a, mf, args, warnings):
+    values = compute_minors(a.model, args.size)
+    return {"size": args.size, "minors": [poly_to_str(p) for p in values]}
+
+
+def _dim(a, mf, args, warnings):
+    s = a.stratum(args.stratum)
+    return {
+        "stratum": args.stratum,
+        "expected_dim": s.expected_dim,
+        "dimension": computed(dimension(s.ideal)),
+    }
+
+
+def _colength(a, mf, args, warnings):
+    return {"stratum": args.stratum, "colength": computed(m0_colength(a, args.stratum))}
+
+
+def _eids_check(a, mf, args, warnings):
+    return {"strata": strata_section(a, _ordering(args)), "eids": eids_section(a, warnings)}
+
+
+def _euler_solve(a, mf, args, warnings):
+    sys_ = a.euler_system()
+    mvec = a.mvector(mf.chi_data())
+    warnings.append("multiplicity vector uses user-supplied Euler characteristics")
+    return {"euler_system": euler_system_echo(sys_), **mvector_echo(sys_, mvec)}
+
+
+def _slice(a, mf, args, warnings):
+    vars = a.model.vars
+    h = Hyperplane.from_linear_form(parse_polynomial(args.hyperplane, vars), vars)
+    return {"hyperplane": h.as_string(vars), "sliced_model": format_model(a.section(h).model)}
+
+
+def _screen_hyperplanes(a, mf, args, warnings):
+    forms = args.hyperplane or mf.hyperplanes
+    if not forms:
+        raise ValidationError("no hyperplanes: add a [hyperplanes] section or --hyperplane")
+    screened = replace(mf, hyperplanes=tuple(forms))
+    return {"genericity": genericity_section(a, screened, warnings)}
+
+
+def _family_scan(a, mf, args, warnings):
+    if not mf.samples:
+        raise ValidationError("model file has no [samples] section")
+    return {"family_scan": family_section(a, mf, warnings)}
+
+
+def _consistency(a, mf, args, warnings):
+    if not mf.supplied:
+        raise ValidationError("model file has no [supplied] section")
+    return {"consistency": consistency_section(a, mf, warnings)}
+
+
+# command -> (view, help, whether it needs a model without free parameters)
+VIEWS = {
+    "analyze": (_analyze, "full pipeline report", False),
+    "minors": (_minors, "list the s x s minors", False),
+    "dim": (_dim, "dimension of one stratum", True),
+    "colength": (_colength, "colength of a zero-dimensional stratum", True),
+    "eids-check": (_eids_check, "transversality off the origin", True),
+    "euler-solve": (_euler_solve, "solve the Euler system for the m-vector", True),
+    "slice": (_slice, "hyperplane section as a new model file", False),
+    "screen-hyperplanes": (_screen_hyperplanes, "screen the [hyperplanes] section", True),
+    "family-scan": (_family_scan, "per-sample transversality and constancy", False),
+    "consistency": (_consistency, "check e_pair + polar = m over [supplied]", False),
+}
 
 
 def run(args) -> int:
     mf = load_model_file(args.model)
     model = build_model(mf)
+    view, _, needs_specialized = VIEWS[args.command]
     if args.max_degree is not None:
         groebner.set_max_degree(args.max_degree)
     try:
-        command = args.command
-        if command == "analyze":
-            report = analyze_report(model, mf, _ordering(args))
-            _emit(report, args)
-            return 0
-
-        if command == "minors":
-            values = compute_minors(model, args.size)
-            report = base_report("minors", model)
-            report["size"] = args.size
-            report["minors"] = [poly_to_str(p) for p in values]
-            report["warnings"] = []
-            _emit(report, args)
-            return 0
-
-        if command == "dim":
-            _require_specialized(model)
-            s = stratum(model, args.stratum)
-            report = base_report("dim", model)
-            report["stratum"] = args.stratum
-            report["expected_dim"] = s.expected_dim
-            report["dimension"] = computed(dimension(s.ideal))
-            report["warnings"] = []
-            _emit(report, args)
-            return 0
-
-        if command == "colength":
-            _require_specialized(model)
-            report = base_report("colength", model)
-            report["stratum"] = args.stratum
-            report["colength"] = computed(m0_colength(model, args.stratum))
-            report["warnings"] = []
-            _emit(report, args)
-            return 0
-
-        if command == "eids-check":
-            _require_specialized(model)
-            warnings = []
-            report = base_report("eids-check", model)
-            report["strata"] = strata_section(model, _ordering(args))
-            report["eids"] = eids_section(model, warnings)
-            report["warnings"] = warnings
-            _emit(report, args)
-            return 0
-
-        if command == "euler-solve":
-            _require_specialized(model)
-            sys_ = build_euler_system(model)
-            chi = mf.chi_data()
-            cols = {j: m0_colength(model, j) for j in sys_.zero_dim_strata()}
-            mvec = solve_for_m(sys_, chi, cols)
-            report = base_report("euler-solve", model)
-            report["euler_system"] = {
-                "strata": list(sys_.strata),
-                "dims": list(sys_.dims),
-                "matrix": [list(r) for r in sys_.matrix],
-            }
-            report["mvector"] = {str(j): computed(mvec[j]) for j in sys_.strata}
-            report["chi_combinations"] = {
-                str(j): computed(v)
-                for j, v in zip(sys_.strata, solve_for_chi_diffs(sys_, mvec))
-            }
-            report["warnings"] = [
-                "multiplicity vector uses user-supplied Euler characteristics"
-            ]
-            _emit(report, args)
-            return 0
-
-        if command == "slice":
-            form = parse_polynomial(args.hyperplane, model.vars)
-            h = Hyperplane.from_linear_form(form, model.vars)
-            from .genericity import slice_model
-
-            sliced = slice_model(model, h)
-            if args.format == "structured":
-                report = base_report("slice", model)
-                report["hyperplane"] = h.as_string(model.vars)
-                report["sliced_model"] = format_model(sliced)
-                report["warnings"] = []
-                _emit(report, args)
-            else:
-                sys.stdout.write(format_model(sliced))
-            return 0
-
-        if command == "screen-hyperplanes":
-            _require_specialized(model)
-            warnings = []
-            if args.hyperplane:
-                forms = args.hyperplane
-            else:
-                forms = list(mf.hyperplanes)
-            if not forms:
-                raise ValidationError(
-                    "no hyperplanes: add a [hyperplanes] section or --hyperplane"
-                )
-            local_mf = type(mf)(
-                variables=mf.variables,
-                parameters=mf.parameters,
-                rows=mf.rows,
-                cols=mf.cols,
-                t=mf.t,
-                matrix=mf.matrix,
-                hyperplanes=tuple(forms),
+        if needs_specialized and not model.is_specialized():
+            raise PreconditionError(
+                "this command needs a specialized model (no free parameters)"
             )
-            section = genericity_section(model, local_mf, warnings)
-            report = base_report("screen-hyperplanes", model)
-            report["genericity"] = section
-            report["warnings"] = warnings
-            _emit(report, args)
-            return 0
-
-        if command == "family-scan":
-            if not mf.samples:
-                raise ValidationError("model file has no [samples] section")
-            warnings = []
-            report = base_report("family-scan", model)
-            report["family_scan"] = family_section(model, mf, warnings)
-            report["warnings"] = warnings
-            _emit(report, args)
-            return 0
-
-        if command == "consistency":
-            if not mf.supplied:
-                raise ValidationError("model file has no [supplied] section")
-            warnings = []
-            report = base_report("consistency", model)
-            report["consistency"] = consistency_section(model, mf, warnings)
-            report["warnings"] = warnings
-            _emit(report, args)
-            return 0
-
-        raise ValidationError(f"unknown command {command!r}")
+        warnings = []
+        report = base_report(args.command, model)
+        report.update(view(Analysis(model), mf, args, warnings))
+        report["warnings"] = warnings
+        if args.format == "structured":
+            sys.stdout.write(to_json(report))
+        elif args.command == "slice":  # the text form is the model file itself
+            sys.stdout.write(report["sliced_model"])
+        else:
+            sys.stdout.write(render_text(report))
+        return 0
     finally:
         if args.max_degree is not None:
             groebner.set_max_degree(None)
@@ -299,19 +224,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return run(args)
-    except LimitError as exc:
+    except (DetsingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DetsingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+        if isinstance(exc, LimitError):
+            return 3
+        return 1 if isinstance(exc, (ValidationError, OSError)) else 2
 
 if __name__ == "__main__":
     raise SystemExit(main())

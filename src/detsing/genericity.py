@@ -15,19 +15,19 @@ A hyperplane fails the screen when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .detmodel import PresentationMatrix, stratum
+from .analysis import Analysis
+from .detmodel import PresentationMatrix
 from .errors import (
     DimensionMismatchError,
     PreconditionError,
     ValidationError,
 )
-from .groebner import colength, dimension, is_unit_ideal, support_is_origin_only
-from .invariants import build_euler_system, solve_for_m
-from .poly import Polynomial, VariableSet
-from .strata import eids_check
+from .groebner import dimension, is_unit_ideal, support_is_origin_only
+from .invariants import solve_for_m
+from .poly import Polynomial, VariableSet, poly_to_str
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,6 @@ class Hyperplane:
         return Hyperplane(tuple(coeffs))
 
     def as_string(self, vars: VariableSet):
-        from .poly import poly_to_str
-
         p = Polynomial.zero(vars)
         for j, c in enumerate(self.coefficients):
             if c:
@@ -107,14 +105,15 @@ class ScreenVerdict:
         return self.passed
 
 
-def hyperplane_screen(m: PresentationMatrix, h: Hyperplane) -> ScreenVerdict:
+def hyperplane_screen(m: PresentationMatrix | Analysis, h: Hyperplane) -> ScreenVerdict:
     """Necessary-condition screen; pass does not certify genericity."""
-    if not m.is_specialized():
+    a = Analysis.of(m)
+    if not a.model.is_specialized():
         raise PreconditionError("screen needs all family parameters specialized")
-    sliced = slice_model(m, h)
+    section = a.section(h)
     reasons = []
     try:
-        verdict = eids_check(sliced)
+        verdict = section.eids()
         if not verdict.overall:
             bad = [r.index for r in verdict.strata if not r.transversal_off_origin]
             reasons.append(
@@ -123,11 +122,10 @@ def hyperplane_screen(m: PresentationMatrix, h: Hyperplane) -> ScreenVerdict:
             )
     except DimensionMismatchError as exc:
         reasons.append(f"sliced model dimension mismatch: {exc}")
-    for i in range(1, m.dtype.t + 1):
-        original = stratum(m, i)
-        if original.expected_dim != 0:
+    for i in range(1, a.model.dtype.t + 1):
+        if a.stratum(i).expected_dim != 0:
             continue
-        sliced_ideal = stratum(sliced, i).ideal
+        sliced_ideal = section.stratum(i).ideal
         if is_unit_ideal(sliced_ideal):
             continue
         if not support_is_origin_only(sliced_ideal):
@@ -136,14 +134,14 @@ def hyperplane_screen(m: PresentationMatrix, h: Hyperplane) -> ScreenVerdict:
             )
             continue
         try:
-            original_colength = colength(original.ideal)
+            original_colength = a.colength(i)
         except PreconditionError:
             reasons.append(
                 f"zero-dimensional stratum {i} of the model is not supported "
                 "at the origin; cannot screen its section"
             )
             continue
-        sliced_colength = colength(sliced_ideal)
+        sliced_colength = section.colength(i)
         if sliced_colength != original_colength:
             reasons.append(
                 f"hyperplane truncates the zero-dimensional stratum {i} "
@@ -166,15 +164,17 @@ class SectionInvariants:
         return (self.dims, tuple(sorted(self.colengths.items())), mv)
 
 
-def section_invariant_compare(m: PresentationMatrix, hyperplanes, euler_data=None):
+def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes, euler_data=None):
     """Per-hyperplane section invariants, with the screen verdicts.
 
     Among hyperplanes passing the screen, those whose invariant vector
     attains the componentwise minimum are marked; flagged hyperplanes
     are still reported but excluded from the comparison.  This compares
     computable proxies for the topological minimality of sections, not
-    the section Euler characteristics themselves.
+    the section Euler characteristics themselves.  Each section is
+    sliced and analyzed once, shared with its screen.
     """
+    a = Analysis.of(m)
     hyperplanes = list(hyperplanes)
     if not hyperplanes:
         raise PreconditionError("need at least one hyperplane to compare")
@@ -182,22 +182,21 @@ def section_invariant_compare(m: PresentationMatrix, hyperplanes, euler_data=Non
         raise ValidationError("per-section chi data does not match the list")
     rows = []
     for idx, h in enumerate(hyperplanes):
-        screen = hyperplane_screen(m, h)
-        sliced = slice_model(m, h)
+        screen = hyperplane_screen(a, h)
+        section = a.section(h)
         sys = None
         try:
-            sys = build_euler_system(sliced)
+            sys = section.euler_system()
         except PreconditionError:
             pass
         dims = []
         cols = {}
         if sys is not None:
             for j, d in zip(sys.strata, sys.dims):
-                s = stratum(sliced, j)
-                dims.append(dimension(s.ideal))
+                dims.append(dimension(section.stratum(j).ideal))
                 if d == 0:
                     try:
-                        cols[j] = colength(s.ideal)
+                        cols[j] = section.colength(j)
                     except PreconditionError:
                         pass
         mvec = None
@@ -208,30 +207,14 @@ def section_invariant_compare(m: PresentationMatrix, hyperplanes, euler_data=Non
         ):
             mvec = solve_for_m(sys, euler_data[idx], cols)
         rows.append(SectionInvariants(h, screen, tuple(dims), cols, mvec))
-    passing = [r for r in rows if r.screen.passed]
-    if passing:
-        vectors = [r.vector() for r in passing]
-        shape0 = _vector_shape(vectors[0])
-        comparable = all(_vector_shape(v) == shape0 for v in vectors)
-        if comparable:
-            flat = [_flatten(v) for v in vectors]
-            floor = tuple(min(col) for col in zip(*flat))
-            marked = []
-            for r, f in zip(passing, flat):
-                marked.append(tuple(f) == floor)
-            out = []
-            it = iter(marked)
-            for r in rows:
-                if r.screen.passed:
-                    out.append(
-                        SectionInvariants(
-                            r.hyperplane, r.screen, r.dims, r.colengths,
-                            r.mvector, next(it),
-                        )
-                    )
-                else:
-                    out.append(r)
-            return out
+    passing = [pos for pos, r in enumerate(rows) if r.screen.passed]
+    vectors = [rows[pos].vector() for pos in passing]
+    if vectors and all(_vector_shape(v) == _vector_shape(vectors[0]) for v in vectors):
+        flat = [_flatten(v) for v in vectors]
+        floor = [min(col) for col in zip(*flat)]
+        for pos, f in zip(passing, flat):
+            if f == floor:
+                rows[pos] = replace(rows[pos], minimal=True)
     return rows
 
 

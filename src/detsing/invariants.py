@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .detmodel import DeterminantalType, PresentationMatrix, stratum
+from .analysis import Analysis
+from .detmodel import DeterminantalType, PresentationMatrix
 from .errors import (
     InconsistentDataError,
     PreconditionError,
     ValidationError,
 )
-from .groebner import colength, colength_at_origin, dimension
+from .groebner import dimension
 from .strata import good_family_scan
 
 
@@ -154,15 +155,16 @@ def solve_for_chi_diffs(sys: EulerSystem, m: dict):
     return out
 
 
-def m0_colength(m: PresentationMatrix, i: int) -> int:
+def m0_colength(m: PresentationMatrix | Analysis, i: int) -> int:
     """Colength of a zero-dimensional stratum: the number of points of
     that singularity type on a generic fiber of the stabilization."""
-    s = stratum(m, i)
+    a = Analysis.of(m)
+    s = a.stratum(i)
     if s.expected_dim != 0:
         raise PreconditionError(
             f"stratum {i} has expected dimension {s.expected_dim}, not 0"
         )
-    return colength(s.ideal)
+    return a.colength(i)
 
 
 def polar_term_bound(dtype: DeterminantalType, q: int, i: int):
@@ -206,7 +208,7 @@ class WhitneyReport:
 
 
 def whitney_report(
-    m: PresentationMatrix, samples, euler_data=None
+    m: PresentationMatrix | Analysis, samples, euler_data=None
 ) -> WhitneyReport:
     """Constancy scan of the computable invariants across a family.
 
@@ -214,31 +216,32 @@ def whitney_report(
     zero-dimensional strata, and the solved multiplicity vector when chi
     data is supplied.  The verdict states only that the necessary
     conditions hold; pair multiplicities and polar terms are never
-    computed here, so sufficiency is never claimed.
+    computed here, so sufficiency is never claimed.  Each distinct
+    member is built and reduced once, shared with the scan.
     """
+    a = Analysis.of(m)
     if euler_data is not None and len(euler_data) != len(samples):
         raise ValidationError("per-sample chi data does not match the sample list")
     warnings = [
         "pair multiplicities e(JM, N) and polar intersection numbers are "
         "not computed; the verdict covers necessary conditions only"
     ]
-    scan = good_family_scan(m, samples)
+    scan = good_family_scan(a, samples)
     reliable = bool(scan) and all(r.passed for r in scan)
     if samples and not reliable:
         warnings.append(
             "good-family scan failed on at least one sample; the report is unreliable"
         )
-    sys = build_euler_system(m) if samples else None
+    sys = a.euler_system() if samples else None
     rows = []
     for idx, point in enumerate(samples):
-        member = m.specialize(point)
+        member = a.member(point)
         dims = []
         cols = {}
         for j, d in zip(sys.strata, sys.dims):
-            s = stratum(member, j)
-            dims.append(dimension(s.ideal))
+            dims.append(dimension(member.stratum(j).ideal))
             if d == 0:
-                cols[j] = colength_at_origin(s.ideal)
+                cols[j] = member.origin_colength(j)
         mvec = None
         if euler_data is not None and euler_data[idx] is not None:
             mvec = solve_for_m(sys, euler_data[idx], cols)

@@ -1,5 +1,7 @@
 """Report assembly: one self-describing tree with stable key names.
 
+Each section is a view over one :class:`~detsing.analysis.Analysis`.
+
 Every numeric field carries a provenance marker (computed,
 user-supplied, not-computable) and every non-certified claim surfaces as
 a warning.  Construction order is fixed, so structured output is
@@ -11,7 +13,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .detmodel import PresentationMatrix, stratum
+from .analysis import Analysis
+from .detmodel import PresentationMatrix
 from .errors import (
     DimensionMismatchError,
     PreconditionError,
@@ -20,17 +23,16 @@ from .errors import (
 from .genericity import section_invariant_compare
 from .groebner import dimension
 from .invariants import (
-    build_euler_system,
     m0_colength,
+    md_consistency,
     nit_coefficient,
     polar_term_bound,
     solve_for_chi_diffs,
-    solve_for_m,
     whitney_report,
 )
 from .modelfile import ModelFile, build_hyperplanes
 from .poly import GREVLEX, poly_to_str
-from .strata import conormal_fiber_gap, eids_check, stably_isolated_check
+from .strata import conormal_fiber_gap, stably_isolated_check
 
 SCHEMA = "detsing-report/1"
 
@@ -82,10 +84,10 @@ def base_report(command, m: PresentationMatrix):
     }
 
 
-def strata_section(m: PresentationMatrix, ordering=GREVLEX, with_dims=True):
+def strata_section(a: Analysis, ordering=GREVLEX):
     rows = []
-    for i in range(1, m.dtype.t + 1):
-        s = stratum(m, i)
+    for i in range(1, a.model.dtype.t + 1):
+        s = a.stratum(i)
         row = {
             "index": i,
             "generator_count": len(s.ideal.generators),
@@ -93,7 +95,7 @@ def strata_section(m: PresentationMatrix, ordering=GREVLEX, with_dims=True):
             "expected_dim": s.expected_dim,
             "present": s.present,
         }
-        if with_dims and m.is_specialized():
+        if a.model.is_specialized():
             row["actual_dim"] = computed(dimension(s.ideal))
             row["basis_size"] = computed(len(s.ideal.groebner_basis(ordering)))
         else:
@@ -103,15 +105,15 @@ def strata_section(m: PresentationMatrix, ordering=GREVLEX, with_dims=True):
     return rows
 
 
-def eids_section(m: PresentationMatrix, warnings):
-    if not m.is_specialized():
+def eids_section(a: Analysis, warnings):
+    if not a.model.is_specialized():
         warnings.append(
             "transversality checks need a specialized model; run family-scan "
             "with samples instead"
         )
         return {"overall": None, "provenance": "not-computable", "strata": []}
     try:
-        verdict = eids_check(m)
+        verdict = a.eids()
     except DimensionMismatchError as exc:
         return {
             "overall": False,
@@ -135,7 +137,25 @@ def eids_section(m: PresentationMatrix, warnings):
     return {"overall": verdict.overall, "provenance": "computed", "strata": rows}
 
 
-def invariants_section(m: PresentationMatrix, mf: ModelFile | None, warnings):
+def euler_system_echo(sys):
+    rows = [list(r) for r in sys.matrix]
+    return {"strata": list(sys.strata), "dims": list(sys.dims), "matrix": rows}
+
+
+def mvector_echo(sys, mvec):
+    """The solved multiplicity vector and the chi combinations it realizes;
+    both not computable when ``mvec`` is None."""
+    if mvec is None:
+        return {"mvector": dict(NOT_COMPUTABLE), "chi_combinations": dict(NOT_COMPUTABLE)}
+    chi = solve_for_chi_diffs(sys, mvec)
+    return {
+        "mvector": {str(j): computed(mvec[j]) for j in sys.strata},
+        "chi_combinations": {str(j): computed(v) for j, v in zip(sys.strata, chi)},
+    }
+
+
+def invariants_section(a: Analysis, mf: ModelFile, warnings):
+    m = a.model
     d = m.dtype
     nit_rows = []
     for t in range(1, d.n + 1):
@@ -143,58 +163,40 @@ def invariants_section(m: PresentationMatrix, mf: ModelFile | None, warnings):
     out = {"nit_rows": nit_rows}
 
     try:
-        sys = build_euler_system(m)
-        out["euler_system"] = {
-            "strata": list(sys.strata),
-            "dims": list(sys.dims),
-            "matrix": [list(r) for r in sys.matrix],
-        }
+        sys = a.euler_system()
+        out["euler_system"] = euler_system_echo(sys)
     except PreconditionError as exc:
         sys = None
         out["euler_system"] = None
         warnings.append(str(exc))
 
-    colengths = {}
+    out["colengths"] = {}
     if sys is not None and m.is_specialized():
-        entries = {}
         for j in sys.zero_dim_strata():
             try:
-                value = m0_colength(m, j)
-                entries[str(j)] = computed(value)
-                colengths[j] = value
+                out["colengths"][str(j)] = computed(m0_colength(a, j))
             except PreconditionError as exc:
-                entries[str(j)] = dict(NOT_COMPUTABLE)
+                out["colengths"][str(j)] = dict(NOT_COMPUTABLE)
                 warnings.append(f"colength of stratum {j}: {exc}")
-        out["colengths"] = entries
-    else:
-        out["colengths"] = {}
-        if sys is not None:
-            warnings.append("colengths need a specialized model")
+    elif sys is not None:
+        warnings.append("colengths need a specialized model")
 
-    chi = mf.chi_data() if mf is not None else {}
+    chi = mf.chi_data()
+    mvec = None
     if sys is not None and chi and m.is_specialized():
         try:
-            mvec = solve_for_m(sys, chi, colengths)
-            out["mvector"] = {str(j): computed(mvec[j]) for j in sys.strata}
-            out["chi_combinations"] = {
-                str(j): computed(v)
-                for j, v in zip(sys.strata, solve_for_chi_diffs(sys, mvec))
-            }
+            mvec = a.mvector(chi)
             warnings.append(
                 "multiplicity vector uses user-supplied Euler characteristics"
             )
         except (PreconditionError, ValidationError) as exc:
-            out["mvector"] = dict(NOT_COMPUTABLE)
-            out["chi_combinations"] = dict(NOT_COMPUTABLE)
             warnings.append(f"multiplicity solve failed: {exc}")
-    else:
-        out["mvector"] = dict(NOT_COMPUTABLE)
-        out["chi_combinations"] = dict(NOT_COMPUTABLE)
-        if sys is not None and not chi:
-            warnings.append(
-                "no Euler characteristics supplied; the multiplicity vector "
-                "for positive-dimensional strata is not computable"
-            )
+    elif sys is not None and not chi:
+        warnings.append(
+            "no Euler characteristics supplied; the multiplicity vector "
+            "for positive-dimensional strata is not computable"
+        )
+    out.update(mvector_echo(sys, mvec))
 
     bounds = []
     for i in range(1, d.t + 1):
@@ -226,17 +228,16 @@ def invariants_section(m: PresentationMatrix, mf: ModelFile | None, warnings):
     return out
 
 
-def genericity_section(m: PresentationMatrix, mf: ModelFile, warnings):
-    vars = m.vars
+def genericity_section(a: Analysis, mf: ModelFile, warnings):
+    vars = a.model.vars
     hyperplanes = build_hyperplanes(mf, vars)
     if not hyperplanes:
         return None
-    if not m.is_specialized():
+    if not a.model.is_specialized():
         warnings.append("hyperplane screening needs a specialized model")
         return None
-    rows = section_invariant_compare(m, hyperplanes)
     out = []
-    for r in rows:
+    for r in section_invariant_compare(a, hyperplanes):
         out.append(
             {
                 "form": r.hyperplane.as_string(vars),
@@ -254,13 +255,13 @@ def genericity_section(m: PresentationMatrix, mf: ModelFile, warnings):
     return out
 
 
-def family_section(m: PresentationMatrix, mf: ModelFile, warnings):
+def family_section(a: Analysis, mf: ModelFile, warnings):
     if not mf.samples:
         return None
     samples = [dict(s) for s in mf.samples]
     chi = mf.chi_data()
     euler = [chi or None] * len(samples) if chi else None
-    rep = whitney_report(m, samples, euler)
+    rep = whitney_report(a, samples, euler)
     warnings.extend(rep.warnings)
     return {
         "reliable": rep.reliable,
@@ -288,18 +289,17 @@ def family_section(m: PresentationMatrix, mf: ModelFile, warnings):
     }
 
 
-def consistency_section(m: PresentationMatrix, mf: ModelFile, warnings):
+def consistency_section(a: Analysis, mf: ModelFile, warnings):
     if not mf.supplied:
         return None
-    sys = None
+    m = a.model
     mvec = {}
     if m.is_specialized():
         try:
-            sys = build_euler_system(m)
+            a.euler_system()  # an empty system is reported even without chi data
             chi = mf.chi_data()
             if chi:
-                cols = {j: m0_colength(m, j) for j in sys.zero_dim_strata()}
-                mvec = solve_for_m(sys, chi, cols)
+                mvec = a.mvector(chi)
         except (PreconditionError, ValidationError) as exc:
             warnings.append(f"could not solve for multiplicities: {exc}")
     rows = []
@@ -329,7 +329,7 @@ def consistency_section(m: PresentationMatrix, mf: ModelFile, warnings):
             "m": computed(mvec[j]) if j in mvec else dict(NOT_COMPUTABLE),
         }
         if e_pair is not None and polar_value is not None and j in mvec:
-            row["holds"] = e_pair + polar_value == mvec[j]
+            row["holds"] = md_consistency(e_pair, polar_value, mvec[j])
         else:
             row["holds"] = None
             warnings.append(
@@ -340,23 +340,22 @@ def consistency_section(m: PresentationMatrix, mf: ModelFile, warnings):
     return rows
 
 
-def analyze_report(m: PresentationMatrix, mf: ModelFile, ordering=GREVLEX):
-    warnings = []
-    rep = base_report("analyze", m)
-    rep["ordering"] = ordering.kind
-    rep["strata"] = strata_section(m, ordering)
-    rep["eids"] = eids_section(m, warnings)
-    rep["invariants"] = invariants_section(m, mf, warnings)
-    gen = genericity_section(m, mf, warnings)
-    if gen is not None:
-        rep["genericity"] = gen
-    fam = family_section(m, mf, warnings)
-    if fam is not None:
-        rep["family_scan"] = fam
-    cons = consistency_section(m, mf, warnings)
-    if cons is not None:
-        rep["consistency"] = cons
-    rep["warnings"] = warnings
+def analyze_report(a: Analysis, mf: ModelFile, warnings, ordering=GREVLEX):
+    """The sections of an ``analyze`` report, between model echo and warnings."""
+    rep = {
+        "ordering": ordering.kind,
+        "strata": strata_section(a, ordering),
+        "eids": eids_section(a, warnings),
+        "invariants": invariants_section(a, mf, warnings),
+    }
+    for key, section in (
+        ("genericity", genericity_section),
+        ("family_scan", family_section),
+        ("consistency", consistency_section),
+    ):
+        body = section(a, mf, warnings)
+        if body is not None:
+            rep[key] = body
     return rep
 
 

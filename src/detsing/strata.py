@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors, stratum
+from .analysis import Analysis
+from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .groebner import (
     Ideal,
@@ -64,23 +65,23 @@ def _reduced_ideal(ideal: Ideal) -> Ideal:
     return Ideal(basis.elements, ideal.vars)
 
 
-def eids_check(m: PresentationMatrix) -> EidsVerdict:
+def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
     """Per-stratum transversality off the origin.
 
     A present stratum passes when it has its expected dimension and the
     non-smooth locus, saturated by the next deeper stratum, is empty or
     supported at the origin only.  A wrong-dimensional top stratum means
     the model is not determinantal of its declared type and raises
-    DimensionMismatchError.
+    DimensionMismatchError.  The strata come from the analysis given, or
+    from a fresh one of a bare matrix.
     """
-    if not m.is_specialized():
+    a = Analysis.of(m)
+    if not a.model.is_specialized():
         raise PreconditionError("eids check needs all family parameters specialized")
-    t = m.dtype.t
+    t = a.model.dtype.t
     records = []
-    strata_ideals = {}
     for i in range(1, t + 1):
-        s = stratum(m, i)
-        strata_ideals[i] = s.ideal
+        s = a.stratum(i)
         if not s.present:
             continue
         actual = dimension(s.ideal)
@@ -98,7 +99,7 @@ def eids_check(m: PresentationMatrix) -> EidsVerdict:
         if i == 1:
             off_deeper = _reduced_ideal(locus)
         else:
-            off_deeper = saturation(_reduced_ideal(locus), strata_ideals[i - 1])
+            off_deeper = saturation(_reduced_ideal(locus), a.stratum(i - 1).ideal)
         ok = is_unit_ideal(off_deeper) or support_is_origin_only(off_deeper)
         records.append(
             StratumCheck(
@@ -120,19 +121,20 @@ class ScanRecord:
         return self.error is None and self.verdict is not None and self.verdict.overall
 
 
-def good_family_scan(m: PresentationMatrix, samples):
+def good_family_scan(m: PresentationMatrix | Analysis, samples):
     """Evidence scan: eids check at each parameter sample.
 
     A pass is evidence, not proof, that the family is good (transverse
     to the rank stratification off the origin near the parameter axis):
-    the sampling is finite.
+    the sampling is finite.  Samples that specialize to the same matrix
+    share one member and its verdict.
     """
+    a = Analysis.of(m)
     records = []
     for point in samples:
-        member = m.specialize(point)
+        member = a.member(point)
         try:
-            verdict = eids_check(member)
-            records.append(ScanRecord(dict(point), verdict, None))
+            records.append(ScanRecord(dict(point), member.eids(), None))
         except DimensionMismatchError as exc:
             records.append(ScanRecord(dict(point), None, str(exc)))
     return records
