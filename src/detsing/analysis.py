@@ -10,6 +10,7 @@ back into them import them when called.
 from __future__ import annotations
 
 from .detmodel import PresentationMatrix, StratumModel, stratum
+from .errors import DetsingError
 from .groebner import colength, colength_at_origin
 
 
@@ -19,17 +20,20 @@ class Analysis:
     Lifetime rule: an analysis lives for one top-level call (one CLI
     command, or one verdict function given a bare matrix) and dies with
     it.  Nothing is kept on the model or at module level, so another call
-    on the same model recomputes everything.  A computation that raises
-    is not kept.  A stratum keeps its ``Ideal`` and so that ideal's basis
-    cache.  Members are keyed on their specialized entries, so samples
-    that give equal matrices share one member; sections are keyed on the
-    normalized hyperplane.  Members and sections are analyses themselves.
+    on the same model recomputes everything.  A computation that raises a
+    ``DetsingError`` keeps the error and raises it again when asked for.
+    A stratum keeps its ``Ideal``, capped at ``max_degree``, and so that
+    ideal's basis cache.  Members are keyed on their specialized entries,
+    so samples that give equal matrices share one member; sections are
+    keyed on the normalized hyperplane.  Members and sections are analyses
+    themselves, with the same cap.
     """
 
-    __slots__ = ("model", "_memo")
+    __slots__ = ("model", "max_degree", "_memo")
 
-    def __init__(self, model: PresentationMatrix):
+    def __init__(self, model: PresentationMatrix, max_degree=None):
         self.model = model
+        self.max_degree = max_degree
         self._memo = {}
 
     @staticmethod
@@ -39,11 +43,17 @@ class Analysis:
 
     def _once(self, key, compute):
         if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+            try:
+                self._memo[key] = compute()
+            except DetsingError as exc:
+                self._memo[key] = exc
+        value = self._memo[key]
+        if isinstance(value, DetsingError):
+            raise value
+        return value
 
     def stratum(self, i) -> StratumModel:
-        return self._once(("stratum", i), lambda: stratum(self.model, i))
+        return self._once(("stratum", i), lambda: stratum(self.model, i, self.max_degree))
 
     def colength(self, i) -> int:
         return self._once(("colength", i), lambda: colength(self.stratum(i).ideal))
@@ -76,9 +86,11 @@ class Analysis:
 
     def member(self, point) -> Analysis:
         m = self.model.specialize(point)
-        return self._once(("member", m.entries), lambda: Analysis(m))
+        return self._once(("member", m.entries), lambda: Analysis(m, self.max_degree))
 
     def section(self, h) -> Analysis:
         from .genericity import slice_model
 
-        return self._once(("section", h), lambda: Analysis(slice_model(self.model, h)))
+        return self._once(
+            ("section", h), lambda: Analysis(slice_model(self.model, h), self.max_degree)
+        )

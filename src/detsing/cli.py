@@ -12,10 +12,10 @@ cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
-from . import groebner
 from .analysis import Analysis
 from .detmodel import minors as compute_minors
 from .errors import (
@@ -78,6 +78,7 @@ def _add_common(parser):
     )
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="detsing",
@@ -191,27 +192,19 @@ def run(args) -> int:
     mf = load_model_file(args.model)
     model = build_model(mf)
     view, _, needs_specialized = VIEWS[args.command]
-    if args.max_degree is not None:
-        groebner.set_max_degree(args.max_degree)
-    try:
-        if needs_specialized and not model.is_specialized():
-            raise PreconditionError(
-                "this command needs a specialized model (no free parameters)"
-            )
-        warnings = []
-        report = base_report(args.command, model)
-        report.update(view(Analysis(model), mf, args, warnings))
-        report["warnings"] = warnings
-        if args.format == "structured":
-            sys.stdout.write(to_json(report))
-        elif args.command == "slice":  # the text form is the model file itself
-            sys.stdout.write(report["sliced_model"])
-        else:
-            sys.stdout.write(render_text(report))
-        return 0
-    finally:
-        if args.max_degree is not None:
-            groebner.set_max_degree(None)
+    if needs_specialized and not model.is_specialized():
+        raise PreconditionError("this command needs a specialized model (no free parameters)")
+    warnings = []
+    report = base_report(args.command, model)
+    report.update(view(Analysis(model, args.max_degree), mf, args, warnings))
+    report["warnings"] = warnings
+    if args.format == "structured":
+        sys.stdout.write(to_json(report))
+    elif args.command == "slice":  # the text form is the model file itself
+        sys.stdout.write(report["sliced_model"])
+    else:
+        sys.stdout.write(render_text(report))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -282,12 +282,13 @@ def minors(m: PresentationMatrix, size: int):
     return _all_minors(m.entries, size, m.vars)
 
 
-def stratum(m: PresentationMatrix, i: int) -> StratumModel:
-    """Preimage of the rank < i locus, with expected dimensions."""
+def stratum(m: PresentationMatrix, i: int, max_degree=None) -> StratumModel:
+    """Preimage of the rank < i locus (ideal capped at ``max_degree``), with
+    expected dimensions."""
     if not 1 <= i <= m.dtype.t:
         raise ValidationError(f"stratum index {i} outside 1..{m.dtype.t}")
     codim = m.dtype.expected_codim(i)
-    ideal = Ideal(minors(m, i), m.vars)
+    ideal = Ideal(minors(m, i), m.vars, max_degree)
     return StratumModel(i, ideal, codim, m.q - codim)
 
 

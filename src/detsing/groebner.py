@@ -70,25 +70,14 @@ from .poly import (
     monomial_mul,
 )
 
-# Optional safety cap on the total degree of basis elements / S-pair lcms
-# produced during a basis computation (CLI --max-degree).  None = no cap.
-_MAX_DEGREE = None
-
-
-def set_max_degree(cap):
-    global _MAX_DEGREE
-    _MAX_DEGREE = cap
-
-
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, sorted by leading term."""
 
-    __slots__ = ("elements", "ordering", "reduced")
+    __slots__ = ("elements", "ordering")
 
-    def __init__(self, elements, ordering, reduced=True):
+    def __init__(self, elements, ordering):
         self.elements = tuple(elements)
         self.ordering = ordering
-        self.reduced = reduced
 
     def is_unit(self):
         return len(self.elements) == 1 and self.elements[0].is_constant()
@@ -108,12 +97,13 @@ class Ideal:
 
     Zero generators may be dropped freely; an empty generator list is
     the zero ideal.  The cache behaves as a write-once map per
-    (ideal, ordering) key.
+    (ideal, ordering) key.  ``max_degree`` (None: no cap) caps the degree
+    of this ideal's basis computations; derived ideals carry it on.
     """
 
-    __slots__ = ("vars", "generators", "_cache")
+    __slots__ = ("vars", "generators", "max_degree", "_cache")
 
-    def __init__(self, generators, vars=None):
+    def __init__(self, generators, vars=None, max_degree=None):
         gens = [g for g in generators if not g.is_zero()]
         if vars is None:
             if not gens:
@@ -124,7 +114,15 @@ class Ideal:
                 raise VariableSetMismatchError("generators use different variable sets")
         self.vars = vars
         self.generators = tuple(gens)
+        self.max_degree = max_degree
         self._cache = {}
+
+    @classmethod
+    def from_basis(cls, basis: GroebnerBasis, vars, max_degree) -> Ideal:
+        """The ideal a reduced basis generates, carrying that basis."""
+        ideal = cls(basis.elements, vars, max_degree)
+        ideal._cache[(basis.ordering.kind, basis.ordering.block)] = basis
+        return ideal
 
     def groebner_basis(self, ordering=GREVLEX):
         key = (ordering.kind, ordering.block)
@@ -501,28 +499,18 @@ def _packed_basis(polys, packing, cap):
     return final
 
 
-def buchberger(source, ordering=GREVLEX, max_degree=None) -> GroebnerBasis:
-    """Reduced Groebner basis of an ideal (or generator list).
+def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
+    """Reduced Groebner basis of an ideal, under its degree cap.
 
     Deterministic: normal pair selection and fixed tie-breaking yield
-    the same basis on every run.  ``max_degree`` caps the degree of
-    leading terms and S-pair lcms; without it the module-wide cap set by
-    :func:`set_max_degree` applies.
+    the same basis on every run.  ``ideal.max_degree`` caps the degree
+    of leading terms and S-pair lcms.
     """
-    if isinstance(source, Ideal):
-        gens = source.generators
-        vars = source.vars
-    else:
-        gens = tuple(g for g in source if not g.is_zero())
-        if not gens:
-            raise ValidationError("buchberger needs a variable set; use Ideal")
-        vars = gens[0].vars
-    cap = _MAX_DEGREE if max_degree is None else max_degree
-    ints = [_poly_to_int(g) for g in gens]
-    packing = _Packing.for_input(ordering, len(vars), ints)
+    ints = [_poly_to_int(g) for g in ideal.generators]
+    packing = _Packing.for_input(ordering, len(ideal.vars), ints)
     while True:
         try:
-            final = _packed_basis(ints, packing, cap)
+            final = _packed_basis(ints, packing, ideal.max_degree)
             break
         except _Overflow:
             packing = packing.wider()
@@ -530,7 +518,7 @@ def buchberger(source, ordering=GREVLEX, max_degree=None) -> GroebnerBasis:
     for f in final:
         lc = f[max(f)]
         out.append(
-            Polynomial(vars, {packing.unpack(m): Fraction(c, lc) for m, c in f.items()})
+            Polynomial(ideal.vars, {packing.unpack(m): Fraction(c, lc) for m, c in f.items()})
         )
     return GroebnerBasis(out, ordering)
 
@@ -600,18 +588,22 @@ def s_polynomial(f: Polynomial, g: Polynomial, ordering=GREVLEX) -> Polynomial:
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.vars != b.vars:
         raise VariableSetMismatchError("ideal sum over different variable sets")
-    return Ideal(a.generators + b.generators, a.vars)
+    return Ideal(a.generators + b.generators, a.vars, a.max_degree)
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     if a.vars != b.vars:
         raise VariableSetMismatchError("ideal product over different variable sets")
     gens = [f * g for f in a.generators for g in b.generators]
-    return Ideal(gens, a.vars)
+    return Ideal(gens, a.vars, a.max_degree)
 
 
 def eliminate(a: Ideal, drop) -> Ideal:
-    """Intersection with the subring excluding the dropped variables."""
+    """Intersection with the subring excluding the dropped variables.
+
+    The result carries its reduced grevlex basis, the block-order basis
+    elements free of the dropped variables (Cox, Little & O'Shea, ch. 3
+    §1): on them the block order is grevlex in the kept variables."""
     drop = tuple(drop)
     names = a.vars.names
     for n in drop:
@@ -629,7 +621,7 @@ def eliminate(a: Ideal, drop) -> Ideal:
     for g in basis.elements:
         if all(all(m[i] == 0 for i in drop_idx) for m in g.terms):
             kept.append(g.restrict(target))
-    return Ideal(kept, target)
+    return Ideal.from_basis(GroebnerBasis(kept, GREVLEX), target, a.max_degree)
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
@@ -637,15 +629,16 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     if a.vars != b.vars:
         raise VariableSetMismatchError("intersection over different variable sets")
     if is_zero_ideal(a) or is_zero_ideal(b):
-        return Ideal((), a.vars)
+        return Ideal((), a.vars, a.max_degree)
     tag = a.vars.fresh_name("t_")
     ext = a.vars.extended(tag)
     t = Polynomial.variable(ext, tag)
     one = Polynomial.constant(ext, 1)
     gens = [t * g.lift(ext) for g in a.generators]
     gens += [(one - t) * g.lift(ext) for g in b.generators]
-    elim = eliminate(Ideal(gens, ext), [tag])
-    return Ideal([g.restrict(a.vars) for g in elim.generators], a.vars)
+    elim = eliminate(Ideal(gens, ext, a.max_degree), [tag])
+    basis = GroebnerBasis([g.restrict(a.vars) for g in elim.generators], GREVLEX)
+    return Ideal.from_basis(basis, a.vars, a.max_degree)
 
 
 def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
@@ -681,9 +674,9 @@ def ideal_quotient(a: Ideal, g: Polynomial) -> Ideal:
         raise PreconditionError("quotient by the zero polynomial")
     if g.is_constant():
         return a
-    meet = ideal_intersection(a, Ideal([g], a.vars))
+    meet = ideal_intersection(a, Ideal([g], a.vars, a.max_degree))
     gens = [exact_divide(h, g) for h in meet.generators]
-    return Ideal(gens, a.vars)
+    return Ideal(gens, a.vars, a.max_degree)
 
 
 def saturation(a: Ideal, b: Ideal) -> Ideal:
@@ -715,13 +708,14 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
     tagged = Polynomial.constant(ext, 1)
     for tag, g in zip(tags, gens):
         tagged -= Polynomial.variable(ext, tag) * g.lift(ext)
-    extended = Ideal([h.lift(ext) for h in a.generators] + [tagged], ext)
+    extended = Ideal([h.lift(ext) for h in a.generators] + [tagged], ext, a.max_degree)
     try:
         elim = eliminate(extended, tags)
     except LimitError as exc:
         plural = "s" if len(gens) != 1 else ""
         raise LimitError(f"saturation by {len(gens)} generator{plural}: {exc}") from exc
-    return Ideal([h.restrict(a.vars) for h in elim.generators], a.vars)
+    basis = GroebnerBasis([h.restrict(a.vars) for h in elim.generators], GREVLEX)
+    return Ideal.from_basis(basis, a.vars, a.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +793,17 @@ def dimension(a: Ideal) -> int:
 
 def support_is_origin_only(a: Ideal) -> bool:
     """True when a : m^inf is the unit ideal, m the maximal ideal at the
-    origin: every variable then lies in the radical of a."""
+    origin: every variable then lies in the radical of a.  A reduced
+    basis holding a pure power of every variable certifies this without
+    the saturation."""
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("support test needs a proper ideal")
-    return is_unit_ideal(saturation(Ideal(basis.elements, a.vars), maximal_ideal(a.vars)))
+    powers = {m for g in basis for m in g.terms if len(g.terms) == 1}
+    if all(any(0 < m[j] == sum(m) for m in powers) for j in range(len(a.vars))):
+        return True
+    reduced = Ideal.from_basis(basis, a.vars, a.max_degree)
+    return is_unit_ideal(saturation(reduced, maximal_ideal(a.vars)))
 
 
 def _standard_monomials(basis: GroebnerBasis, width, cap=200000):

@@ -209,9 +209,6 @@ class Polynomial:
     def is_constant(self):
         return all(sum(m) == 0 for m in self._terms)
 
-    def constant_value(self):
-        return self._terms.get((0,) * len(self.vars), Fraction(0))
-
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:

@@ -210,7 +210,7 @@ def invariants_section(a: Analysis, mf: ModelFile, warnings):
     if m.is_specialized():
         for i in range(1, d.n):
             try:
-                if stably_isolated_check(m, i):
+                if stably_isolated_check(a, i):
                     verified = True
                     break
             except (PreconditionError, ValidationError):

@@ -54,15 +54,7 @@ def singular_locus_ideal(a: Ideal, codim: int) -> Ideal:
             f"codimension {codim} exceeds generator or variable count"
         )
     jac = [[g.derivative(n) for n in names] for g in gens]
-    return Ideal(list(gens) + _all_minors(jac, codim, a.vars), a.vars)
-
-
-def _reduced_ideal(ideal: Ideal) -> Ideal:
-    """Swap generators for the reduced basis (same ideal, leaner gens)."""
-    basis = ideal.groebner_basis()
-    if not basis.elements:
-        return ideal
-    return Ideal(basis.elements, ideal.vars)
+    return Ideal(list(gens) + _all_minors(jac, codim, a.vars), a.vars, a.max_degree)
 
 
 def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
@@ -95,11 +87,12 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
                 StratumCheck(i, s.expected_dim, actual, False, s.ideal)
             )
             continue
-        locus = singular_locus_ideal(_reduced_ideal(s.ideal), s.expected_codim)
-        if i == 1:
-            off_deeper = _reduced_ideal(locus)
-        else:
-            off_deeper = saturation(_reduced_ideal(locus), a.stratum(i - 1).ideal)
+        # Reduced bases as generators keep the Jacobian and the saturation lean.
+        reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
+        locus = off_deeper = singular_locus_ideal(reduced, s.expected_codim)
+        if i > 1:
+            reduced = Ideal.from_basis(locus.groebner_basis(), locus.vars, locus.max_degree)
+            off_deeper = saturation(reduced, a.stratum(i - 1).ideal)
         ok = is_unit_ideal(off_deeper) or support_is_origin_only(off_deeper)
         records.append(
             StratumCheck(
@@ -140,10 +133,13 @@ def good_family_scan(m: PresentationMatrix | Analysis, samples):
     return records
 
 
-def stably_isolated_check(m: PresentationMatrix, i: int) -> bool:
+def stably_isolated_check(m: PresentationMatrix | Analysis, i: int) -> bool:
     """Stabilization has only isolated singularities on stratum i: the
     ambient dimension must equal the codimension of the next deeper rank
-    locus and that locus must be confined to the origin."""
+    locus and that locus must be confined to the origin.  The deeper
+    locus has the analysis's degree cap."""
+    a = Analysis.of(m)
+    m = a.model
     if not m.is_specialized():
         raise PreconditionError("check needs all family parameters specialized")
     if i < 1:
@@ -154,7 +150,7 @@ def stably_isolated_check(m: PresentationMatrix, i: int) -> bool:
     deeper_codim = (n - i) * (n + m.dtype.k - i)
     if m.q != deeper_codim:
         return False
-    deeper = Ideal(minors(m, i + 1), m.vars)
+    deeper = Ideal(minors(m, i + 1), m.vars, a.max_degree)
     if is_unit_ideal(deeper):
         return True
     return support_is_origin_only(deeper)

@@ -1,16 +1,19 @@
 """One analysis per command: each stratum, section and family member is
 built once per call, and no cache outlives the call."""
 
+import ast
 import sys
 from pathlib import Path
 
 import pytest
 
-from detsing import eids_check, groebner
+from detsing import eids_check, good_family_scan, groebner
 from detsing.cli import main
 from detsing.modelfile import build_model, load_model_file
+from helpers import P, omega_vars
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+SRC = Path(__file__).resolve().parent.parent / "src" / "detsing"
 
 
 def count_calls(monkeypatch, *functions):
@@ -81,3 +84,74 @@ def test_members_are_keyed_on_specialized_entries():
     assert split.member({"u": 0}) is not split.member({"u": 1})
     assert Analysis.of(member) is member
     assert Analysis.of(member.model) is not member
+
+
+def record_bases(monkeypatch):
+    """Wrap groebner.buchberger, which every basis cache calls, and return
+    the list of (ideal, ordering) it is called with."""
+    calls = []
+    original = groebner.buchberger
+
+    def wrapper(ideal, ordering=groebner.GREVLEX):
+        calls.append((ideal, ordering))
+        return original(ideal, ordering)
+
+    monkeypatch.setattr(groebner, "buchberger", wrapper)
+    return calls
+
+
+def analyze(name, capsys, *extra):
+    assert main(["analyze", str(MODELS / f"{name}.model"), "--format", "structured", *extra]) == 0
+    return capsys.readouterr().out
+
+
+# Upper bounds on Buchberger calls in one analyze.  Saturation results and
+# re-wrapped bases carry their reduced basis, so no input is reduced twice.
+ANALYZE_BASES = {"omega1": 18, "omega1_family": 13, "omega2_family": 6, "omega3": 5}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_BASES))
+def test_analyze_computes_each_basis_once(name, monkeypatch, capsys):
+    calls = record_bases(monkeypatch)
+    analyze(name, capsys)
+    inputs = {
+        (ordering, ideal.vars, frozenset(tuple(sorted(g.terms.items())) for g in ideal.generators))
+        for ideal, ordering in calls
+    }
+    assert len(calls) == len(inputs) <= ANALYZE_BASES[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_BASES))
+def test_degree_cap_reaches_every_basis(name, monkeypatch, capsys):
+    uncapped = analyze(name, capsys)
+    calls = record_bases(monkeypatch)
+    assert analyze(name, capsys, "--max-degree", "40") == uncapped
+    assert calls and all(ideal.max_degree == 40 for ideal, _ in calls)
+
+
+def test_failed_verdict_is_kept(monkeypatch):
+    # At u = 0 the second row is (0, 0, y^2), so the top stratum has
+    # dimension 5, not 4, and the member's eids check raises; the third
+    # sample is that member again and reads the kept error.
+    from detsing import DeterminantalType, PresentationMatrix, strata
+
+    vs = omega_vars(("u",))
+    rows = [["x1", "x2", "x3"], ["u*x4", "u*x5", "u*x1 + y^2"]]
+    family = PresentationMatrix(
+        DeterminantalType(2, 1, 2), [[P(e, vs) for e in row] for row in rows], vs
+    )
+    counts = count_calls(monkeypatch, (strata, "eids_check"))
+    records = good_family_scan(family, [{"u": 0}, {"u": 1}, {"u": 0}])
+    assert counts["eids_check"] == 2
+    assert [r.error is None for r in records] == [False, True, False]
+    assert records[0].error == records[2].error
+    assert "top stratum has dimension 5" in records[0].error
+
+
+def test_no_module_keeps_global_state():
+    # Budgets such as the degree cap travel as arguments, never through
+    # a module global.
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Global)]
+        assert not found, f"{path.name}: global statement at line(s) {found}"

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,11 @@ def ideal(vs, *texts):
     return Ideal([P(t, vs) for t in texts], vs)
 
 
+def capped(I, cap):
+    """I with the degree cap ``cap``."""
+    return Ideal(I.generators, I.vars, max_degree=cap)
+
+
 class TestBuchberger:
     def test_circle_line_reduced_basis(self):
         I = ideal(XY, "x^2 + y^2 - 1", "x - y")
@@ -111,22 +117,20 @@ class TestBuchberger:
 
     def test_degree_cap(self):
         with pytest.raises(LimitError, match="input leading term reached degree 5"):
-            buchberger(ideal(XY, "x^5 - y", "y^5 - x"), GREVLEX, max_degree=2)
+            buchberger(capped(ideal(XY, "x^5 - y", "y^5 - x"), 2), GREVLEX)
 
     def test_degree_cap_on_pair_lcm(self):
         # Every input leading term has degree <= 3, so a cap of 3 can
         # only trip on the S-pair lcm x*y^2*z of y*z and x*y^2.
         I = ideal(XYZ, "x^2*y - z", "x*y^2 - x", "y*z - 1")
         with pytest.raises(LimitError, match="S-pair lcm reached degree 4"):
-            buchberger(I, GREVLEX, max_degree=3)
-        assert groebner._MAX_DEGREE is None
-        basis = buchberger(I, GREVLEX, max_degree=4)
+            buchberger(capped(I, 3), GREVLEX)
+        basis = buchberger(capped(I, 4), GREVLEX)
         assert set(basis) == {
             P("x^2 - 1", XYZ),
             P("z^2 - 1", XYZ),
             P("y - z", XYZ),
         }
-        assert groebner._MAX_DEGREE is None
 
     def test_degree_cap_on_new_basis_element(self):
         # In lex the S-polynomial y^4 of x*y and x^2 - y^3 has a higher
@@ -136,8 +140,8 @@ class TestBuchberger:
         with pytest.raises(
             LimitError, match="cap 3: new basis element reached degree 4"
         ):
-            buchberger(I, LEX, max_degree=3)
-        basis = buchberger(I, LEX, max_degree=5)
+            buchberger(capped(I, 3), LEX)
+        basis = buchberger(capped(I, 5), LEX)
         assert set(basis) == {P("x*y", XY), P("x^2 - y^3", XY), P("y^4", XY)}
 
     def test_packed_fields_widen_on_overflow(self):
@@ -442,22 +446,19 @@ class TestQuotientSaturation:
         assert ideals_equal(S, J)
         assert ideals_equal(S, quotient_chain_saturation(I, m))
 
-    def test_degree_cap_in_saturation_names_it(self, monkeypatch):
+    def test_degree_cap_in_saturation_names_it(self):
         # The basis of (x*y, x*z) + (1 - t_*x - t_1*y - t_2*z) needs an
         # S-pair lcm of degree 4, that of (x*y, x*z, 1 - t_*x) one of 3.
-        monkeypatch.setattr(groebner, "_MAX_DEGREE", 3)
         I = ideal(XYZ, "x*y", "x*z")
         with pytest.raises(
             LimitError,
             match=r"^saturation by 3 generators: basis computation exceeded "
             r"the degree cap 3: S-pair lcm reached degree 4$",
         ):
-            saturation(I, groebner.maximal_ideal(XYZ))
-        monkeypatch.setattr(groebner, "_MAX_DEGREE", 2)
+            saturation(capped(I, 3), groebner.maximal_ideal(XYZ))
         with pytest.raises(LimitError, match=r"^saturation by 1 generator: .* cap 2: S-pair"):
-            saturation(I, ideal(XYZ, "x"))
-        monkeypatch.setattr(groebner, "_MAX_DEGREE", 4)
-        assert ideals_equal(saturation(I, groebner.maximal_ideal(XYZ)), I)
+            saturation(capped(I, 2), ideal(XYZ, "x"))
+        assert ideals_equal(saturation(capped(I, 4), groebner.maximal_ideal(XYZ)), I)
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(PreconditionError):
@@ -510,6 +511,56 @@ class TestQuotientSaturation:
                 colon = ideal_intersection(colon, ideal_quotient(S, g))
             assert ideals_equal(colon, S)
             assert ideals_equal(S, quotient_chain_saturation(I, J))
+
+        run()
+
+    def test_carried_bases_match_fresh_ones_property(self, monkeypatch):
+        """A saturation or elimination result carries its reduced grevlex
+        basis, and that basis equals a fresh Buchberger run on the
+        result's generators.  The inputs are those of
+        test_saturation_certified_property."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            vs = draw(st.sampled_from([XY, XYZ]))
+            terms = st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * len(vs)).filter(lambda m: sum(m) <= 3),
+                st.integers(-3, 3).filter(bool),
+                min_size=1,
+                max_size=3,
+            )
+            polys = st.builds(
+                lambda t: Polynomial(vs, {m: Fraction(c) for m, c in t.items()}), terms
+            )
+            gens = draw(st.lists(polys, min_size=1, max_size=3))
+            if draw(st.integers(0, 7)) == 0:
+                gens = []
+            saturator = draw(st.lists(polys, min_size=1, max_size=3))
+            if draw(st.integers(0, 3)) == 0:
+                saturator.append(Polynomial.constant(vs, draw(st.integers(1, 3))))
+            return Ideal(gens, vs), Ideal(saturator, vs)
+
+        fresh = groebner.buchberger
+        calls = []
+        monkeypatch.setattr(
+            groebner, "buchberger", lambda *args: calls.append(args) or fresh(*args)
+        )
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(cases())
+        def run(case):
+            I, J = case
+            S = saturation(I, J)
+            E = eliminate(ideal_sum(I, J), I.vars.names[:1])
+            # A constant saturator returns I itself, which carries nothing.
+            for result in [E] if S is I else [S, E]:
+                calls.clear()
+                carried = result.groebner_basis(GREVLEX)
+                assert not calls
+                again = fresh(Ideal(result.generators, result.vars), GREVLEX)
+                assert carried.elements == again.elements
 
         run()
 
@@ -622,6 +673,15 @@ class TestSupport:
         I = ideal(XY, "x*y", "x - y")
         assert support_is_origin_only(I)
         assert in_ideal(P("y^2", XY), I)
+
+    def test_pure_powers_certify_without_saturation(self):
+        # The saturation of (x^N, y) by the maximal ideal grows one basis
+        # element per power of x; a pure power of every variable in the
+        # reduced basis answers at once.
+        x, y = (Polynomial.variable(XY, n) for n in XY.names)
+        start = time.perf_counter()
+        assert support_is_origin_only(Ideal([x**100000, y], XY))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestColength:
