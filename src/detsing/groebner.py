@@ -26,14 +26,18 @@ of ``sign*(a - b) + guards`` are all set: each such field then holds
 ``limit + 1`` plus one exponent difference, so no field borrows from
 its neighbour.
 
+The lcm of two packed monomials is taken field-wise on the ints, a few
+whole-int operations ("SIMD within a register") and one multiplication
+per block for its degree field (see :meth:`_Packing.lcms`), and a
+degree is read from the packed fields, so exponent tuples enter only
+with the input and come back only for the returned polynomials.
+
 Fields start as narrow as the input's largest field value allows (at
 least 16 bits).  Each new lcm is checked, and each S-polynomial and
 reduction step once against a per-row bound, for a field leaving its
 range; a field above ``limit`` or below 0 shows as a set guard bit.  On
 overflow the basis is recomputed from the start with fields twice as
 wide.  Order, S-pair sequence and basis do not depend on the width.
-Exponent tuples come back only for the returned polynomials and the
-degree-cap check.
 
 On top of the basis engine: membership, sums, products, elimination,
 intersection, quotient, saturation, Krull dimension, radical membership
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -151,7 +155,8 @@ class _Packing:
     ``a + b - one`` and their quotient ``a - b + one``."""
 
     __slots__ = ("ordering", "width", "bits", "limit", "blocks", "plain",
-                 "slots", "coeffs", "one", "guards", "test", "sign")
+                 "slots", "coeffs", "one", "guards", "test", "sign", "units",
+                 "sums")
 
     def __init__(self, ordering, width, bits):
         self.ordering = ordering
@@ -174,13 +179,19 @@ class _Packing:
         self.plain = [pos * bits for pos, (_, comp) in enumerate(layout) if not comp]
         slots = [None] * width
         coeffs = [0] * width
-        one = guards = test = 0
+        sums = []
+        one = guards = test = units = block = 0
         for pos, (members, comp) in enumerate(layout):
             shift = pos * bits
             guard = 1 << (shift + bits - 1)
             guards |= guard
+            units |= 1 << shift
             if comp:
                 one += limit << shift
+                block += limit << shift
+            elif self.blocks:
+                sums.append((block, (2 * limit + 1) << shift))
+                block = 0
             if comp or not self.blocks:
                 slots[members[0]] = (shift, comp)
                 test |= guard
@@ -192,6 +203,9 @@ class _Packing:
         self.guards = guards
         self.test = test  # the guard bits divides() reads
         self.sign = -1 if ordering.kind == "lex" else 1
+        self.units = units  # 1 in every field
+        # Per block: (mask of its complement fields, of its degree field).
+        self.sums = tuple(sums)
 
     @classmethod
     def for_input(cls, ordering, width, polys):
@@ -224,6 +238,48 @@ class _Packing:
             for shift, comp in self.slots
         )
 
+    def lcms(self, monos, b):
+        """Packed lcm of each of ``monos`` with ``b``, all of them fitting
+        the packing.  As with :meth:`pack`, a guard bit is set exactly
+        when a block's degree exceeds ``limit``.
+
+        Each field of ``(a | guards) - b`` holds ``limit + 1`` plus that
+        field of a less that of b, so none borrows, and ``& guards``
+        flags the fields where a's is at least b's; ``d - (d >> (bits -
+        1))`` widens each flag to its field's value bits.  Lex keeps the
+        larger exponent of each field.  Grevlex and block orders keep the
+        smaller complement ``limit - e``, then fill each block's degree
+        field: ``one - c`` is the exponents, and the block's exponents
+        alone, times ``units``, add up in that degree field.  Every
+        partial sum is at most deg a + deg b <= ``2*limit``, so no carry
+        crosses a field.
+        """
+        guards, s = self.guards, self.bits - 1
+        if not self.blocks:
+            above = b | guards
+            return [
+                a ^ ((a ^ b) & (d - (d >> s)))
+                for a in monos
+                for d in ((above - a) & guards,)
+            ]
+        one, units, sums = self.one, self.units, self.sums
+        below = guards - b  # a + below == (a | guards) - b
+        out = []
+        for a in monos:
+            d = (a + below) & guards
+            c = (a ^ ((a ^ b) & (d - (d >> s)))) & one
+            e = one - c
+            for block, field in sums:
+                c |= (e & block) * units & field
+            out.append(c)
+        return out
+
+    def degree(self, mono):
+        """Total degree of a packed monomial: the sum of its plain fields
+        (every field for lex, each block's degree field otherwise)."""
+        limit = self.limit
+        return sum((mono >> shift) & limit for shift in self.plain)
+
     def divides(self, a, b):
         """True when packed monomial a divides packed monomial b.
 
@@ -253,10 +309,9 @@ class _Packing:
 
 
 def _poly_to_int(p):
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return {m: int(c * denom) for m, c in p.terms.items()}
+    terms = p.terms
+    denom = lcm(*[c.denominator for c in terms.values()])
+    return {m: c.numerator * (denom // c.denominator) for m, c in terms.items()}
 
 
 def _content(terms):
@@ -361,7 +416,7 @@ def _spoly(ri, rj, lcm, packing):
 
 def _check_degree(mono, cap, phase, packing):
     if cap is not None:
-        degree = sum(packing.unpack(mono))
+        degree = packing.degree(mono)
         if degree > cap:
             raise LimitError(
                 f"basis computation exceeded the degree cap {cap}: "
@@ -396,53 +451,51 @@ def _interreduce_input(polys, packing):
     return [r[3] for r in rows]
 
 
-def _update_pairs(lts, exps, P, heap, new_lt, new_exps, packing):
+def _update_pairs(lts, P, heap, new_lt, packing):
     """Gebauer-Moeller pair update for the element about to be appended.
 
-    ``lts`` are the packed leading terms, ``exps`` the same as exponent
-    tuples.  ``P`` maps each pending pair ``(i, j)`` to its packed lcm.
-    Pairs the new leading term makes redundant are deleted from ``P``;
-    their entries stay in ``heap`` and the caller skips them when
-    popped.  Each new pair ``(i, t)`` enters both ``P`` and ``heap`` as
-    ``(lcm, i, t)``, so selection keeps the ``(lcm, i, j)`` order.
-    ``lcm(lts[i], new_lt)`` is computed once per ``i``; old pairs reuse
-    their stored lcm.
+    ``lts`` are the packed leading terms.  ``P`` maps each pending pair
+    ``(i, j)`` to its packed lcm.  Pairs the new leading term makes
+    redundant are deleted from ``P``; their entries stay in ``heap`` and
+    the caller skips them when popped.  Each new pair ``(i, t)`` enters
+    both ``P`` and ``heap`` as ``(lcm, i, t)``, so selection keeps the
+    ``(lcm, i, j)`` order.  ``lcm(lts[i], new_lt)`` is computed once per
+    ``i``, field-wise on the packed ints (:meth:`_Packing.lcms`); old
+    pairs reuse their stored lcm.
     """
     t = len(lts)
-    pack = packing.pack
-    # An lcm's fields are at most twice the limit, so a guard bit flags
-    # any that does not fit.
-    new_lcms = [pack(map(max, e, new_exps)) for e in exps]
+    new_lcms = packing.lcms(lts, new_lt)
     sign, test, guards = packing.sign, packing.test, packing.guards
     if any(map(guards.__and__, new_lcms)):
         raise _Overflow
     divisor = sign * new_lt + guards
     pruned = [
-        (i, j)
-        for (i, j), l in P.items()
+        pair
+        for pair, l in P.items()
         if (divisor - sign * l) & test == test
-        and l != new_lcms[i]
-        and l != new_lcms[j]
+        and l != new_lcms[pair[0]]
+        and l != new_lcms[pair[1]]
     ]
     for pair in pruned:
         del P[pair]
-    lcm_groups = {}
-    for i, l in enumerate(new_lcms):
-        lcm_groups.setdefault(l, []).append(i)
-    minimal = []
-    keys = []  # divisor keys of the minimal lcms
-    for l in sorted(lcm_groups):
-        probe = sign * l
-        if not any((k - probe) & test == test for k in keys):
-            minimal.append(l)
-            keys.append(probe + guards)
+    # Each distinct lcm with its smallest i (written last, as the pairs
+    # are reversed), and the lcms equal to the product of the leading
+    # terms, which Buchberger's coprime criterion skips.
+    first = dict(zip(reversed(new_lcms), range(t - 1, -1, -1)))
     product = new_lt - packing.one
-    for l in minimal:
-        # Buchberger's coprime criterion: skip when lcm = product.
-        if not any(lts[i] + product == l for i in lcm_groups[l]):
-            i = min(lcm_groups[l])
-            P[(i, t)] = l
-            heappush(heap, (l, i, t))
+    coprime = {l for lt, l in zip(lts, new_lcms) if lt + product == l}
+    keys = []  # divisor keys of the minimal lcms
+    for l in sorted(first):
+        probe = sign * l
+        for k in keys:
+            if (k - probe) & test == test:
+                break
+        else:
+            keys.append(probe + guards)
+            if l not in coprime:
+                i = first[l]
+                P[(i, t)] = l
+                heappush(heap, (l, i, t))
 
 
 def _packed_basis(polys, packing, cap):
@@ -454,7 +507,6 @@ def _packed_basis(polys, packing, cap):
     polys = _interreduce_input(polys, packing)
     G = []  # (divisor key, lt, lc, terms, ceiling - lt) rows
     lts = []
-    exps = []
     P = {}  # pending pair (i, j) -> lcm(lts[i], lts[j])
     heap = []  # (lcm, i, j); entries of pruned pairs go stale
 
@@ -462,11 +514,9 @@ def _packed_basis(polys, packing, cap):
         row = _row(f, packing)
         lt = row[1]
         _check_degree(lt, cap, phase, packing)
-        e = packing.unpack(lt)
-        _update_pairs(lts, exps, P, heap, lt, e, packing)
+        _update_pairs(lts, P, heap, lt, packing)
         G.append(row)
         lts.append(lt)
-        exps.append(e)
 
     for f in polys:
         f = _reduce_full(f, G, packing)
@@ -791,6 +841,14 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
+def _pure_powers(basis: GroebnerBasis, width) -> bool:
+    """True when the reduced basis holds a pure power of every variable:
+    every variable then lies in the radical, so the support is at most
+    the origin, with no saturation needed to tell."""
+    powers = {m for g in basis for m in g.terms if len(g.terms) == 1}
+    return all(any(0 < m[j] == sum(m) for m in powers) for j in range(width))
+
+
 def support_is_origin_only(a: Ideal) -> bool:
     """True when a : m^inf is the unit ideal, m the maximal ideal at the
     origin: every variable then lies in the radical of a.  A reduced
@@ -799,8 +857,7 @@ def support_is_origin_only(a: Ideal) -> bool:
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("support test needs a proper ideal")
-    powers = {m for g in basis for m in g.terms if len(g.terms) == 1}
-    if all(any(0 < m[j] == sum(m) for m in powers) for j in range(len(a.vars))):
+    if _pure_powers(basis, len(a.vars)):
         return True
     reduced = Ideal.from_basis(basis, a.vars, a.max_degree)
     return is_unit_ideal(saturation(reduced, maximal_ideal(a.vars)))
@@ -862,12 +919,15 @@ def maximal_ideal(vars: VariableSet) -> Ideal:
 
 def colength_at_origin(a: Ideal) -> int:
     """Colength of the origin-primary component (0 when the origin is not
-    in the zero set).  Needs a zero-dimensional ideal."""
+    in the zero set).  Needs a zero-dimensional ideal.  A reduced basis
+    holding a pure power of every variable is all origin-primary."""
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         return 0
     if dimension(a) != 0:
         raise PreconditionError("colength at the origin needs a zero-dimensional ideal")
+    if _pure_powers(basis, len(a.vars)):
+        return colength(a)
     away = saturation(a, maximal_ideal(a.vars))
     if is_unit_ideal(away):
         return colength(a)

@@ -10,13 +10,21 @@ by chains of colon ideals, built from the engine's quotient and
 intersection, to compare the one-elimination saturation against.
 ``cofactor_det`` is the plain cofactor expansion on rational
 polynomials, the reference for the fraction-free shared-sub-minor
-determinant.
+determinant.  ``reference_update_pairs`` is the Gebauer-Moeller pair
+update with each lcm taken on exponent tuples, the reference for the
+engine's field-wise lcm on packed monomials.
 """
 
+from heapq import heappush
 from math import gcd
 
-from detsing.groebner import ideal_intersection, ideal_quotient, ideals_equal
-from detsing.poly import GREVLEX, Polynomial
+from detsing.groebner import (
+    _Overflow,
+    ideal_intersection,
+    ideal_quotient,
+    ideals_equal,
+)
+from detsing.poly import GREVLEX, Polynomial, monomial_lcm
 
 
 def monomials_up_to(width, degree):
@@ -207,3 +215,42 @@ def cofactor_det(grid):
         piece = entry * cofactor_det(sub)
         total = total + piece if c % 2 == 0 else total - piece
     return total
+
+
+def reference_update_pairs(lts, P, heap, new_lt, packing):
+    """``groebner._update_pairs`` with each ``lcm(lts[i], new_lt)`` formed
+    from unpacked exponent tuples and packed again; raises ``_Overflow``
+    when an lcm does not fit."""
+    t = len(lts)
+    new_exps = packing.unpack(new_lt)
+    new_lcms = [packing.pack(monomial_lcm(packing.unpack(m), new_exps)) for m in lts]
+    sign, test, guards = packing.sign, packing.test, packing.guards
+    if any(l & guards for l in new_lcms):
+        raise _Overflow
+    divisor = sign * new_lt + guards
+    pruned = [
+        (i, j)
+        for (i, j), l in P.items()
+        if (divisor - sign * l) & test == test
+        and l != new_lcms[i]
+        and l != new_lcms[j]
+    ]
+    for pair in pruned:
+        del P[pair]
+    lcm_groups = {}
+    for i, l in enumerate(new_lcms):
+        lcm_groups.setdefault(l, []).append(i)
+    minimal = []
+    keys = []  # divisor keys of the minimal lcms
+    for l in sorted(lcm_groups):
+        probe = sign * l
+        if not any((k - probe) & test == test for k in keys):
+            minimal.append(l)
+            keys.append(probe + guards)
+    product = new_lt - packing.one
+    for l in minimal:
+        # Buchberger's coprime criterion: skip when lcm = product.
+        if not any(lts[i] + product == l for i in lcm_groups[l]):
+            i = min(lcm_groups[l])
+            P[(i, t)] = l
+            heappush(heap, (l, i, t))

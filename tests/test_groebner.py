@@ -16,6 +16,7 @@ from detsing import (
     colength,
     colength_at_origin,
     dimension,
+    eids_check,
     eliminate,
     ideal_intersection,
     ideal_product,
@@ -52,6 +53,7 @@ from helpers import (
 from oracles import (
     monomial_ideal_dimension,
     quotient_chain_saturation,
+    reference_update_pairs,
     stable_corank,
     standard_monomial_count,
 )
@@ -64,6 +66,46 @@ def ideal(vs, *texts):
 def capped(I, cap):
     """I with the degree cap ``cap``."""
     return Ideal(I.generators, I.vars, max_degree=cap)
+
+
+def generic_locus():
+    """Singular locus of stratum 2 of the generic (2,2,2) matrix, built
+    on the stratum's reduced basis."""
+    s = stratum(generic_entry_model(2, 2, 2), 2)
+    reduced = Ideal(s.ideal.groebner_basis().elements, s.ideal.vars)
+    return singular_locus_ideal(reduced, s.expected_codim)
+
+
+def generator_order_cases():
+    """Cases ``(orders, vars, orderings)``: one generator list in three
+    orders (as drawn, reversed, shuffled).  Twelve random ideals in x, y,
+    z under grevlex and lex, and ``generic_locus()`` under grevlex."""
+    rng = random.Random(41)
+    cases = []
+    for _ in range(12):
+        gens = [random_poly(rng, XYZ, 3, allow_constant=False) for _ in range(3)]
+        cases.append(([g for g in gens if not g.is_zero()], XYZ, (GREVLEX, LEX)))
+    locus = generic_locus()
+    cases.append((list(locus.generators), locus.vars, (GREVLEX,)))
+    out = []
+    for gens, vs, orderings in cases:
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        out.append(((gens, gens[::-1], shuffled), vs, orderings))
+    return out
+
+
+# (variables, ordering, field limit, generators, reduced basis): inputs
+# that each fit the narrowest fields exactly, whose basis computation
+# makes a monomial that does not fit and so widens the fields.
+N_WIDE, K_WIDE = 2**31 - 1, 2**15 - 1
+WIDENING_CASES = [
+    (XY, GREVLEX, N_WIDE, [f"x^{N_WIDE} - y", f"y^{N_WIDE} - x"],
+     [f"x^{N_WIDE} - y", f"y^{N_WIDE} - x"]),
+    (XY, LEX, K_WIDE, ["x^2", f"x - y^{K_WIDE}"], [f"x - y^{K_WIDE}", f"y^{2 * K_WIDE}"]),
+    (XYZ, LEX, K_WIDE, [f"x*y - z^{K_WIDE}", "x*z"],
+     [f"x*y - z^{K_WIDE}", "x*z", f"z^{K_WIDE + 1}"]),
+]
 
 
 class TestBuchberger:
@@ -149,13 +191,7 @@ class TestBuchberger:
         # makes a monomial that does not: the lcm x^N*y^N of the leading
         # terms, the reduction step x*y^K -> y^(2K), the S-polynomial term
         # z^K*z.  The basis is recomputed with wider fields, not wrapped.
-        N, K = 2**31 - 1, 2**15 - 1
-        cases = [
-            (XY, GREVLEX, N, [f"x^{N} - y", f"y^{N} - x"], [f"x^{N} - y", f"y^{N} - x"]),
-            (XY, LEX, K, ["x^2", f"x - y^{K}"], [f"x - y^{K}", f"y^{2 * K}"]),
-            (XYZ, LEX, K, [f"x*y - z^{K}", "x*z"], [f"x*y - z^{K}", "x*z", f"z^{K + 1}"]),
-        ]
-        for vs, ordering, limit, gens, expected in cases:
+        for vs, ordering, limit, gens, expected in WIDENING_CASES:
             I = ideal(vs, *gens)
             ints = [groebner._poly_to_int(g) for g in I.generators]
             assert groebner._Packing.for_input(ordering, len(vs), ints).limit == limit
@@ -164,24 +200,72 @@ class TestBuchberger:
     def test_basis_independent_of_generator_order(self):
         # A pair lost from, or left stale in, the pair queue shows up as
         # a basis that depends on the order the generators arrive in.
-        rng = random.Random(41)
-        cases = []
-        for _ in range(12):
-            gens = [random_poly(rng, XYZ, 3, allow_constant=False) for _ in range(3)]
-            cases.append(([g for g in gens if not g.is_zero()], XYZ, (GREVLEX, LEX)))
-        s = stratum(generic_entry_model(2, 2, 2), 2)
-        reduced = Ideal(s.ideal.groebner_basis().elements, s.ideal.vars)
-        locus = singular_locus_ideal(reduced, s.expected_codim)
-        cases.append((list(locus.generators), locus.vars, (GREVLEX,)))
-        for gens, vs, orderings in cases:
-            shuffled = list(gens)
-            rng.shuffle(shuffled)
+        for orders, vs, orderings in generator_order_cases():
             for ordering in orderings:
                 bases = [
                     buchberger(Ideal(order, vs), ordering).elements
-                    for order in (gens, gens[::-1], shuffled)
+                    for order in orders
                 ]
                 assert bases[0] == bases[1] == bases[2]
+
+    def test_pair_update_matches_tuple_reference(self, monkeypatch):
+        # Each pair update leaves the same pending pairs, in the same
+        # order, and the same heap as the update on exponent tuples, and
+        # overflows at the same calls.  That pins the S-pair sequence, and
+        # with it every degree-cap trip.
+        engine = groebner._update_pairs
+        outcomes = []
+
+        def outcome(update, lts, P, heap, new_lt, packing):
+            try:
+                update(lts, P, heap, new_lt, packing)
+            except groebner._Overflow:
+                return "overflow"
+            return list(P.items()), heap
+
+        def checked(lts, P, heap, new_lt, packing):
+            expected = outcome(
+                reference_update_pairs, list(lts), dict(P), list(heap), new_lt, packing
+            )
+            got = outcome(engine, lts, P, heap, new_lt, packing)
+            assert got == expected
+            outcomes.append(got == "overflow")
+            if got == "overflow":
+                raise groebner._Overflow
+
+        cases = [
+            (Ideal(gens, vs), ordering)
+            for orders, vs, orderings in generator_order_cases()
+            for gens in orders
+            for ordering in orderings
+        ]
+        cases += [(ideal(vs, *gens), ordering) for vs, ordering, _, gens, _ in WIDENING_CASES]
+        monkeypatch.setattr(groebner, "_update_pairs", checked)
+        for I, ordering in cases:
+            buchberger(I, ordering)
+        # The (2,2,2) check's saturations: block orders with tag variables.
+        assert eids_check(generic_entry_model(2, 2, 2)).overall
+        assert any(outcomes)
+        assert len(outcomes) > 800
+
+    def test_engine_packs_only_inputs_and_unpacks_only_outputs(self, monkeypatch):
+        # Exponent tuples enter the engine once per input monomial and
+        # leave once per output monomial, with or without a degree cap.
+        locus = generic_locus()
+        calls = {}
+        for name in ("pack", "unpack"):
+            method = getattr(groebner._Packing, name)
+
+            def counted(self, mono, name=name, method=method):
+                calls[name] += 1
+                return method(self, mono)
+
+            monkeypatch.setattr(groebner._Packing, name, counted)
+        for cap in (None, 100):
+            calls.update(pack=0, unpack=0)
+            basis = buchberger(capped(locus, cap), GREVLEX)
+            assert calls["pack"] == sum(len(g.terms) for g in locus.generators)
+            assert calls["unpack"] == sum(len(g.terms) for g in basis)
 
     def test_reduced_bases_match_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -317,6 +401,26 @@ class TestPackedMonomials:
                     if monomial_divides(a, b):
                         quotient = pb - pa + packing.one
                         assert packing.unpack(quotient) == monomial_div(b, a)
+
+        packing_property(check)
+
+    def test_packed_lcm_is_the_packed_exact_lcm(self):
+        # The field-wise lcm of two packed monomials unpacks to their lcm,
+        # equals its packing and has its degree when it fits, and has a
+        # guard bit set when it does not.
+        def check(packing, exps):
+            packed = [packing.pack(e) for e in exps]
+            for b, pb in zip(exps, packed):
+                got = packing.lcms(packed, pb)
+                assert len(got) == len(exps)
+                for a, lcm in zip(exps, got):
+                    exact = monomial_lcm(a, b)
+                    if packing.peak(exact) <= packing.limit:
+                        assert lcm == packing.pack(exact)
+                        assert packing.unpack(lcm) == exact
+                        assert packing.degree(lcm) == sum(exact)
+                    else:
+                        assert lcm & packing.guards
 
         packing_property(check)
 
@@ -710,6 +814,14 @@ class TestColength:
         c = colength(I)
         assert c == standard_monomial_count(I.groebner_basis(), 2)
         assert c == stable_corank(list(I.generators))
+
+    def test_colength_at_origin_from_pure_powers(self):
+        # A pure power of every variable in the reduced basis confines the
+        # support to the origin, so no saturation splits anything off.
+        x, y = (Polynomial.variable(XY, n) for n in XY.names)
+        start = time.perf_counter()
+        assert colength_at_origin(Ideal([x**1000, y], XY)) == 1000
+        assert time.perf_counter() - start < 1.0
 
     def test_colength_at_origin_splits_off_far_points(self):
         # x(x-1) = 0 and y = 0: two reduced points; only one at the origin.
