@@ -12,6 +12,14 @@ integer-coefficient polynomials (denominators are cleared at reduction
 boundaries); reduced bases are stored monic with exact rational
 coefficients.
 
+A run may start from a seed: a leading run of the inputs that is
+already a reduced basis in the run's ordering.  The seed enters the
+basis as it is and no pair joins two of its elements, because a run on
+the seed alone ends right there: every S-pair of a Groebner basis
+reduces to zero (Gebauer & Moeller, "On an installation of Buchberger's
+algorithm", J. Symb. Comp. 1988).  The other inputs are interreduced
+and added one by one, pairing with the seed as usual.
+
 Inside the engine each monomial is one ``int`` (the packing of Monagan
 & Pearce, "Sparse polynomial division using a heap", J. Symb. Comp.
 2011).  Every variable, and every block's degree, has a field of one
@@ -32,7 +40,7 @@ per block for its degree field (see :meth:`_Packing.lcms`), and a
 degree is read from the packed fields, so exponent tuples enter only
 with the input and come back only for the returned polynomials.
 
-Fields start as narrow as the input's largest field value allows (at
+Fields start as narrow as the input's largest total degree allows (at
 least 16 bits).  Each new lcm is checked, and each S-polynomial and
 reduction step once against a per-row bound, for a field leaving its
 range; a field above ``limit`` or below 0 shows as a set guard bit.  On
@@ -46,13 +54,17 @@ supported at the origin.  A saturation a : b^inf is one elimination: a
 fresh tag t_i for each generator g_i of b, 1 - sum t_i*g_i adjoined to
 the lifted generators of a, and all the tags eliminated in one block
 order.  It needs no round limit: the degree cap bounds its one basis.
-The radical test is the saturation by the maximal ideal.
+When a already carries its reduced grevlex basis, the lifted basis
+replaces a's generators and seeds the elimination: on tag-free
+polynomials the block order compares exactly as grevlex in a's
+variables, so that basis is reduced there too.  The radical test is the
+saturation by the maximal ideal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
@@ -103,9 +115,11 @@ class Ideal:
     the zero ideal.  The cache behaves as a write-once map per
     (ideal, ordering) key.  ``max_degree`` (None: no cap) caps the degree
     of this ideal's basis computations; derived ideals carry it on.
+    ``seed`` is a leading run of the generators that is already a reduced
+    basis in its ordering (see :meth:`seeded`); it is empty unless set.
     """
 
-    __slots__ = ("vars", "generators", "max_degree", "_cache")
+    __slots__ = ("vars", "generators", "max_degree", "seed", "_cache")
 
     def __init__(self, generators, vars=None, max_degree=None):
         gens = [g for g in generators if not g.is_zero()]
@@ -119,6 +133,7 @@ class Ideal:
         self.vars = vars
         self.generators = tuple(gens)
         self.max_degree = max_degree
+        self.seed = GroebnerBasis((), GREVLEX)
         self._cache = {}
 
     @classmethod
@@ -127,6 +142,19 @@ class Ideal:
         ideal = cls(basis.elements, vars, max_degree)
         ideal._cache[(basis.ordering.kind, basis.ordering.block)] = basis
         return ideal
+
+    @classmethod
+    def seeded(cls, seed: GroebnerBasis, rest, vars, max_degree) -> Ideal:
+        """The ideal the seed's elements and ``rest`` generate.  A basis
+        in the seed's ordering starts from the seed: its elements are not
+        interreduced again and no S-pair joins two of them."""
+        ideal = cls(seed.elements + tuple(rest), vars, max_degree)
+        ideal.seed = seed
+        return ideal
+
+    def cached_basis(self, ordering=GREVLEX):
+        """The reduced basis in ``ordering`` if already known, else None."""
+        return self._cache.get((ordering.kind, ordering.block))
 
     def groebner_basis(self, ordering=GREVLEX):
         key = (ordering.kind, ordering.block)
@@ -209,10 +237,10 @@ class _Packing:
 
     @classmethod
     def for_input(cls, ordering, width, polys):
-        """The narrowest packing, at least 16 bits a field, holding every
-        monomial of the input."""
-        probe = cls(ordering, width, 16)
-        peak = max((probe.peak(m) for p in polys for m in p), default=0)
+        """A packing, at least 16 bits a field, holding every monomial of
+        the input.  The fields are sized by the largest total degree,
+        which bounds every block degree and every exponent."""
+        peak = max((sum(m) for p in polys for m in p), default=0)
         return cls(ordering, width, max(16, peak.bit_length() + 1))
 
     def wider(self):
@@ -425,30 +453,54 @@ def _check_degree(mono, cap, phase, packing):
 
 
 def _interreduce_input(polys, packing):
-    """Mutually reduce a generator list until stable (ideal unchanged).
+    """Interreduce a generator list: the rows returned, sorted by leading
+    term, generate the same ideal, and no term of a row is divisible by
+    another row's leading term.
 
-    Each polynomial keeps a reducer row; a row is rebuilt only when its
-    polynomial changes, so a round computes no leading term twice.
+    The polynomials are taken smallest leading term first.  Each is
+    reduced against the rows kept so far, and a kept row whose leading
+    term the new one divides goes back into the queue.  The kept leading
+    terms then divide none of each other, so a term of a row can only be
+    divisible by a smaller leading term, and one closing pass reduces
+    each row against the rows below it.  When every kept leading term
+    arrived above all earlier ones, each row was already reduced against
+    all the rows below it, and the pass is skipped.
     """
-    rows = [_row(_primitive(dict(p)), packing) for p in polys if p]
-    changed = True
-    while changed:
-        changed = False
-        rows.sort(key=lambda r: r[1])
-        i = 0
-        while i < len(rows):
-            p = rows[i][3]
-            red = _reduce_full(p, rows[:i] + rows[i + 1 :], packing)
-            if red == p:
-                i += 1
-                continue
-            changed = True
-            if red:
-                rows[i] = _row(red, packing)
-                i += 1
-            else:
-                del rows[i]
-    return [r[3] for r in rows]
+    queue = [(max(p), k, _primitive(dict(p))) for k, p in enumerate(polys) if p]
+    heapify(queue)
+    count = len(queue)
+    sign, test, guards = packing.sign, packing.test, packing.guards
+    kept = []
+    top = -1  # the largest leading term kept so far
+    ascending = True
+    while queue:
+        f = _reduce_full(heappop(queue)[2], kept, packing)
+        if not f:
+            continue
+        row = _row(f, packing)
+        lt = row[1]
+        if lt > top:
+            top = lt
+        else:
+            ascending = False
+            divisor = sign * lt + guards
+            still = []
+            for r in kept:
+                if (divisor - sign * r[1]) & test == test:
+                    heappush(queue, (r[1], count, r[3]))
+                    count += 1
+                else:
+                    still.append(r)
+            kept = still
+        kept.append(row)
+    kept.sort(key=lambda r: r[1])
+    if not ascending:
+        done = []
+        for row in kept:
+            f = _reduce_full(row[3], done, packing)
+            done.append(row if f == row[3] else _row(f, packing))
+        kept = done
+    return [r[3] for r in kept]
 
 
 def _update_pairs(lts, P, heap, new_lt, packing):
@@ -498,15 +550,23 @@ def _update_pairs(lts, P, heap, new_lt, packing):
                 heappush(heap, (l, i, t))
 
 
-def _packed_basis(polys, packing, cap):
+def _packed_basis(polys, packing, cap, seeded=0):
     """Reduced basis, as primitive packed polynomials sorted by leading
     term, of integer polynomials with exponent-tuple keys.  Raises
-    _Overflow when a monomial does not fit the packing."""
+    _Overflow when a monomial does not fit the packing.
+
+    The first ``seeded`` polynomials are a reduced basis in the packing's
+    ordering: they start the basis as they are, and no pair joins two of
+    them.  That is where a run on them alone ends, since every S-pair of
+    a Groebner basis reduces to zero.  The other inputs are interreduced
+    and added one by one, pairing with the seed as usual."""
     pack = packing.pack
     polys = [{pack(m): c for m, c in p.items()} for p in polys]
-    polys = _interreduce_input(polys, packing)
-    G = []  # (divisor key, lt, lc, terms, ceiling - lt) rows
-    lts = []
+    G = [_row(_primitive(p), packing) for p in polys[:seeded]]
+    lts = [row[1] for row in G]
+    for lt in lts:
+        _check_degree(lt, cap, "input leading term", packing)
+    polys = _interreduce_input(polys[seeded:], packing)
     P = {}  # pending pair (i, j) -> lcm(lts[i], lts[j])
     heap = []  # (lcm, i, j); entries of pruned pairs go stale
 
@@ -554,13 +614,15 @@ def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
 
     Deterministic: normal pair selection and fixed tie-breaking yield
     the same basis on every run.  ``ideal.max_degree`` caps the degree
-    of leading terms and S-pair lcms.
+    of leading terms and S-pair lcms.  The run starts from the ideal's
+    seed when the seed is in ``ordering``.
     """
     ints = [_poly_to_int(g) for g in ideal.generators]
+    seeded = len(ideal.seed) if ideal.seed.ordering == ordering else 0
     packing = _Packing.for_input(ordering, len(ideal.vars), ints)
     while True:
         try:
-            final = _packed_basis(ints, packing, ideal.max_degree)
+            final = _packed_basis(ints, packing, ideal.max_degree, seeded)
             break
         except _Overflow:
             packing = packing.wider()
@@ -743,6 +805,13 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
     a : g_i^inf meet in a : b^inf.  A constant g gives a itself.  A
     degree-cap trip in the elimination is re-raised naming the
     saturation and r.
+
+    When a carries its reduced grevlex basis, that basis, lifted, stands
+    in for a's generators and seeds the elimination's run: on tag-free
+    polynomials the elimination order compares exactly as grevlex in a's
+    variables, so the lifted basis is reduced there.  It is not the
+    extended ideal's basis, so it is not cached as one, and no basis is
+    computed just to seed.
     """
     if a.vars != b.vars:
         raise VariableSetMismatchError("saturation over different variable sets")
@@ -758,7 +827,13 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
     tagged = Polynomial.constant(ext, 1)
     for tag, g in zip(tags, gens):
         tagged -= Polynomial.variable(ext, tag) * g.lift(ext)
-    extended = Ideal([h.lift(ext) for h in a.generators] + [tagged], ext, a.max_degree)
+    basis = a.cached_basis(GREVLEX)
+    if basis is None:
+        extended = Ideal([h.lift(ext) for h in a.generators] + [tagged], ext, a.max_degree)
+    else:
+        order = MonomialOrdering.eliminating([ext.index(t) for t in tags])
+        seed = GroebnerBasis([h.lift(ext) for h in basis], order)
+        extended = Ideal.seeded(seed, [tagged], ext, a.max_degree)
     try:
         elim = eliminate(extended, tags)
     except LimitError as exc:
@@ -859,8 +934,7 @@ def support_is_origin_only(a: Ideal) -> bool:
         raise PreconditionError("support test needs a proper ideal")
     if _pure_powers(basis, len(a.vars)):
         return True
-    reduced = Ideal.from_basis(basis, a.vars, a.max_degree)
-    return is_unit_ideal(saturation(reduced, maximal_ideal(a.vars)))
+    return is_unit_ideal(saturation(a, maximal_ideal(a.vars)))
 
 
 def _standard_monomials(basis: GroebnerBasis, width, cap=200000):

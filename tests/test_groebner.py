@@ -95,6 +95,34 @@ def generator_order_cases():
     return out
 
 
+def saturation_cases(st):
+    """Strategy for (I, J) pairs of small ideals in x, y or x, y, z, with
+    the zero ideal as I and a constant among J's generators now and then;
+    ``st`` is ``hypothesis.strategies``."""
+
+    @st.composite
+    def cases(draw):
+        vs = draw(st.sampled_from([XY, XYZ]))
+        terms = st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * len(vs)).filter(lambda m: sum(m) <= 3),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=3,
+        )
+        polys = st.builds(
+            lambda t: Polynomial(vs, {m: Fraction(c) for m, c in t.items()}), terms
+        )
+        gens = draw(st.lists(polys, min_size=1, max_size=3))
+        if draw(st.integers(0, 7)) == 0:
+            gens = []
+        saturator = draw(st.lists(polys, min_size=1, max_size=3))
+        if draw(st.integers(0, 3)) == 0:
+            saturator.append(Polynomial.constant(vs, draw(st.integers(1, 3))))
+        return Ideal(gens, vs), Ideal(saturator, vs)
+
+    return cases()
+
+
 # (variables, ordering, field limit, generators, reduced basis): inputs
 # that each fit the narrowest fields exactly, whose basis computation
 # makes a monomial that does not fit and so widens the fields.
@@ -243,8 +271,10 @@ class TestBuchberger:
         monkeypatch.setattr(groebner, "_update_pairs", checked)
         for I, ordering in cases:
             buchberger(I, ordering)
-        # The (2,2,2) check's saturations: block orders with tag variables.
+        # The (2,2,2) and (2,1,2) checks' saturations: block orders with
+        # tag variables, most of them seeded.
         assert eids_check(generic_entry_model(2, 2, 2)).overall
+        assert eids_check(generic_entry_model(2, 1, 2)).overall
         assert any(outcomes)
         assert len(outcomes) > 800
 
@@ -577,30 +607,10 @@ class TestQuotientSaturation:
         st = hypothesis.strategies
         max_power = 12
 
-        @st.composite
-        def cases(draw):
-            vs = draw(st.sampled_from([XY, XYZ]))
-            terms = st.dictionaries(
-                st.tuples(*[st.integers(0, 2)] * len(vs)).filter(lambda m: sum(m) <= 3),
-                st.integers(-3, 3).filter(bool),
-                min_size=1,
-                max_size=3,
-            )
-            polys = st.builds(
-                lambda t: Polynomial(vs, {m: Fraction(c) for m, c in t.items()}), terms
-            )
-            gens = draw(st.lists(polys, min_size=1, max_size=3))
-            if draw(st.integers(0, 7)) == 0:
-                gens = []
-            saturator = draw(st.lists(polys, min_size=1, max_size=3))
-            if draw(st.integers(0, 3)) == 0:
-                saturator.append(Polynomial.constant(vs, draw(st.integers(1, 3))))
-            return Ideal(gens, vs), Ideal(saturator, vs)
-
         # Fixed examples: the reference and the colon check run the
         # quotient machinery, which takes seconds on some degree-3 inputs.
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
-        @hypothesis.given(cases())
+        @hypothesis.given(saturation_cases(st))
         def run(case):
             I, J = case
             S = saturation(I, J)
@@ -626,26 +636,6 @@ class TestQuotientSaturation:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
-        @st.composite
-        def cases(draw):
-            vs = draw(st.sampled_from([XY, XYZ]))
-            terms = st.dictionaries(
-                st.tuples(*[st.integers(0, 2)] * len(vs)).filter(lambda m: sum(m) <= 3),
-                st.integers(-3, 3).filter(bool),
-                min_size=1,
-                max_size=3,
-            )
-            polys = st.builds(
-                lambda t: Polynomial(vs, {m: Fraction(c) for m, c in t.items()}), terms
-            )
-            gens = draw(st.lists(polys, min_size=1, max_size=3))
-            if draw(st.integers(0, 7)) == 0:
-                gens = []
-            saturator = draw(st.lists(polys, min_size=1, max_size=3))
-            if draw(st.integers(0, 3)) == 0:
-                saturator.append(Polynomial.constant(vs, draw(st.integers(1, 3))))
-            return Ideal(gens, vs), Ideal(saturator, vs)
-
         fresh = groebner.buchberger
         calls = []
         monkeypatch.setattr(
@@ -653,7 +643,7 @@ class TestQuotientSaturation:
         )
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
-        @hypothesis.given(cases())
+        @hypothesis.given(saturation_cases(st))
         def run(case):
             I, J = case
             S = saturation(I, J)
@@ -667,6 +657,81 @@ class TestQuotientSaturation:
                 assert carried.elements == again.elements
 
         run()
+
+    def test_seeded_runs_match_fresh_ones_property(self):
+        """A saturation of an ideal that carries its reduced basis starts
+        its elimination from that basis, and gives the same reduced basis
+        as the same ideal built fresh.  The engine gives the same basis
+        with a seed declared as without: in grevlex (seed: I's basis, then
+        J's generators) and in the saturation's elimination order (seed:
+        I's basis lifted, then 1 - t*g).  The inputs are those of
+        test_saturation_certified_property."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def with_and_without(polys, seeded, vs, ordering):
+            ints = [groebner._poly_to_int(g) for g in polys]
+            packing = groebner._Packing.for_input(ordering, len(vs), ints)
+            return [groebner._packed_basis(ints, packing, None, k) for k in (seeded, 0)]
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(saturation_cases(st))
+        def run(case):
+            I, J = case
+            vs = I.vars
+            basis = list(I.groebner_basis())
+            fresh = Ideal(I.generators, vs)
+            assert fresh.cached_basis() is None
+            assert (
+                saturation(I, J).groebner_basis().elements
+                == saturation(fresh, J).groebner_basis().elements
+            )
+            seeded, unseeded = with_and_without(
+                basis + list(J.generators), len(basis), vs, GREVLEX
+            )
+            assert seeded == unseeded
+            ext = vs.extended(vs.fresh_name("t_"))
+            tag = Polynomial.variable(ext, ext.names[-1])
+            tagged = Polynomial.constant(ext, 1) - tag * J.generators[0].lift(ext)
+            seeded, unseeded = with_and_without(
+                [h.lift(ext) for h in basis] + [tagged],
+                len(basis),
+                ext,
+                MonomialOrdering.eliminating([len(vs)]),
+            )
+            assert seeded == unseeded
+
+        run()
+
+    def test_no_s_pair_joins_two_seed_rows(self, monkeypatch):
+        # The (2,2,2) check saturates ideals that carry their reduced
+        # grevlex bases, so each elimination starts from such a basis:
+        # its rows pair with the other inputs but never with each other.
+        engine, spoly = groebner._packed_basis, groebner._spoly
+        seed = set()  # the current run's seed rows, by content
+        seed_runs = []
+        with_seed = []  # rows of each S-pair in the seed
+
+        def key(terms):
+            return frozenset(terms.items())
+
+        def packed_basis(polys, packing, cap, seeded=0):
+            seed.clear()
+            for p in polys[:seeded]:
+                seed.add(key(groebner._primitive({packing.pack(m): c for m, c in p.items()})))
+            seed_runs.append(seeded)
+            return engine(polys, packing, cap, seeded)
+
+        def counted(ri, rj, lcm, packing):
+            with_seed.append((key(ri[3]) in seed) + (key(rj[3]) in seed))
+            return spoly(ri, rj, lcm, packing)
+
+        monkeypatch.setattr(groebner, "_packed_basis", packed_basis)
+        monkeypatch.setattr(groebner, "_spoly", counted)
+        assert eids_check(generic_entry_model(2, 2, 2)).overall
+        assert any(seed_runs)
+        assert 1 in with_seed
+        assert 2 not in with_seed
 
 
 class TestDimension:

@@ -102,9 +102,8 @@ class TestEidsCheck:
 
     def test_generic_entry_models_pass(self):
         # Feasible corner of the generic grid, kept fast for tier-1.
-        # (3,0,2), with 15876 quartic Jacobian minors, also passes in
-        # about 2 s (its locus is pinned in TestSingularLocus); (3,1,2)
-        # needs 17.2 M sextic minors.
+        # (3,0,2) has its own test below; (3,1,2) needs 17.2 M sextic
+        # minors.
         cases = [
             (1, 0, 1),
             (1, 1, 1),
@@ -122,6 +121,14 @@ class TestEidsCheck:
         for n, k, t in cases:
             verdict = eids_check(generic_entry_model(n, k, t))
             assert verdict.overall, (n, k, t)
+
+    def test_generic_three_by_three_rank_one_passes(self):
+        # Generic (3,0,2): stratum 2's singular locus has 15876 quartic
+        # Jacobian minors (pinned in TestSingularLocus).
+        verdict = eids_check(generic_entry_model(3, 0, 2))
+        assert verdict.overall
+        assert [(r.index, r.expected_dim) for r in verdict.strata] == [(1, 0), (2, 5)]
+        assert all(r.actual_dim == r.expected_dim for r in verdict.strata)
 
     def test_dimension_mismatch_is_an_error(self):
         vs = XY
