@@ -54,11 +54,10 @@ supported at the origin.  A saturation a : b^inf is one elimination: a
 fresh tag t_i for each generator g_i of b, 1 - sum t_i*g_i adjoined to
 the lifted generators of a, and all the tags eliminated in one block
 order.  It needs no round limit: the degree cap bounds its one basis.
-When a already carries its reduced grevlex basis, the lifted basis
-replaces a's generators and seeds the elimination: on tag-free
-polynomials the block order compares exactly as grevlex in a's
-variables, so that basis is reduced there too.  The radical test is the
-saturation by the maximal ideal.
+a's reduced grevlex basis, lifted, replaces a's generators and seeds the
+elimination: on tag-free polynomials the block order compares exactly
+as grevlex in a's variables, so that basis is reduced there too.  The
+radical test is the saturation by the maximal ideal.
 """
 
 from __future__ import annotations
@@ -453,8 +452,9 @@ def _check_degree(mono, cap, phase, packing):
 
 
 def _interreduce_input(polys, packing):
-    """Interreduce a generator list: the rows returned, sorted by leading
-    term, generate the same ideal, and no term of a row is divisible by
+    """Interreduce a generator list (a run's inputs, and its minimal
+    basis at the end): the rows returned, sorted by leading term,
+    generate the same ideal, and no term of a row is divisible by
     another row's leading term.
 
     The polynomials are taken smallest leading term first.  Each is
@@ -593,20 +593,16 @@ def _packed_basis(polys, packing, cap, seeded=0):
         if s:
             add(s, "new basis element")
 
-    # Minimalize: drop elements whose leading term another divides.
+    # Minimalize: drop elements whose leading term another divides.  The
+    # minimal rows arrive in ascending leading-term order, so their
+    # interreduction is one pass with no closing pass.
     sign, test = packing.sign, packing.test
     minimal = []
     for i in sorted(range(len(G)), key=lts.__getitem__):
         probe = sign * lts[i]
         if not any((G[j][0] - probe) & test == test for j in minimal):
             minimal.append(i)
-    # Interreduce the minimal elements.
-    final = []
-    for pos, i in enumerate(minimal):
-        others = [G[j] for j in minimal[:pos] + minimal[pos + 1 :]]
-        final.append(_reduce_full(G[i][3], others, packing))
-    final.sort(key=max)
-    return final
+    return _interreduce_input([G[i][3] for i in minimal], packing)
 
 
 def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
@@ -639,36 +635,41 @@ def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
 # Membership and arithmetic on ideals
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Remainder of f on division by a reduced basis (unique)."""
-    if gb.elements and f.vars != gb.elements[0].vars:
-        raise VariableSetMismatchError("polynomial and basis variable sets differ")
-    key = gb.ordering.key
-    basis = [(g.leading_monomial(gb.ordering), g) for g in gb.elements]
+def _divide(f: Polynomial, divisors, ordering):
+    """Division of f by ``divisors`` in ``ordering``: the largest term
+    left is cancelled by the first divisor whose leading term divides
+    it, or else moves to the remainder.  Returns the quotients, one term
+    map per divisor, and the remainder's term map."""
+    key = ordering.key
+    leads = [(g.leading_monomial(ordering), g) for g in divisors]
+    quotients = [{} for _ in leads]
     work = dict(f.terms)
     rem = {}
     while work:
         m = max(work, key=key)
-        c = work[m]
-        hit = None
-        for lt, g in basis:
+        for quot, (lt, g) in zip(quotients, leads):
             if monomial_divides(lt, m):
-                hit = (lt, g)
                 break
-        if hit is None:
-            del work[m]
-            rem[m] = c
+        else:
+            rem[m] = work.pop(m)
             continue
-        lt, g = hit
         shift = monomial_div(m, lt)
+        coef = quot[shift] = work[m] / g.terms[lt]
         for mg, cg in g.terms.items():
             mm = monomial_mul(mg, shift)
-            s = work.get(mm, 0) - c * cg
+            s = work.get(mm, 0) - coef * cg
             if s:
                 work[mm] = s
             else:
                 work.pop(mm, None)
-    return Polynomial(f.vars, rem)
+    return quotients, rem
+
+
+def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
+    """Remainder of f on division by a reduced basis (unique)."""
+    if gb.elements and f.vars != gb.elements[0].vars:
+        raise VariableSetMismatchError("polynomial and basis variable sets differ")
+    return Polynomial(f.vars, _divide(f, gb.elements, gb.ordering)[1])
 
 
 def in_ideal(f: Polynomial, ideal: Ideal, ordering=GREVLEX) -> bool:
@@ -715,24 +716,22 @@ def eliminate(a: Ideal, drop) -> Ideal:
 
     The result carries its reduced grevlex basis, the block-order basis
     elements free of the dropped variables (Cox, Little & O'Shea, ch. 3
-    §1): on them the block order is grevlex in the kept variables."""
-    drop = tuple(drop)
-    names = a.vars.names
-    for n in drop:
-        a.vars.index(n)
-    drop_set = set(drop)
-    if len(drop_set) >= len(names):
+    §1): on them the block order is grevlex in the kept variables.  The
+    result is over a's variables less the dropped ones, ambient and
+    parameters kept apart."""
+    drop_idx = sorted({a.vars.index(n) for n in drop})
+    if len(drop_idx) >= len(a.vars):
         raise ValidationError("cannot eliminate every variable")
-    kept_ambient = tuple(n for n in a.vars.ambient if n not in drop_set)
-    kept_params = tuple(n for n in a.vars.parameters if n not in drop_set)
-    target = VariableSet(kept_ambient, kept_params)
-    order = MonomialOrdering.eliminating([a.vars.index(n) for n in drop_set])
-    basis = a.groebner_basis(order)
-    drop_idx = [a.vars.index(n) for n in drop_set]
-    kept = []
-    for g in basis.elements:
-        if all(all(m[i] == 0 for i in drop_idx) for m in g.terms):
-            kept.append(g.restrict(target))
+    dropped = {a.vars.names[i] for i in drop_idx}
+    target = VariableSet(
+        tuple(n for n in a.vars.ambient if n not in dropped),
+        tuple(n for n in a.vars.parameters if n not in dropped),
+    )
+    kept = [
+        g.restrict(target)
+        for g in a.groebner_basis(MonomialOrdering.eliminating(drop_idx))
+        if not any(m[i] for m in g.terms for i in drop_idx)
+    ]
     return Ideal.from_basis(GroebnerBasis(kept, GREVLEX), target, a.max_degree)
 
 
@@ -740,43 +739,22 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     """Tag-variable intersection: eliminate t from t*a + (1-t)*b."""
     if a.vars != b.vars:
         raise VariableSetMismatchError("intersection over different variable sets")
-    if is_zero_ideal(a) or is_zero_ideal(b):
-        return Ideal((), a.vars, a.max_degree)
     tag = a.vars.fresh_name("t_")
     ext = a.vars.extended(tag)
     t = Polynomial.variable(ext, tag)
     one = Polynomial.constant(ext, 1)
     gens = [t * g.lift(ext) for g in a.generators]
     gens += [(one - t) * g.lift(ext) for g in b.generators]
-    elim = eliminate(Ideal(gens, ext, a.max_degree), [tag])
-    basis = GroebnerBasis([g.restrict(a.vars) for g in elim.generators], GREVLEX)
-    return Ideal.from_basis(basis, a.vars, a.max_degree)
+    return eliminate(Ideal(gens, ext, a.max_degree), [tag])
 
 
 def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
     """Divide p by g, which must divide exactly."""
     if g.is_zero():
         raise PreconditionError("division by the zero polynomial")
-    key = GREVLEX.key
-    ltg = g.leading_monomial(GREVLEX)
-    lcg = g.terms[ltg]
-    work = dict(p.terms)
-    quot = {}
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        if not monomial_divides(ltg, m):
-            raise DetsingError("exact division failed; numerator not a multiple")
-        shift = monomial_div(m, ltg)
-        coef = c / lcg
-        quot[shift] = coef
-        for mg, cg in g.terms.items():
-            mm = monomial_mul(mg, shift)
-            s = work.get(mm, 0) - coef * cg
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
+    (quot,), rem = _divide(p, [g], GREVLEX)
+    if rem:
+        raise DetsingError("exact division failed; numerator not a multiple")
     return Polynomial(p.vars, quot)
 
 
@@ -803,15 +781,14 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
     setting t_i = 1/g_i and the other tags to 0 in a certificate for h
     and clearing denominators puts g_i^N*h in a for each i, and the
     a : g_i^inf meet in a : b^inf.  A constant g gives a itself.  A
-    degree-cap trip in the elimination is re-raised naming the
-    saturation and r.
+    degree-cap trip, in a's own basis or in the elimination, is re-raised
+    naming the saturation and r.
 
-    When a carries its reduced grevlex basis, that basis, lifted, stands
-    in for a's generators and seeds the elimination's run: on tag-free
-    polynomials the elimination order compares exactly as grevlex in a's
-    variables, so the lifted basis is reduced there.  It is not the
-    extended ideal's basis, so it is not cached as one, and no basis is
-    computed just to seed.
+    a's reduced grevlex basis, lifted, stands in for a's generators and
+    seeds the elimination's run: on tag-free polynomials the elimination
+    order compares exactly as grevlex in a's variables, so the lifted
+    basis is reduced there.  It is not the extended ideal's basis, so it
+    is not cached as one.
     """
     if a.vars != b.vars:
         raise VariableSetMismatchError("saturation over different variable sets")
@@ -823,24 +800,17 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
     ext = a.vars
     for _ in gens:
         ext = ext.extended(ext.fresh_name("t_"))
-    tags = ext.names[len(a.vars) :]
+    tags = ext.ambient[len(a.vars.ambient) :]
     tagged = Polynomial.constant(ext, 1)
     for tag, g in zip(tags, gens):
         tagged -= Polynomial.variable(ext, tag) * g.lift(ext)
-    basis = a.cached_basis(GREVLEX)
-    if basis is None:
-        extended = Ideal([h.lift(ext) for h in a.generators] + [tagged], ext, a.max_degree)
-    else:
-        order = MonomialOrdering.eliminating([ext.index(t) for t in tags])
-        seed = GroebnerBasis([h.lift(ext) for h in basis], order)
-        extended = Ideal.seeded(seed, [tagged], ext, a.max_degree)
+    order = MonomialOrdering.eliminating([ext.index(t) for t in tags])
     try:
-        elim = eliminate(extended, tags)
+        seed = GroebnerBasis([h.lift(ext) for h in a.groebner_basis(GREVLEX)], order)
+        return eliminate(Ideal.seeded(seed, [tagged], ext, a.max_degree), tags)
     except LimitError as exc:
         plural = "s" if len(gens) != 1 else ""
         raise LimitError(f"saturation by {len(gens)} generator{plural}: {exc}") from exc
-    basis = GroebnerBasis([h.restrict(a.vars) for h in elim.generators], GREVLEX)
-    return Ideal.from_basis(basis, a.vars, a.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +886,16 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
-def _pure_powers(basis: GroebnerBasis, width) -> bool:
-    """True when the reduced basis holds a pure power of every variable:
-    every variable then lies in the radical, so the support is at most
-    the origin, with no saturation needed to tell."""
-    powers = {m for g in basis for m in g.terms if len(g.terms) == 1}
-    return all(any(0 < m[j] == sum(m) for m in powers) for j in range(width))
+def _away_from_origin(a: Ideal):
+    """a : m^inf, m the maximal ideal at the origin, or None when a's
+    reduced grevlex basis holds a pure power of every variable: every
+    variable then lies in the radical, so the support is at most the
+    origin, with no saturation needed to tell (Cox, Little & O'Shea,
+    ch. 4 §4)."""
+    powers = {m for g in a.groebner_basis(GREVLEX) for m in g.terms if len(g.terms) == 1}
+    if all(any(0 < m[j] == sum(m) for m in powers) for j in range(len(a.vars))):
+        return None
+    return saturation(a, maximal_ideal(a.vars))
 
 
 def support_is_origin_only(a: Ideal) -> bool:
@@ -929,12 +903,10 @@ def support_is_origin_only(a: Ideal) -> bool:
     origin: every variable then lies in the radical of a.  A reduced
     basis holding a pure power of every variable certifies this without
     the saturation."""
-    basis = a.groebner_basis(GREVLEX)
-    if basis.is_unit():
+    if is_unit_ideal(a):
         raise PreconditionError("support test needs a proper ideal")
-    if _pure_powers(basis, len(a.vars)):
-        return True
-    return is_unit_ideal(saturation(a, maximal_ideal(a.vars)))
+    away = _away_from_origin(a)
+    return away is None or is_unit_ideal(away)
 
 
 def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
@@ -995,15 +967,12 @@ def colength_at_origin(a: Ideal) -> int:
     """Colength of the origin-primary component (0 when the origin is not
     in the zero set).  Needs a zero-dimensional ideal.  A reduced basis
     holding a pure power of every variable is all origin-primary."""
-    basis = a.groebner_basis(GREVLEX)
-    if basis.is_unit():
+    if is_unit_ideal(a):
         return 0
     if dimension(a) != 0:
         raise PreconditionError("colength at the origin needs a zero-dimensional ideal")
-    if _pure_powers(basis, len(a.vars)):
-        return colength(a)
-    away = saturation(a, maximal_ideal(a.vars))
-    if is_unit_ideal(away):
+    away = _away_from_origin(a)
+    if away is None or is_unit_ideal(away):
         return colength(a)
     origin_part = saturation(a, away)
     if is_unit_ideal(origin_part):

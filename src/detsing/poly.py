@@ -83,8 +83,9 @@ class VariableSet:
         return VariableSet(self.ambient, ())
 
     def extended(self, extra):
-        """Append a fresh working variable (tag variables for elimination)."""
-        return VariableSet(self.names + (extra,), ())
+        """Append a fresh working variable (tag variables for elimination)
+        to the ambient coordinates; the parameters stay."""
+        return VariableSet(self.ambient + (extra,), self.parameters)
 
     def fresh_name(self, stem):
         name = stem

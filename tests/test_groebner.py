@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from detsing import (
+    DetsingError,
     GREVLEX,
     LEX,
     Ideal,
@@ -473,6 +474,22 @@ class TestPackedMonomials:
 
         packing_property(check)
 
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_reduce_full_divides_out_content_on_the_way(self, scale):
+        # Reducing y^41 + x^40 by 2x - 1 takes 40 steps, each multiplying
+        # the remainder by the leading coefficient 2, so the reducer's
+        # content division runs at step 32; with the input scaled by 3 it
+        # divides that 3 out.  The primitive remainder is the normal form
+        # y^41 + 1/2^40 times 2^40.
+        packing = groebner._Packing.for_input(GREVLEX, 2, [{(0, 41): 1}])
+        pack = packing.pack
+        f = {pack((0, 41)): scale, pack((40, 0)): scale}
+        row = groebner._row({pack((1, 0)): 2, pack((0, 0)): -1}, packing)
+        rem = groebner._reduce_full(f, [row], packing)
+        assert rem == {pack((0, 41)): 2**40, pack((0, 0)): 1}
+        basis = ideal(XY, "2*x - 1").groebner_basis()
+        assert normal_form(P("y^41 + x^40", XY), basis) == P(f"y^41 + 1/{2**40}", XY)
+
 
 class TestNormalForm:
     def test_two_step_reduction(self):
@@ -496,6 +513,14 @@ class TestNormalForm:
             f = random_poly(rng, XY, 2) * I.generators[rng.randrange(2)]
             assert normal_form(f, I.groebner_basis(GREVLEX)).is_zero()
             assert normal_form(f, I.groebner_basis(LEX)).is_zero()
+
+    def test_exact_divide(self):
+        g = P("x - y", XY)
+        assert groebner.exact_divide(P("x^3 - y^3", XY), g) == P("x^2 + x*y + y^2", XY)
+        with pytest.raises(DetsingError, match="numerator not a multiple"):
+            groebner.exact_divide(P("x^3 - y^3 + 1", XY), g)
+        with pytest.raises(PreconditionError):
+            groebner.exact_divide(g, Polynomial.zero(XY))
 
 
 class TestSumsProducts:
@@ -593,6 +618,36 @@ class TestQuotientSaturation:
         with pytest.raises(LimitError, match=r"^saturation by 1 generator: .* cap 2: S-pair"):
             saturation(capped(I, 2), ideal(XYZ, "x"))
         assert ideals_equal(saturation(capped(I, 4), groebner.maximal_ideal(XYZ)), I)
+
+    def test_saturation_of_a_fresh_ideal_is_seeded(self, monkeypatch):
+        # An ideal with no basis computed yet gets its reduced grevlex
+        # basis first, and that basis seeds the block-order elimination.
+        engine = groebner._packed_basis
+        runs = []
+
+        def packed_basis(polys, packing, cap, seeded=0):
+            runs.append((packing.ordering.kind, seeded))
+            return engine(polys, packing, cap, seeded)
+
+        monkeypatch.setattr(groebner, "_packed_basis", packed_basis)
+        I = ideal(XYZ, "x*y", "x*z")
+        assert I.cached_basis() is None
+        assert ideals_equal(saturation(I, ideal(XYZ, "x")), ideal(XYZ, "y", "z"))
+        assert ("block", 2) in runs
+        assert not any(kind == "block" and not seeded for kind, seeded in runs)
+
+    def test_results_keep_the_parameters(self):
+        # Tags join the ambient coordinates, so an elimination hands back
+        # an ideal over exactly the input's ambient variables and
+        # parameters.
+        vs = VariableSet(("x", "y"), ("u",))
+        S = saturation(ideal(vs, "x*(y - u)", "x^2*y"), ideal(vs, "x"))
+        assert S.vars == vs
+        assert ideals_equal(S, ideal(vs, "y", "u"))
+        M = ideal_intersection(ideal(vs, "x"), ideal(vs, "u"))
+        assert M.vars == vs
+        assert ideals_equal(M, ideal(vs, "x*u"))
+        assert ideals_equal(ideal_intersection(Ideal((), vs), ideal(vs, "u")), Ideal((), vs))
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(PreconditionError):
@@ -897,3 +952,14 @@ class TestColength:
         assert colength_at_origin(J) == 2
         # Unit ideal: nothing anywhere.
         assert colength_at_origin(ideal(XY, "1")) == 0
+
+    def test_colength_at_origin_when_nothing_lies_away(self):
+        # The reduced basis {x*y, y^3 + x^2, x^3} holds no pure power of
+        # y, so the part away from the origin is computed: the unit ideal.
+        I = ideal(XY, "x*y", "x^2 + y^3")
+        assert [len(g.terms) for g in I.groebner_basis()] == [1, 2, 1]
+        assert groebner.is_unit_ideal(groebner._away_from_origin(I))
+        assert colength_at_origin(I) == colength(I) == 5
+
+    def test_colength_at_origin_of_a_far_point(self):
+        assert colength_at_origin(ideal(XY, "x - 1", "y")) == 0

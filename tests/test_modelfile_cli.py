@@ -130,6 +130,25 @@ class TestCli:
         assert code == 0
         assert report["eids"]["overall"] is True
 
+    def test_eids_check_failing_witness(self, capsys, tmp_path):
+        # An A1 germ at the origin with a second A1 at (0, 0, 1): the
+        # global check fails off the origin, and the witness is the
+        # singular locus, the two points, by its reduced basis.
+        path = tmp_path / "two_nodes.model"
+        path.write_text(
+            "[variables]\nx y z\n\n[type]\nrows = 1\ncols = 1\nt = 1\n\n"
+            "[matrix]\nx^2 + y^2 + z^2*(z - 1)^2\n"
+        )
+        code, report = self.structured(capsys, "eids-check", str(path))
+        assert code == 0
+        assert report["eids"]["overall"] is False
+        [row] = report["eids"]["strata"]
+        assert row["transversal_off_origin"] is False
+        assert row["witness_generators"] == ["y", "x", "z^2 - z"]
+        code, out = self.run(capsys, "eids-check", str(path))
+        assert code == 0
+        assert "FAILS" in out
+
     def test_analyze_validates_and_is_deterministic(self, capsys):
         code1, out1 = self.run(
             capsys, "analyze", str(MODELS / "omega1.model"), "--format", "structured"
