@@ -56,8 +56,13 @@ the lifted generators of a, and all the tags eliminated in one block
 order.  It needs no round limit: the degree cap bounds its one basis.
 a's reduced grevlex basis, lifted, replaces a's generators and seeds the
 elimination: on tag-free polynomials the block order compares exactly
-as grevlex in a's variables, so that basis is reduced there too.  The
-radical test is the saturation by the maximal ideal.
+as grevlex in a's variables, so that basis is reduced there too.
+
+The support test ("does V(a) lie in the origin?") reads a's reduced
+grevlex basis first: the unit ideal, a pure power of every variable
+among its one-term elements, or homogeneous elements with a pure-power
+leading term in every variable each settle it with no saturation.
+Otherwise it is the saturation by the maximal ideal.
 """
 
 from __future__ import annotations
@@ -886,14 +891,32 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
+def _origin_certified(a: Ideal) -> bool:
+    """True when a's reduced grevlex basis alone proves V(a) lies in the
+    origin, with no saturation: the basis is the unit ideal; or it holds
+    a pure power of every variable as a one-term element, so every
+    variable lies in the radical; or every element is homogeneous and
+    every variable has an element led by a pure power of it.  In that
+    last case the ideal is zero-dimensional and its zero set is a cone,
+    so it is the origin alone (the graded Nullstellensatz; Cox, Little &
+    O'Shea, ch. 8 §3 and ch. 9 §3).  Unlike the second test, the third
+    survives a linear change of coordinates."""
+    basis = a.groebner_basis(GREVLEX)
+    if basis.is_unit():
+        return True
+    if all(len({sum(m) for m in g.terms}) == 1 for g in basis):
+        powers = basis.leading_monomials()
+    else:
+        powers = [m for g in basis for m in g.terms if len(g.terms) == 1]
+    return all(any(0 < m[j] == sum(m) for m in powers) for j in range(len(a.vars)))
+
+
 def _away_from_origin(a: Ideal):
-    """a : m^inf, m the maximal ideal at the origin, or None when a's
-    reduced grevlex basis holds a pure power of every variable: every
-    variable then lies in the radical, so the support is at most the
-    origin, with no saturation needed to tell (Cox, Little & O'Shea,
-    ch. 4 §4)."""
-    powers = {m for g in a.groebner_basis(GREVLEX) for m in g.terms if len(g.terms) == 1}
-    if all(any(0 < m[j] == sum(m) for m in powers) for j in range(len(a.vars))):
+    """a : m^inf, m the maximal ideal at the origin, or None when
+    :func:`_origin_certified` shows from a's reduced grevlex basis that
+    the support is at most the origin, with no saturation needed to
+    tell."""
+    if _origin_certified(a):
         return None
     return saturation(a, maximal_ideal(a.vars))
 
@@ -901,8 +924,9 @@ def _away_from_origin(a: Ideal):
 def support_is_origin_only(a: Ideal) -> bool:
     """True when a : m^inf is the unit ideal, m the maximal ideal at the
     origin: every variable then lies in the radical of a.  A reduced
-    basis holding a pure power of every variable certifies this without
-    the saturation."""
+    basis that :func:`_origin_certified` accepts (a pure power of every
+    variable, or homogeneous and zero-dimensional) certifies this
+    without the saturation."""
     if is_unit_ideal(a):
         raise PreconditionError("support test needs a proper ideal")
     away = _away_from_origin(a)
@@ -966,7 +990,9 @@ def maximal_ideal(vars: VariableSet) -> Ideal:
 def colength_at_origin(a: Ideal) -> int:
     """Colength of the origin-primary component (0 when the origin is not
     in the zero set).  Needs a zero-dimensional ideal.  A reduced basis
-    holding a pure power of every variable is all origin-primary."""
+    that :func:`_origin_certified` accepts (a pure power of every
+    variable, or homogeneous and zero-dimensional) is all origin-primary:
+    its colength is the colength, with no saturation."""
     if is_unit_ideal(a):
         return 0
     if dimension(a) != 0:

@@ -4,10 +4,12 @@ gap.
 
 Transversality is tested through the equivalent smooth-of-expected-
 codimension condition (Jacobian criterion) on each stratum away from the
-next deeper stratum; everything stays inside ideal arithmetic.  All
-checks are affine/global: supports and saturations are measured over the
-whole coordinate space, which matches germ-at-origin semantics for
-models whose interesting locus sits at the origin.
+next deeper stratum; everything stays inside ideal arithmetic.  The
+saturation by the deeper stratum runs only when the non-smooth locus's
+reduced basis cannot show by itself that the locus lies in the origin.
+All checks are affine/global: supports and saturations are measured
+over the whole coordinate space, which matches germ-at-origin semantics
+for models whose interesting locus sits at the origin.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .groebner import (
     Ideal,
+    _origin_certified,
     dimension,
     is_unit_ideal,
     saturation,
@@ -62,10 +65,13 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
 
     A present stratum passes when it has its expected dimension and the
     non-smooth locus, saturated by the next deeper stratum, is empty or
-    supported at the origin only.  A wrong-dimensional top stratum means
-    the model is not determinantal of its declared type and raises
-    DimensionMismatchError.  The strata come from the analysis given, or
-    from a fresh one of a bare matrix.
+    supported at the origin only.  When the locus's own reduced grevlex
+    basis already shows its zero set lies in the origin (see
+    ``groebner._origin_certified``), so does that of every saturation of
+    it: the stratum passes, with no witness and no saturation.  A
+    wrong-dimensional top stratum means the model is not determinantal
+    of its declared type and raises DimensionMismatchError.  The strata
+    come from the analysis given, or from a fresh one of a bare matrix.
     """
     a = Analysis.of(m)
     if not a.model.is_specialized():
@@ -90,6 +96,9 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
         # Reduced bases as generators keep the Jacobian and the saturation lean.
         reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
         locus = off_deeper = singular_locus_ideal(reduced, s.expected_codim)
+        if _origin_certified(locus):
+            records.append(StratumCheck(i, s.expected_dim, actual, True))
+            continue
         if i > 1:
             reduced = Ideal.from_basis(locus.groebner_basis(), locus.vars, locus.max_degree)
             off_deeper = saturation(reduced, a.stratum(i - 1).ideal)

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 from detsing import (
     DeterminantalType,
+    Ideal,
     Polynomial,
     PresentationMatrix,
     VariableSet,
     parse_polynomial,
+    singular_locus_ideal,
+    stratum,
 )
 
 XY = VariableSet(("x", "y"))
@@ -43,6 +46,18 @@ def generic_entry_model(n, k, t):
         for r in range(rows)
     ]
     return PresentationMatrix(DeterminantalType(n, k, t), entries, vs)
+
+
+def saturation_inputs(model, i):
+    """The two ideals ``eids_check`` saturates for stratum i > 1 when the
+    locus is not certified without a saturation: the stratum's non-smooth
+    locus, built on the stratum's reduced basis and carrying its own, and
+    stratum i - 1."""
+    s = stratum(model, i)
+    reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
+    locus = singular_locus_ideal(reduced, s.expected_codim)
+    locus = Ideal.from_basis(locus.groebner_basis(), locus.vars, locus.max_degree)
+    return locus, stratum(model, i - 1).ideal
 
 
 def random_poly(rng, vars, max_degree, max_terms=4, coeff_bound=4, allow_constant=True):

@@ -17,7 +17,6 @@ from detsing import (
     colength,
     colength_at_origin,
     dimension,
-    eids_check,
     eliminate,
     ideal_intersection,
     ideal_product,
@@ -25,6 +24,7 @@ from detsing import (
     ideal_sum,
     ideals_equal,
     in_ideal,
+    is_unit_ideal,
     is_zero_ideal,
     minors,
     normal_form,
@@ -50,6 +50,7 @@ from helpers import (
     omega_model,
     omega_vars,
     random_poly,
+    saturation_inputs,
 )
 from oracles import (
     monomial_ideal_dimension,
@@ -272,10 +273,13 @@ class TestBuchberger:
         monkeypatch.setattr(groebner, "_update_pairs", checked)
         for I, ordering in cases:
             buchberger(I, ordering)
-        # The (2,2,2) and (2,1,2) checks' saturations: block orders with
-        # tag variables, most of them seeded.
-        assert eids_check(generic_entry_model(2, 2, 2)).overall
-        assert eids_check(generic_entry_model(2, 1, 2)).overall
+        # The saturations of the (2,2,2) and (2,1,2) stratum-2 loci by
+        # stratum 1, which eids_check skips now that the loci's bases
+        # certify them: block orders with tag variables, most of them
+        # seeded.
+        for shape in ((2, 2, 2), (2, 1, 2)):
+            locus, deeper = saturation_inputs(generic_entry_model(*shape), 2)
+            assert is_unit_ideal(saturation(locus, deeper))
         assert any(outcomes)
         assert len(outcomes) > 800
 
@@ -759,9 +763,9 @@ class TestQuotientSaturation:
         run()
 
     def test_no_s_pair_joins_two_seed_rows(self, monkeypatch):
-        # The (2,2,2) check saturates ideals that carry their reduced
-        # grevlex bases, so each elimination starts from such a basis:
-        # its rows pair with the other inputs but never with each other.
+        # The saturation of the (2,2,2) stratum-2 locus, which carries its
+        # reduced grevlex basis, starts from that basis: its rows pair
+        # with the other inputs but never with each other.
         engine, spoly = groebner._packed_basis, groebner._spoly
         seed = set()  # the current run's seed rows, by content
         seed_runs = []
@@ -783,7 +787,8 @@ class TestQuotientSaturation:
 
         monkeypatch.setattr(groebner, "_packed_basis", packed_basis)
         monkeypatch.setattr(groebner, "_spoly", counted)
-        assert eids_check(generic_entry_model(2, 2, 2)).overall
+        locus, deeper = saturation_inputs(generic_entry_model(2, 2, 2), 2)
+        assert is_unit_ideal(saturation(locus, deeper))
         assert any(seed_runs)
         assert 1 in with_seed
         assert 2 not in with_seed
@@ -906,6 +911,57 @@ class TestSupport:
         start = time.perf_counter()
         assert support_is_origin_only(Ideal([x**100000, y], XY))
         assert time.perf_counter() - start < 1.0
+
+    def test_homogeneous_primary_ideal_certifies_without_saturation(self, monkeypatch):
+        # (x + y)^2 and (x - y)^2, a linear change of (x^2, y^2): the
+        # reduced basis {x*y, x^2 + y^2, y^3} holds no one-term power of
+        # x, but it is homogeneous and its leading terms include x^2 and
+        # y^3, so it is primary to the maximal ideal.
+        I = ideal(XY, "(x + y)^2", "(x - y)^2")
+        assert set(I.groebner_basis()) == {P(t, XY) for t in ("x*y", "x^2 + y^2", "y^3")}
+        saturated = []
+        real = groebner.saturation
+        monkeypatch.setattr(
+            groebner, "saturation", lambda a, b: saturated.append(b) or real(a, b)
+        )
+        assert groebner._origin_certified(I)
+        assert support_is_origin_only(I)
+        assert colength_at_origin(I) == colength(I) == 4
+        assert saturated == []
+
+    def test_far_point_is_not_certified(self):
+        # (x^2 - x, y): the origin and (1, 0); y is a one-term power, but
+        # the basis is not homogeneous and holds no one-term power of x.
+        I = ideal(XY, "x^2 - x", "y")
+        assert not groebner._origin_certified(I)
+        assert not support_is_origin_only(I)
+
+    def test_certified_ideals_saturate_to_the_unit_ideal_property(self):
+        """Every proper ideal the saturation-free certificate accepts has
+        a : m^inf = (1), m the maximal ideal.  The inputs are both ideals
+        of each test_saturation_certified_property case, and the
+        homogeneous ideals of their generators' top-degree forms."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        certified = []
+
+        def forms(a):
+            tops = [
+                {m: c for m, c in g.terms.items() if sum(m) == g.total_degree()}
+                for g in a.generators
+            ]
+            return Ideal([Polynomial(a.vars, t) for t in tops], a.vars)
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(saturation_cases(st))
+        def run(case):
+            for a in case + tuple(forms(a) for a in case):
+                if groebner._origin_certified(a) and not is_unit_ideal(a):
+                    certified.append(a)
+                    assert is_unit_ideal(saturation(a, groebner.maximal_ideal(a.vars)))
+
+        run()
+        assert certified
 
 
 class TestColength:

@@ -376,3 +376,62 @@ class TestCli:
         assert forms == ["x1 - 2*x2 + x5", "y"]
         assert report["genericity"][0]["screen_passed"]
         assert not report["genericity"][1]["screen_passed"]
+
+
+# Pieces a fuzzed model file or argument list is made of: section
+# headers, keys, operators, numbers, names and bytes that are not UTF-8.
+FUZZ_PIECES = [
+    "[", "]", "=", ",", ":", "\n", " ", "#", "(", ")", "^", "*", "/", "-", "+",
+    "0", "1", "2", "9", "1/0", "-1", "x1", "x5", "y", "u", "z",
+    "[variables]", "[parameters]", "[type]", "[matrix]", "[euler]",
+    "[samples]", "[hyperplanes]", "[supplied]", "rows = ", "cols = ", "t = ",
+    "reduced = ", "stratum 2: chi_stab = ", ", chi_section = ", "u = ",
+    "\xff", "\x00",
+]
+FUZZ_FLAGS = [
+    "--format", "structured", "text", "--ordering", "lex", "--max-degree",
+    "--size", "--stratum", "--hyperplane", "x1 - 2*y", "y^2", "-1", "0", "2",
+    "7", "x", "--bogus", "-h",
+]
+
+
+def test_cli_fuzz_never_raises(tmp_path, capsys):
+    """Malformed model files and argument lists through ``main``: every
+    run ends in an exit code 0-3, never an exception.  A model file is a
+    bundled one with a few pieces deleted, inserted or swapped in; each
+    run ends with a small ``--max-degree`` so that every basis is
+    bounded."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from detsing.cli import VIEWS
+
+    texts = [p.read_text(encoding="utf-8") for p in sorted(MODELS.glob("*.model"))]
+    path = tmp_path / "fuzz.model"
+    edit = st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.floats(0, 1),
+        st.integers(1, 12),
+        st.sampled_from(FUZZ_PIECES),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.integers(0, len(texts) - 1),
+        st.lists(edit, max_size=4),
+        st.sampled_from(sorted(VIEWS)),
+        st.lists(st.sampled_from(FUZZ_FLAGS), max_size=4),
+        st.sampled_from([str(path), str(tmp_path), str(tmp_path / "missing.model")]),
+        st.integers(0, 6),
+    )
+    def run(which, edits, command, flags, model, cap):
+        text = texts[which]
+        for kind, where, span, piece in edits:
+            at = int(where * len(text))
+            end = at if kind == "insert" else at + span
+            text = text[:at] + ("" if kind == "delete" else piece) + text[end:]
+        path.write_bytes(text.encode().replace("\xff".encode(), b"\xff"))
+        code = main([command, model, *flags, "--max-degree", str(cap)])
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+
+    run()

@@ -25,7 +25,15 @@ from detsing import (
     support_is_origin_only,
 )
 from detsing.poly import Polynomial
-from helpers import P, XY, generic_entry_model, omega_model
+from helpers import (
+    P,
+    XY,
+    XYZ,
+    generic_entry_model,
+    omega_model,
+    random_matrix_model,
+    saturation_inputs,
+)
 from oracles import cofactor_det
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -33,6 +41,30 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def ideal(vs, *texts):
     return Ideal([P(t, vs) for t in texts], vs)
+
+
+GENERIC_GRID = [
+    (1, 0, 1),
+    (1, 1, 1),
+    (1, 2, 1),
+    (2, 0, 1),
+    (2, 0, 2),
+    (2, 1, 1),
+    (2, 1, 2),
+    (2, 2, 1),
+    (2, 2, 2),
+    (3, 0, 1),
+    (3, 1, 1),
+    (3, 2, 1),
+]
+
+
+def sliced_omega():
+    """The section of the omega model by x3 = 0: its stratum 2 has a
+    non-isolated singular crossing, so eids_check fails there."""
+    from detsing import Hyperplane, slice_model
+
+    return slice_model(omega_model(1), Hyperplane((0, 0, 1, 0, 0, 0)))
 
 
 class TestSingularLocus:
@@ -104,21 +136,7 @@ class TestEidsCheck:
         # Feasible corner of the generic grid, kept fast for tier-1.
         # (3,0,2) has its own test below; (3,1,2) needs 17.2 M sextic
         # minors.
-        cases = [
-            (1, 0, 1),
-            (1, 1, 1),
-            (1, 2, 1),
-            (2, 0, 1),
-            (2, 0, 2),
-            (2, 1, 1),
-            (2, 1, 2),
-            (2, 2, 1),
-            (2, 2, 2),
-            (3, 0, 1),
-            (3, 1, 1),
-            (3, 2, 1),
-        ]
-        for n, k, t in cases:
+        for n, k, t in GENERIC_GRID:
             verdict = eids_check(generic_entry_model(n, k, t))
             assert verdict.overall, (n, k, t)
 
@@ -150,10 +168,7 @@ class TestEidsCheck:
         # A deliberately bad slice: the section of the omega model by
         # x3 = 0 has a non-isolated singular crossing, so stratum 2 fails
         # and its witness must contain the stratum ideal.
-        from detsing import Hyperplane, slice_model
-
-        m = omega_model(1)
-        sliced = slice_model(m, Hyperplane((0, 0, 1, 0, 0, 0)))
+        sliced = sliced_omega()
         verdict = eids_check(sliced)
         assert not verdict.overall
         bad = [r for r in verdict.strata if not r.transversal_off_origin]
@@ -163,10 +178,13 @@ class TestEidsCheck:
             assert in_ideal(g, witness)
         assert not support_is_origin_only(witness)
 
-    @pytest.mark.parametrize("name", ["omega1", "omega3"])
+    @pytest.mark.parametrize("name", ["omega1", "omega3", "omega1_family"])
     def test_saturation_work_count(self, monkeypatch, name):
         # One elimination of all r tags per saturation, whatever r is:
-        # no per-generator elimination, intersection or colon ideal.
+        # no per-generator elimination, intersection or colon ideal.  The
+        # omega1 and omega3 stratum-2 loci are certified without a
+        # saturation, so their saturation by stratum 1 runs here directly;
+        # the omega1_family member at u = 1 still saturates in eids_check.
         from detsing import groebner, strata
         from detsing.modelfile import build_model, load_model_file
 
@@ -196,11 +214,86 @@ class TestEidsCheck:
 
         monkeypatch.setattr(strata, "saturation", saturation)
         model = build_model(load_model_file(MODELS / f"{name}.model"))
+        if name == "omega1_family":
+            model = model.specialize({"u": 1})
+        saturation(*saturation_inputs(model, 2))
         assert eids_check(model).overall
-        assert work
+        assert [r for r, _ in work] == ([6, 6] if name == "omega1_family" else [6])
         for r, made in work:
             once = {"eliminate": 1, "ideal_intersection": 0, "ideal_quotient": 0}
             assert made == once, (r, made)
+
+    def test_certified_loci_skip_the_saturation(self, monkeypatch):
+        # The t = 2 cases of the generic grid, omega1, omega3 and omega1
+        # with x3 + y for x3 have non-smooth loci their own reduced bases
+        # certify; the last only through homogeneity, since no one-term
+        # element of its basis is a power of x3.  The omega1_family member
+        # at u = 1 is not certified and saturates.
+        from detsing import strata
+        from detsing.modelfile import build_model, load_model_file, parse_model_file
+
+        sheared = (
+            "[variables]\nx1 x2 x3 x4 x5 y\n\n[type]\nrows = 2\ncols = 3\nt = 2\n\n"
+            "[matrix]\nx1, x2, x3 + y\nx4, x5, x1 + y^2\n"
+        )
+        load = lambda name: build_model(load_model_file(MODELS / f"{name}.model"))
+        models = [generic_entry_model(n, k, 2) for n, k in ((2, 0), (2, 1), (2, 2))]
+        models += [load("omega1"), load("omega3"), build_model(parse_model_file(sheared))]
+        saturated = []
+        real_saturation = strata.saturation
+        monkeypatch.setattr(
+            strata, "saturation", lambda a, b: saturated.append(b) or real_saturation(a, b)
+        )
+        for m in models:
+            assert eids_check(m).overall
+        assert saturated == []
+        assert eids_check(load("omega1_family").specialize({"u": 1})).overall
+        assert len(saturated) == 1
+
+    def test_certificate_keeps_verdicts_and_witnesses(self, monkeypatch):
+        # Differential oracle: every eids_check outcome (records with
+        # their witnesses, or the error) is the same with the saturation-
+        # free certificate switched off, over the generic grid, the bundled
+        # models with their sampled members, two failing models and random
+        # quadratic models.
+        from detsing import groebner, strata
+        from detsing.modelfile import build_model, load_model_file
+
+        models = [generic_entry_model(*c) for c in GENERIC_GRID]
+        for path in sorted(MODELS.glob("*.model")):
+            mf = load_model_file(path)
+            m = build_model(mf)
+            if m.is_specialized():
+                models.append(m)
+            models += [m.specialize(dict(point)) for point in mf.samples]
+        models.append(sliced_omega())
+        # An A1 point at the origin and another at (0, 0, 1).
+        far = P("x^2 + y^2 + z^2*(z - 1)^2", XYZ)
+        models.append(PresentationMatrix(DeterminantalType(1, 0, 1), [[far]], XYZ))
+        rng = random.Random(13)
+        models += [random_matrix_model(rng, 2, 2, 3) for _ in range(8)]
+
+        def outcome(m):
+            try:
+                verdict = eids_check(m)
+            except DimensionMismatchError as exc:
+                return str(exc)
+            return verdict.overall, [
+                (
+                    r.index,
+                    r.expected_dim,
+                    r.actual_dim,
+                    r.transversal_off_origin,
+                    None if r.witness is None else r.witness.generators,
+                )
+                for r in verdict.strata
+            ]
+
+        certified = [outcome(m) for m in models]
+        for module in (groebner, strata):
+            monkeypatch.setattr(module, "_origin_certified", lambda a: False)
+        assert [outcome(m) for m in models] == certified
+        assert any(o[0] is False for o in certified if isinstance(o, tuple))
 
 
 class TestGoodFamilyScan:
