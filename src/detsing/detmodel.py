@@ -11,8 +11,9 @@ Every determinant in the package comes from one routine,
 :func:`_all_minors`, which returns all minors of one size of a polynomial
 grid.  It works fraction-free on integer polynomials with packed
 monomials and forms each smaller minor once, shared by every larger
-minor that expands into it; the results are exact rational polynomials,
-equal term for term to a cofactor expansion.  The strata ideals
+minor that expands into it; the results are exact polynomials in
+integer form (see ``poly``), equal term for term to a cofactor
+expansion.  The strata ideals
 (:func:`minors`), the singular loci of ``strata.singular_locus_ideal``
 and the deformation generators (:func:`n_generators`) all use it.
 """
@@ -190,12 +191,15 @@ def _all_minors(grid, size, vars):
     """Every size x size minor of a polynomial grid, ordered by (row
     subset, column subset).
 
-    Fraction-free: row r is multiplied by the common denominator d_r of
-    its coefficients, so every entry becomes an integer polynomial.  With
-    D = diag(d_r), det(D·M) = det(D)·det(M), so the minor of the scaled
-    grid on rows R is the true minor times the product of d_r over R;
-    that product is divided out once per minor, when the result is
-    built, and the minors come back exact.
+    Fraction-free: row r is multiplied by a common denominator d_r of
+    its entries (the lcm of the entries' integer-form denominators), so
+    every entry becomes an integer polynomial, read from the entry's
+    integer form.  With D = diag(d_r), det(D·M) = det(D)·det(M), so the
+    minor of the scaled grid on rows R is the true minor times the
+    product of d_r over R.  Each minor is returned in integer form over
+    that product, so no Fraction is built here: the Groebner engine reads
+    the integer form as it is, and the term map, when a caller reads it,
+    holds exactly the true minor's coefficients.
 
     A monomial is one int with a field per variable, so a product of
     monomials is an addition.  The fields never overflow: a minor on rows
@@ -217,16 +221,16 @@ def _all_minors(grid, size, vars):
     scale = []
     packed = []
     for row in grid:
-        d = lcm(*(c.denominator for e in row for c in e.terms.values()))
+        forms = [e._integer_form() for e in row]
+        d = lcm(*(den for _, den in forms))
         scale.append(d)
         packed.append(
             [
                 {
-                    sum(x << s for x, s in zip(m, shifts)): c.numerator
-                    * (d // c.denominator)
-                    for m, c in e.terms.items()
+                    sum(x << s for x, s in zip(m, shifts)): c * (d // den)
+                    for m, c in ints.items()
                 }
-                for e in row
+                for ints, den in forms
             ]
         )
     memo = {}
@@ -268,9 +272,7 @@ def _all_minors(grid, size, vars):
         for cols in col_sets:
             terms = det(rows, cols)
             result.append(
-                Polynomial(
-                    vars, {unpack(m): Fraction(c, denom) for m, c in terms.items()}
-                )
+                Polynomial._integral(vars, {unpack(m): c for m, c in terms.items()}, denom)
             )
     return result
 

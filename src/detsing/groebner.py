@@ -7,10 +7,12 @@ reproducible across runs.  Pending pairs live in a map from the pair
 ``(i, j)`` to its lcm, computed once when the pair is created.  A heap
 of ``(lcm, i, j)`` entries yields the next pair in exactly that order;
 a pair the update criteria prune leaves the map, and its heap entry is
-skipped when popped (lazy deletion).  The inner loop works on primitive
-integer-coefficient polynomials (denominators are cleared at reduction
-boundaries); reduced bases are stored monic with exact rational
-coefficients.
+skipped when popped (lazy deletion).  The engine works on primitive
+integer-coefficient polynomials.  It reads each input's integer form
+(see ``poly``), which differs from the primitive one by a positive
+scalar, and returns each basis element in integer form: its primitive
+numerators over its leading coefficient, which is the monic element.
+No Fraction is built on the way in or out.
 
 A run may start from a seed: a leading run of the inputs that is
 already a reduced basis in the run's ordering.  The seed enters the
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -340,12 +342,6 @@ class _Packing:
         return out
 
 
-def _poly_to_int(p):
-    terms = p.terms
-    denom = lcm(*[c.denominator for c in terms.values()])
-    return {m: c.numerator * (denom // c.denominator) for m, c in terms.items()}
-
-
 def _content(terms):
     g = 0
     for c in terms.values():
@@ -385,6 +381,14 @@ def _reduce_full(p, basis, packing):
     ``basis`` is a list of rows from :func:`_row`.  Returns a primitive
     remainder; the remainder is a unit multiple of the rational normal
     form, which is all the callers need (zero tests, interreduction).
+
+    A step cancels the term c*m with the row of leading coefficient lc
+    after scaling the work by lc/g, g = gcd(lc, c), and subtracting c/g
+    times the shifted row.  Scaling by lc, and subtracting c times the
+    row, would give the same state times g > 0: the divisor chosen at
+    every step and the primitive remainder are the same, but the
+    coefficients grow faster.  The content of the whole state is also
+    divided out every 32 steps.
     """
     guards, test, sign = packing.guards, packing.test, packing.sign
     rem = {}
@@ -406,10 +410,14 @@ def _reduce_full(p, basis, packing):
             raise _Overflow
         shift = m - lt
         if lc != 1:
-            for k2 in work:
-                work[k2] *= lc
-            for k2 in rem:
-                rem[k2] *= lc
+            common = gcd(lc, c)
+            lc //= common
+            c //= common
+            if lc != 1:
+                for k2 in work:
+                    work[k2] *= lc
+                for k2 in rem:
+                    rem[k2] *= lc
         for mg, cg in g.items():
             mm = mg + shift
             s = work.get(mm, 0) - c * cg
@@ -618,7 +626,7 @@ def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
     of leading terms and S-pair lcms.  The run starts from the ideal's
     seed when the seed is in ``ordering``.
     """
-    ints = [_poly_to_int(g) for g in ideal.generators]
+    ints = [g._integer_form()[0] for g in ideal.generators]
     seeded = len(ideal.seed) if ideal.seed.ordering == ordering else 0
     packing = _Packing.for_input(ordering, len(ideal.vars), ints)
     while True:
@@ -627,12 +635,11 @@ def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
             break
         except _Overflow:
             packing = packing.wider()
-    out = []
-    for f in final:
-        lc = f[max(f)]
-        out.append(
-            Polynomial(ideal.vars, {packing.unpack(m): Fraction(c, lc) for m, c in f.items()})
-        )
+    unpack = packing.unpack
+    out = [
+        Polynomial._integral(ideal.vars, {unpack(m): c for m, c in f.items()}, f[max(f)])
+        for f in final
+    ]
     return GroebnerBasis(out, ordering)
 
 
@@ -735,7 +742,7 @@ def eliminate(a: Ideal, drop) -> Ideal:
     kept = [
         g.restrict(target)
         for g in a.groebner_basis(MonomialOrdering.eliminating(drop_idx))
-        if not any(m[i] for m in g.terms for i in drop_idx)
+        if not any(m[i] for m in g._monomials() for i in drop_idx)
     ]
     return Ideal.from_basis(GroebnerBasis(kept, GREVLEX), target, a.max_degree)
 
@@ -904,10 +911,11 @@ def _origin_certified(a: Ideal) -> bool:
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         return True
-    if all(len({sum(m) for m in g.terms}) == 1 for g in basis):
+    monos = [g._monomials() for g in basis]
+    if all(len({sum(m) for m in g}) == 1 for g in monos):
         powers = basis.leading_monomials()
     else:
-        powers = [m for g in basis for m in g.terms if len(g.terms) == 1]
+        powers = [m for g in monos if len(g) == 1 for m in g]
     return all(any(0 < m[j] == sum(m) for m in powers) for j in range(len(a.vars)))
 
 

@@ -1,9 +1,19 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is an immutable term map from exponent tuples to nonzero
-Fraction coefficients, tied to an ordered variable set.  Exponent tuples
-index into the variable set, whose order is fixed for the lifetime of a
-computation.  All operations are pure; any value may be shared freely.
+A polynomial is an immutable exact value over an ordered variable set,
+with two views of it: a term map from exponent tuples to nonzero Fraction
+coefficients (``terms``), and an integer form, nonzero integer
+numerators on the same exponent tuples over one positive common
+denominator.  Each instance is built with one view and derives the other
+on first read, then keeps it.  The public constructor takes the term
+map; the determinant, the derivative, lifting and restriction and the
+Groebner engine produce and read the integer form, so a value passed
+between them never becomes Fractions unless a caller reads its
+coefficients as rationals.  Reading the monomials alone (zero and
+constant tests, degree, leading monomial) builds neither view.
+Equality and hashing are by value.  Exponent tuples index into the
+variable set, whose order is fixed for the lifetime of a computation.
+All operations are pure; any value may be shared freely.
 
 The text grammar accepted by :func:`parse_polynomial`:
 
@@ -25,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     ParseError,
@@ -164,7 +175,7 @@ def monomial_lcm(a, b):
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("vars", "_terms", "_hash")
+    __slots__ = ("vars", "_terms", "_ints", "_den", "_hash")
 
     def __init__(self, vars: VariableSet, terms=None):
         self.vars = vars
@@ -180,7 +191,31 @@ class Polynomial:
                     raise ValidationError(f"bad exponent vector {mono!r}")
                 clean[tuple(mono)] = coeff
         self._terms = clean
+        self._ints = None
         self._hash = None
+
+    @classmethod
+    def _integral(cls, vars, ints, den):
+        """The polynomial sum(ints[m] * x^m) / den from its integer form:
+        a map from exponent tuples to integers and a positive integer
+        denominator.  Exponent tuples are checked as the constructor
+        checks them.  The map is kept as it is unless it holds a zero
+        coefficient, which is dropped."""
+        if ints and ({*map(len, ints)} != {len(vars)} or min(map(min, ints)) < 0):
+            width = len(vars)
+            bad = next(m for m in ints if len(m) != width or min(m) < 0)
+            raise ValidationError(f"bad exponent vector {bad!r}")
+        if 0 in ints.values():
+            ints = {m: c for m, c in ints.items() if c}
+        if type(den) is not int or den < 1:
+            raise ValidationError(f"bad common denominator {den!r}")
+        self = cls.__new__(cls)
+        self.vars = vars
+        self._terms = None
+        self._ints = ints
+        self._den = den
+        self._hash = None
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -198,43 +233,71 @@ class Polynomial:
         exp[vars.index(name)] = 1
         return Polynomial(vars, {tuple(exp): Fraction(1)})
 
-    # -- inspection ----------------------------------------------------
+    # -- the two views -------------------------------------------------
 
     @property
     def terms(self):
-        return self._terms
+        """The term map: exponent tuple -> nonzero Fraction."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = self._terms = {m: Fraction(c, den) for m, c in self._ints.items()}
+        return terms
+
+    def _integer_form(self):
+        """``(ints, den)``: integer numerators over the denominator the
+        polynomial was built with, or over the least common denominator
+        of its Fractions.  The map is shared; callers must not change it."""
+        ints = self._ints
+        if ints is None:
+            terms = self._terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            ints = self._ints = {
+                m: c.numerator * (den // c.denominator) for m, c in terms.items()
+            }
+            self._den = den
+        return ints, self._den
+
+    def _monomials(self):
+        """The exponent tuples, from whichever view exists."""
+        terms = self._terms
+        return self._ints if terms is None else terms
+
+    # -- inspection ----------------------------------------------------
 
     def is_zero(self):
-        return not self._terms
+        return not self._monomials()
 
     def is_constant(self):
-        return all(sum(m) == 0 for m in self._terms)
+        return all(sum(m) == 0 for m in self._monomials())
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        monos = self._monomials()
+        if not monos:
             return -1
-        return max(sum(m) for m in self._terms)
+        return max(sum(m) for m in monos)
 
     def leading_monomial(self, ordering=GREVLEX):
-        if not self._terms:
+        monos = self._monomials()
+        if not monos:
             raise ValidationError("zero polynomial has no leading monomial")
-        return max(self._terms, key=ordering.key)
+        return max(monos, key=ordering.key)
 
     def leading_coefficient(self, ordering=GREVLEX):
-        return self._terms[self.leading_monomial(ordering)]
+        return self.terms[self.leading_monomial(ordering)]
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._monomials())
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self._terms == other._terms
+        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self._terms.items()))
+            items = tuple(sorted(self.terms.items()))
             self._hash = hash((self.vars.names, items))
         return self._hash
 
@@ -249,8 +312,8 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
+        out = dict(self.terms)
+        for m, c in other.terms.items():
             s = out.get(m, 0) + c
             if s:
                 out[m] = s
@@ -259,7 +322,7 @@ class Polynomial:
         return Polynomial(self.vars, out)
 
     def __neg__(self):
-        return Polynomial(self.vars, {m: -c for m, c in self._terms.items()})
+        return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -269,8 +332,8 @@ class Polynomial:
             return self.scale(other)
         self._check(other)
         out = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
                 m = monomial_mul(ma, mb)
                 s = out.get(m, 0) + ca * cb
                 if s:
@@ -285,7 +348,7 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.vars)
-        return Polynomial(self.vars, {m: c * v for m, v in self._terms.items()})
+        return Polynomial(self.vars, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -304,15 +367,13 @@ class Polynomial:
     def derivative(self, name):
         """Formal partial derivative with respect to one variable."""
         j = self.vars.index(name)
+        ints, den = self._integer_form()
         out = {}
-        for m, c in self._terms.items():
+        for m, c in ints.items():
             e = m[j]
-            if e == 0:
-                continue
-            mm = list(m)
-            mm[j] = e - 1
-            out[tuple(mm)] = c * e
-        return Polynomial(self.vars, out)
+            if e:
+                out[m[:j] + (e - 1,) + m[j + 1 :]] = c * e
+        return Polynomial._integral(self.vars, out, den)
 
     def substitute(self, assignment, target=None):
         """Simultaneous substitution of polynomials for variables.
@@ -346,7 +407,7 @@ class Polynomial:
                 per_var.append(Polynomial.variable(target, name))
         result = Polynomial.zero(target)
         pow_cache = {}
-        for m, c in self._terms.items():
+        for m, c in self.terms.items():
             piece = Polynomial.constant(target, c)
             for j, e in enumerate(m):
                 if e == 0:
@@ -362,23 +423,23 @@ class Polynomial:
         """Re-express over a larger variable set containing the same names."""
         positions = [target.index(n) for n in self.vars.names]
         width = len(target)
+        ints, den = self._integer_form()
         out = {}
-        for m, c in self._terms.items():
+        for m, c in ints.items():
             mm = [0] * width
             for pos, e in zip(positions, m):
                 mm[pos] = e
             out[tuple(mm)] = c
-        return Polynomial(target, out)
+        return Polynomial._integral(target, out, den)
 
     def restrict(self, target: VariableSet):
         """Re-express over a smaller variable set; dropped variables must
         not occur."""
-        positions = []
-        for i, n in enumerate(self.vars.names):
-            positions.append(target._index.get(n))
+        positions = [target._index.get(n) for n in self.vars.names]
         width = len(target)
+        ints, den = self._integer_form()
         out = {}
-        for m, c in self._terms.items():
+        for m, c in ints.items():
             mm = [0] * width
             for i, e in enumerate(m):
                 if e == 0:
@@ -390,7 +451,7 @@ class Polynomial:
                     )
                 mm[pos] = e
             out[tuple(mm)] = c
-        return Polynomial(target, out)
+        return Polynomial._integral(target, out, den)
 
 
 # ---------------------------------------------------------------------------

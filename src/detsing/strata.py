@@ -4,9 +4,12 @@ gap.
 
 Transversality is tested through the equivalent smooth-of-expected-
 codimension condition (Jacobian criterion) on each stratum away from the
-next deeper stratum; everything stays inside ideal arithmetic.  The
-saturation by the deeper stratum runs only when the non-smooth locus's
-reduced basis cannot show by itself that the locus lies in the origin.
+next deeper stratum; everything stays inside ideal arithmetic.  A
+stratum whose reduced basis shows it lies in the origin passes without
+its non-smooth locus being built.  The saturation by the deeper stratum
+runs only when the non-smooth locus's reduced basis cannot show by
+itself that the locus lies in the origin.  The Jacobian minors stay in
+integer form (see ``poly``) from the determinant to the basis engine.
 All checks are affine/global: supports and saturations are measured
 over the whole coordinate space, which matches germ-at-origin semantics
 for models whose interesting locus sits at the origin.
@@ -65,13 +68,17 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
 
     A present stratum passes when it has its expected dimension and the
     non-smooth locus, saturated by the next deeper stratum, is empty or
-    supported at the origin only.  When the locus's own reduced grevlex
-    basis already shows its zero set lies in the origin (see
-    ``groebner._origin_certified``), so does that of every saturation of
-    it: the stratum passes, with no witness and no saturation.  A
-    wrong-dimensional top stratum means the model is not determinantal
-    of its declared type and raises DimensionMismatchError.  The strata
-    come from the analysis given, or from a fresh one of a bare matrix.
+    supported at the origin only.  When the stratum's own reduced grevlex
+    basis (already computed for its dimension) shows its zero set lies in
+    the origin (see ``groebner._origin_certified``), so does that of its
+    non-smooth locus, which contains the stratum's generators, and of
+    every saturation of the locus: the stratum passes, with no witness,
+    and no Jacobian, locus or saturation is built.  Otherwise the same
+    test runs on the locus's reduced basis, and a certified locus passes
+    with no saturation.  A wrong-dimensional top stratum means the model
+    is not determinantal of its declared type and raises
+    DimensionMismatchError.  The strata come from the analysis given, or
+    from a fresh one of a bare matrix.
     """
     a = Analysis.of(m)
     if not a.model.is_specialized():
@@ -92,6 +99,11 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
             records.append(
                 StratumCheck(i, s.expected_dim, actual, False, s.ideal)
             )
+            continue
+        # The locus contains the stratum: V(locus) lies in V(stratum), so
+        # a stratum certified at the origin certifies its locus.
+        if _origin_certified(s.ideal):
+            records.append(StratumCheck(i, s.expected_dim, actual, True))
             continue
         # Reduced bases as generators keep the Jacobian and the saturation lean.
         reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)

@@ -12,7 +12,12 @@ intersection, to compare the one-elimination saturation against.
 polynomials, the reference for the fraction-free shared-sub-minor
 determinant.  ``reference_update_pairs`` is the Gebauer-Moeller pair
 update with each lcm taken on exponent tuples, the reference for the
-engine's field-wise lcm on packed monomials.
+engine's field-wise lcm on packed monomials.  ``reference_reduce_full``
+is the pseudo-reducer that scales by the full leading coefficient, the
+reference for the engine's gcd-scaled one.  ``reference_derivative``,
+``reference_lift`` and ``reference_restrict`` are the term-map loops on
+Fraction coefficients, the reference for the same operations on a
+polynomial's integer form.
 """
 
 from heapq import heappush
@@ -20,6 +25,8 @@ from math import gcd
 
 from detsing.groebner import (
     _Overflow,
+    _content,
+    _primitive,
     ideal_intersection,
     ideal_quotient,
     ideals_equal,
@@ -254,3 +261,88 @@ def reference_update_pairs(lts, P, heap, new_lt, packing):
             i = min(lcm_groups[l])
             P[(i, t)] = l
             heappush(heap, (l, i, t))
+
+
+def reference_reduce_full(p, basis, packing):
+    """``groebner._reduce_full`` scaling the work by the row's whole
+    leading coefficient lc and subtracting c times the row, not lc and c
+    divided by their gcd."""
+    guards, test, sign = packing.guards, packing.test, packing.sign
+    rem = {}
+    work = dict(p)
+    steps = 0
+    while work:
+        m = max(work)
+        c = work[m]
+        probe = sign * m
+        for row in basis:
+            if (row[0] - probe) & test == test:
+                break
+        else:
+            del work[m]
+            rem[m] = c
+            continue
+        _, lt, lc, g, rise = row
+        if (rise + m) & guards:
+            raise _Overflow
+        shift = m - lt
+        if lc != 1:
+            for k2 in work:
+                work[k2] *= lc
+            for k2 in rem:
+                rem[k2] *= lc
+        for mg, cg in g.items():
+            mm = mg + shift
+            s = work.get(mm, 0) - c * cg
+            if s:
+                work[mm] = s
+            else:
+                work.pop(mm, None)
+        steps += 1
+        if steps % 32 == 0 and rem:
+            joint = dict(rem)
+            joint.update(work)
+            g2 = _content(joint)
+            if g2 > 1:
+                work = {k2: v // g2 for k2, v in work.items()}
+                rem = {k2: v // g2 for k2, v in rem.items()}
+    return _primitive(rem)
+
+
+def reference_derivative(p, name):
+    """Partial derivative, term by term on the Fraction term map."""
+    j = p.vars.index(name)
+    out = {}
+    for m, c in p.terms.items():
+        e = m[j]
+        if e == 0:
+            continue
+        mm = list(m)
+        mm[j] = e - 1
+        out[tuple(mm)] = c * e
+    return Polynomial(p.vars, out)
+
+
+def reference_lift(p, target):
+    """``p`` over a larger variable set, on the Fraction term map."""
+    positions = [target.index(n) for n in p.vars.names]
+    out = {}
+    for m, c in p.terms.items():
+        mm = [0] * len(target)
+        for pos, e in zip(positions, m):
+            mm[pos] = e
+        out[tuple(mm)] = c
+    return Polynomial(target, out)
+
+
+def reference_restrict(p, target):
+    """``p`` over a smaller variable set holding every variable that
+    occurs in it, on the Fraction term map."""
+    out = {}
+    for m, c in p.terms.items():
+        mm = [0] * len(target)
+        for name, e in zip(p.vars.names, m):
+            if e:
+                mm[target.index(name)] = e
+        out[tuple(mm)] = c
+    return Polynomial(target, out)

@@ -55,6 +55,7 @@ from helpers import (
 from oracles import (
     monomial_ideal_dimension,
     quotient_chain_saturation,
+    reference_reduce_full,
     reference_update_pairs,
     stable_corank,
     standard_monomial_count,
@@ -223,7 +224,7 @@ class TestBuchberger:
         # z^K*z.  The basis is recomputed with wider fields, not wrapped.
         for vs, ordering, limit, gens, expected in WIDENING_CASES:
             I = ideal(vs, *gens)
-            ints = [groebner._poly_to_int(g) for g in I.generators]
+            ints = [g._integer_form()[0] for g in I.generators]
             assert groebner._Packing.for_input(ordering, len(vs), ints).limit == limit
             assert set(buchberger(I, ordering)) == {P(t, vs) for t in expected}
 
@@ -282,6 +283,83 @@ class TestBuchberger:
             assert is_unit_ideal(saturation(locus, deeper))
         assert any(outcomes)
         assert len(outcomes) > 800
+
+    def test_reduce_full_matches_the_unscaled_reference(self, monkeypatch):
+        # Scaling by lc/g and c/g, g = gcd(lc, c), divides every later
+        # state by a positive number: each reduction in the bases of the
+        # generator-order cases, the generic locus among them, gives the
+        # same primitive remainder, or the same overflow, as the reducer
+        # that scales by lc and c.
+        engine = groebner._reduce_full
+        remainders = []
+
+        def outcome(reduce, p, basis, packing):
+            try:
+                return reduce(p, basis, packing)
+            except groebner._Overflow:
+                return "overflow"
+
+        def checked(p, basis, packing):
+            got = outcome(engine, p, basis, packing)
+            assert got == outcome(reference_reduce_full, p, basis, packing)
+            if got == "overflow":
+                raise groebner._Overflow
+            remainders.append(got)
+            return got
+
+        monkeypatch.setattr(groebner, "_reduce_full", checked)
+        for orders, vs, orderings in generator_order_cases():
+            for gens in orders:
+                for ordering in orderings:
+                    buchberger(Ideal(gens, vs), ordering)
+        assert len(remainders) > 2000
+        assert any(r and max(map(abs, r.values())) > 1 for r in remainders)
+
+    def test_integer_form_generators_give_the_same_basis_property(self):
+        """buchberger gives the same reduced basis from generators in
+        integer form, over a denominator that need not be the least, as
+        from the same generators built from Fractions, in grevlex and in
+        lex; and it returns the basis in integer form."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            vs = draw(st.sampled_from([XY, XYZ]))
+            terms = st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * len(vs)).filter(lambda m: sum(m) <= 3),
+                st.integers(-6, 6).filter(bool),
+                min_size=1,
+                max_size=3,
+            )
+            gens = draw(
+                st.lists(
+                    st.tuples(terms, st.integers(1, 12), st.integers(1, 3)),
+                    min_size=1,
+                    max_size=3,
+                )
+            )
+            return vs, gens
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(cases())
+        def run(case):
+            vs, gens = case
+            rational = [
+                Polynomial(vs, {m: Fraction(c, den) for m, c in t.items()})
+                for t, den, _ in gens
+            ]
+            integral = [
+                Polynomial._integral(vs, {m: c * k for m, c in t.items()}, den * k)
+                for t, den, k in gens
+            ]
+            for ordering in (GREVLEX, LEX):
+                basis = buchberger(Ideal(integral, vs), ordering).elements
+                assert all(g._terms is None for g in basis)
+                assert basis == buchberger(Ideal(rational, vs), ordering).elements
+                assert all(g.leading_coefficient(ordering) == 1 for g in basis)
+
+        run()
 
     def test_engine_packs_only_inputs_and_unpacks_only_outputs(self, monkeypatch):
         # Exponent tuples enter the engine once per input monomial and
@@ -729,7 +807,7 @@ class TestQuotientSaturation:
         st = hypothesis.strategies
 
         def with_and_without(polys, seeded, vs, ordering):
-            ints = [groebner._poly_to_int(g) for g in polys]
+            ints = [g._integer_form()[0] for g in polys]
             packing = groebner._Packing.for_input(ordering, len(vs), ints)
             return [groebner._packed_basis(ints, packing, None, k) for k in (seeded, 0)]
 

@@ -16,6 +16,7 @@ from detsing import (
     poly_to_str,
 )
 from helpers import P, XY, omega_vars, random_poly
+from oracles import reference_derivative, reference_lift, reference_restrict
 
 
 class TestParse:
@@ -199,3 +200,74 @@ class TestVariableSet:
         assert vs.is_parameter("u")
         assert not vs.is_parameter("x")
         assert vs.ambient_only().names == ("x",)
+
+
+class TestIntegerForm:
+    def test_integer_form_matches_the_term_map_property(self):
+        """A polynomial built from integers over a common denominator is
+        the one the same Fractions build: equal, with equal hashes and
+        term maps, and the same monomial readings before either view is
+        converted.  Derivative, lift and restriction of either agree with
+        the Fraction loops of the oracle, and the term map's own integer
+        form gives the polynomial back."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        xyu = VariableSet(("x", "y"), ("u",))
+        wide = VariableSet(("w", "x", "y", "v"), ("u",))
+
+        @st.composite
+        def cases(draw):
+            ints = draw(
+                st.dictionaries(
+                    st.tuples(*[st.integers(0, 3)] * len(xyu)),
+                    st.integers(-50, 50),
+                    max_size=5,
+                )
+            )
+            return ints, draw(st.integers(1, 36))
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(cases())
+        def run(case):
+            ints, den = case
+            rational = Polynomial(xyu, {m: Fraction(c, den) for m, c in ints.items()})
+            integral = Polynomial._integral(xyu, dict(ints), den)
+            assert integral.is_zero() == rational.is_zero()
+            assert integral.is_constant() == rational.is_constant()
+            assert integral.total_degree() == rational.total_degree()
+            if rational:
+                assert integral.leading_monomial() == rational.leading_monomial()
+            assert integral._terms is None  # no Fraction built so far
+            assert integral == rational and hash(integral) == hash(rational)
+            assert integral.terms == rational.terms
+            assert Polynomial._integral(xyu, *rational._integer_form()) == rational
+            fresh = Polynomial._integral(xyu, dict(ints), den)
+            for name in xyu.names:
+                expected = reference_derivative(rational, name)
+                assert fresh.derivative(name) == expected
+                assert rational.derivative(name) == expected
+            lifted = reference_lift(rational, wide)
+            assert Polynomial._integral(xyu, dict(ints), den).lift(wide) == lifted
+            assert rational.lift(wide) == lifted
+            assert lifted.restrict(xyu) == rational
+            assert Polynomial._integral(wide, *lifted._integer_form()).restrict(xyu) == (
+                reference_restrict(lifted, xyu)
+            )
+
+        run()
+
+    def test_integral_validates_like_the_constructor(self):
+        with pytest.raises(ValidationError, match="bad exponent vector"):
+            Polynomial._integral(XY, {(1,): 1}, 1)
+        with pytest.raises(ValidationError, match="bad exponent vector"):
+            Polynomial._integral(XY, {(1, -1): 1}, 1)
+        with pytest.raises(ValidationError, match="denominator"):
+            Polynomial._integral(XY, {(1, 0): 1}, 0)
+        zero = Polynomial._integral(XY, {(1, 0): 0, (0, 1): 0}, 5)
+        assert zero.is_zero() and zero == Polynomial.zero(XY)
+        assert Polynomial._integral(XY, {(1, 0): 2, (0, 0): 0}, 4) == P("1/2*x", XY)
+
+    def test_restrict_rejects_a_dropped_variable_that_occurs(self):
+        p = Polynomial._integral(XY, {(1, 1): 3}, 2)
+        with pytest.raises(ValidationError, match="'y' occurs"):
+            p.restrict(VariableSet(("x",)))

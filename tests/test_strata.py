@@ -1,17 +1,21 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from detsing import (
+    Analysis,
     DeterminantalType,
+    DetsingError,
     DimensionMismatchError,
     Ideal,
     PreconditionError,
     PresentationMatrix,
     ValidationError,
     conormal_fiber_gap,
+    dimension,
     eids_check,
     good_family_scan,
     ideals_equal,
@@ -294,6 +298,124 @@ class TestEidsCheck:
             monkeypatch.setattr(module, "_origin_certified", lambda a: False)
         assert [outcome(m) for m in models] == certified
         assert any(o[0] is False for o in certified if isinstance(o, tuple))
+
+    def test_certified_strata_skip_the_locus(self, monkeypatch):
+        # Stratum 1 of omega1 and omega3, and the one stratum of every
+        # t = 1 grid case, has a reduced basis that certifies it at the
+        # origin, so no Jacobian or non-smooth locus is built for it.
+        from detsing import strata
+        from detsing.modelfile import build_model, load_model_file
+
+        codims = []
+        real = strata.singular_locus_ideal
+        monkeypatch.setattr(
+            strata,
+            "singular_locus_ideal",
+            lambda a, codim: codims.append(codim) or real(a, codim),
+        )
+        for name in ("omega1", "omega3"):
+            codims.clear()
+            assert eids_check(build_model(load_model_file(MODELS / f"{name}.model"))).overall
+            assert codims == [2]  # stratum 2 only; stratum 1 has codimension 6
+        codims.clear()
+        for n, k, t in GENERIC_GRID:
+            if t == 1:
+                assert eids_check(generic_entry_model(n, k, t)).overall
+        assert codims == []
+
+    def test_random_three_by_two_model_passes(self):
+        # Its stratum-2 locus basis has 35 generators of up to 95 terms;
+        # pseudo-reduction that scaled by the whole leading coefficient,
+        # not by lc / gcd(lc, c), took about 13 s on it.
+        verdict = eids_check(random_matrix_model(random.Random(13), 3, 2, 3))
+        assert verdict.overall
+        assert [
+            (r.index, r.expected_dim, r.actual_dim, r.witness) for r in verdict.strata
+        ] == [(2, 1, 1, None)]
+
+    def test_verdict_path_stays_in_integer_form(self, monkeypatch):
+        # Once the generic (2,2,2) model is built, eids_check builds every
+        # polynomial in integer form (minors, derivatives, bases) and reads
+        # no term map: no public constructor call, no Fraction.
+        m = generic_entry_model(2, 2, 2)
+        built, read = [], []
+        init, terms = Polynomial.__init__, Polynomial.terms
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        monkeypatch.setattr(
+            Polynomial, "terms", property(lambda p: read.append(p) or terms.fget(p))
+        )
+        assert eids_check(m).overall
+        assert built == [] and read == []
+
+    def test_row_and_column_scaling_keep_every_verdict(self):
+        # One row times 2/3 and one column times -3 scale every minor by
+        # a nonzero constant, so the strata ideals do not change: strata
+        # dimensions, eids records (witnesses by reduced basis),
+        # colengths and the m-vector must not either.  The 2/3 drives
+        # denominators other than 1 through the determinant and the
+        # integer form.
+        from detsing.modelfile import build_model, load_model_file
+
+        def scaled(m):
+            entries = [list(row) for row in m.entries]
+            entries[0] = [e * Fraction(2, 3) for e in entries[0]]
+            for row in entries:
+                row[-1] = row[-1] * -3
+            return PresentationMatrix(m.dtype, entries, m.vars)
+
+        def attempt(compute):
+            try:
+                return compute()
+            except DetsingError as exc:
+                return type(exc).__name__, str(exc)
+
+        def eids(a):
+            return a.eids().overall, [
+                (
+                    r.index,
+                    r.expected_dim,
+                    r.actual_dim,
+                    r.transversal_off_origin,
+                    r.witness and r.witness.groebner_basis().elements,
+                )
+                for r in a.eids().strata
+            ]
+
+        def verdicts(m, chi):
+            a = Analysis(m)
+            out = []
+            for i in range(1, m.dtype.t + 1):
+                s = a.stratum(i)
+                out.append(dimension(s.ideal))
+                if s.expected_dim == 0:
+                    out.append(attempt(lambda: a.colength(i)))
+                    out.append(attempt(lambda: a.origin_colength(i)))
+            out.append(attempt(lambda: eids(a)))
+            if chi:
+                out.append(attempt(lambda: a.mvector(chi)))
+            return out
+
+        cases = [(generic_entry_model(2, 2, 2), [{}], {})]
+        for path in sorted(MODELS.glob("*.model")):
+            mf = load_model_file(path)
+            cases.append((build_model(mf), [dict(pt) for pt in mf.samples] or [{}], mf.chi_data()))
+        compared = 0
+        for m, points, chi in cases:
+            sm = scaled(m)
+            top = stratum(sm.specialize(points[0]) if points[0] else sm, sm.dtype.t)
+            assert any(g._integer_form()[1] > 1 for g in top.ideal.generators)
+            for point in points:
+                member = m.specialize(point) if point else m
+                scaled_member = sm.specialize(point) if point else sm
+                expected = verdicts(member, chi)
+                assert verdicts(scaled_member, chi) == expected, (m, point)
+                compared += 1
+        assert compared == 8
 
 
 class TestGoodFamilyScan:
