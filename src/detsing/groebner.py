@@ -742,7 +742,7 @@ def eliminate(a: Ideal, drop) -> Ideal:
     kept = [
         g.restrict(target)
         for g in a.groebner_basis(MonomialOrdering.eliminating(drop_idx))
-        if not any(m[i] for m in g._monomials() for i in drop_idx)
+        if not any(m[i] for m in g._integer_form()[0] for i in drop_idx)
     ]
     return Ideal.from_basis(GroebnerBasis(kept, GREVLEX), target, a.max_degree)
 
@@ -911,7 +911,7 @@ def _origin_certified(a: Ideal) -> bool:
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         return True
-    monos = [g._monomials() for g in basis]
+    monos = [g._integer_form()[0] for g in basis]
     if all(len({sum(m) for m in g}) == 1 for g in monos):
         powers = basis.leading_monomials()
     else:

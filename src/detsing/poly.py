@@ -1,19 +1,16 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is an immutable exact value over an ordered variable set,
-with two views of it: a term map from exponent tuples to nonzero Fraction
-coefficients (``terms``), and an integer form, nonzero integer
-numerators on the same exponent tuples over one positive common
-denominator.  Each instance is built with one view and derives the other
-on first read, then keeps it.  The public constructor takes the term
-map; the determinant, the derivative, lifting and restriction and the
-Groebner engine produce and read the integer form, so a value passed
-between them never becomes Fractions unless a caller reads its
-coefficients as rationals.  Reading the monomials alone (zero and
-constant tests, degree, leading monomial) builds neither view.
-Equality and hashing are by value.  Exponent tuples index into the
-variable set, whose order is fixed for the lifetime of a computation.
-All operations are pure; any value may be shared freely.
+stored in one form: nonzero integer numerators keyed by exponent tuples
+over one positive common denominator.  Every operation reads and builds
+that form, so the determinant, the derivative, lifting and restriction,
+the ring operators, substitution and Buchberger's algorithm pass values
+between them without a Fraction.  The term map from exponent tuples to
+nonzero Fraction coefficients (``terms``) is a view derived from it on
+first read and kept; nothing is ever computed back from it.  Equality
+and hashing are by value.  Exponent tuples index into the variable set,
+whose order is fixed for the lifetime of a computation.  All operations
+are pure; any value may be shared freely.
 
 The text grammar accepted by :func:`parse_polynomial`:
 
@@ -35,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     ParseError,
@@ -190,8 +187,10 @@ class Polynomial:
                 if len(mono) != width or min(mono) < 0:
                     raise ValidationError(f"bad exponent vector {mono!r}")
                 clean[tuple(mono)] = coeff
-        self._terms = clean
-        self._ints = None
+        den = lcm(*[c.denominator for c in clean.values()])
+        self._terms = None
+        self._ints = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self._den = den
         self._hash = None
 
     @classmethod
@@ -221,23 +220,27 @@ class Polynomial:
 
     @staticmethod
     def zero(vars):
-        return Polynomial(vars)
+        return Polynomial._integral(vars, {}, 1)
 
     @staticmethod
     def constant(vars, value):
-        return Polynomial(vars, {(0,) * len(vars): Fraction(value)})
+        value = Fraction(value)
+        return Polynomial._integral(
+            vars, {(0,) * len(vars): value.numerator}, value.denominator
+        )
 
     @staticmethod
     def variable(vars, name):
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
-        return Polynomial(vars, {tuple(exp): Fraction(1)})
+        return Polynomial._integral(vars, {tuple(exp): 1}, 1)
 
-    # -- the two views -------------------------------------------------
+    # -- the stored form and the term map ------------------------------
 
     @property
     def terms(self):
-        """The term map: exponent tuple -> nonzero Fraction."""
+        """The term map: exponent tuple -> nonzero Fraction, derived from
+        the integer form on first read."""
         terms = self._terms
         if terms is None:
             den = self._den
@@ -245,60 +248,53 @@ class Polynomial:
         return terms
 
     def _integer_form(self):
-        """``(ints, den)``: integer numerators over the denominator the
-        polynomial was built with, or over the least common denominator
-        of its Fractions.  The map is shared; callers must not change it."""
-        ints = self._ints
-        if ints is None:
-            terms = self._terms
-            den = lcm(*[c.denominator for c in terms.values()])
-            ints = self._ints = {
-                m: c.numerator * (den // c.denominator) for m, c in terms.items()
-            }
-            self._den = den
-        return ints, self._den
-
-    def _monomials(self):
-        """The exponent tuples, from whichever view exists."""
-        terms = self._terms
-        return self._ints if terms is None else terms
+        """``(ints, den)``: nonzero integer numerators over one positive
+        denominator.  The map is shared; callers must not change it."""
+        return self._ints, self._den
 
     # -- inspection ----------------------------------------------------
 
     def is_zero(self):
-        return not self._monomials()
+        return not self._ints
 
     def is_constant(self):
-        return all(sum(m) == 0 for m in self._monomials())
+        return all(sum(m) == 0 for m in self._ints)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        monos = self._monomials()
-        if not monos:
-            return -1
-        return max(sum(m) for m in monos)
+        return max(map(sum, self._ints), default=-1)
 
     def leading_monomial(self, ordering=GREVLEX):
-        monos = self._monomials()
-        if not monos:
+        if not self._ints:
             raise ValidationError("zero polynomial has no leading monomial")
-        return max(monos, key=ordering.key)
+        return max(self._ints, key=ordering.key)
 
     def leading_coefficient(self, ordering=GREVLEX):
-        return self.terms[self.leading_monomial(ordering)]
+        return Fraction(self._ints[self.leading_monomial(ordering)], self._den)
 
     def __bool__(self):
-        return bool(self._monomials())
+        return bool(self._ints)
 
     def __eq__(self, other):
+        # a / da == b / db term by term, cross-multiplied.
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        a, da = self._ints, self._den
+        b, db = other._ints, other._den
+        return (
+            self.vars == other.vars
+            and a.keys() == b.keys()
+            and all(c * db == b[m] * da for m, c in a.items())
+        )
 
     def __hash__(self):
+        # The integer form divided by the gcd of its numerators and
+        # denominator is the same for every form of one value.
         if self._hash is None:
-            items = tuple(sorted(self.terms.items()))
-            self._hash = hash((self.vars.names, items))
+            ints = self._ints
+            g = gcd(self._den, *ints.values())
+            items = frozenset((m, c // g) for m, c in ints.items())
+            self._hash = hash((self.vars.names, self._den // g, items))
         return self._hash
 
     def __repr__(self):
@@ -312,17 +308,18 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.vars, out)
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        ka, kb = den // da, den // db
+        out = {m: c * ka for m, c in self._ints.items()}
+        for m, c in other._ints.items():
+            out[m] = out.get(m, 0) + c * kb
+        return Polynomial._integral(self.vars, out, den)
 
     def __neg__(self):
-        return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._integral(
+            self.vars, {m: -c for m, c in self._ints.items()}, self._den
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -332,23 +329,21 @@ class Polynomial:
             return self.scale(other)
         self._check(other)
         out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        b = other._ints.items()
+        for ma, ca in self._ints.items():
+            for mb, cb in b:
                 m = monomial_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.vars, out)
+                out[m] = out.get(m, 0) + ca * cb
+        return Polynomial._integral(self.vars, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.vars)
-        return Polynomial(self.vars, {m: c * v for m, v in self.terms.items()})
+        num = c.numerator
+        return Polynomial._integral(
+            self.vars, {m: v * num for m, v in self._ints.items()}, self._den * c.denominator
+        )
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -405,9 +400,11 @@ class Polynomial:
                 per_var.append(values[name])
             else:
                 per_var.append(Polynomial.variable(target, name))
+        # Each piece takes a numerator; the sum is divided by the
+        # denominator once, at the end.
         result = Polynomial.zero(target)
         pow_cache = {}
-        for m, c in self.terms.items():
+        for m, c in self._ints.items():
             piece = Polynomial.constant(target, c)
             for j, e in enumerate(m):
                 if e == 0:
@@ -417,7 +414,7 @@ class Polynomial:
                     pow_cache[key] = per_var[j] ** e
                 piece = piece * pow_cache[key]
             result = result + piece
-        return result
+        return Polynomial._integral(target, result._ints, result._den * self._den)
 
     def lift(self, target: VariableSet):
         """Re-express over a larger variable set containing the same names."""

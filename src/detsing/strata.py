@@ -112,8 +112,7 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
             records.append(StratumCheck(i, s.expected_dim, actual, True))
             continue
         if i > 1:
-            reduced = Ideal.from_basis(locus.groebner_basis(), locus.vars, locus.max_degree)
-            off_deeper = saturation(reduced, a.stratum(i - 1).ideal)
+            off_deeper = saturation(locus, a.stratum(i - 1).ideal)
         ok = is_unit_ideal(off_deeper) or support_is_origin_only(off_deeper)
         records.append(
             StratumCheck(

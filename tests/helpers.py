@@ -90,3 +90,20 @@ def random_matrix_model(rng, rows, cols, nvars, max_degree=2):
             row.append(p)
         entries.append(row)
     return PresentationMatrix(DeterminantalType(n, k, n), entries, vs)
+
+
+def watch_term_maps(monkeypatch):
+    """Record each call of the public Polynomial constructor and each
+    read of a term map; returns the two lists, (built, read)."""
+    built, read = [], []
+    init, terms = Polynomial.__init__, Polynomial.terms
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    monkeypatch.setattr(
+        Polynomial, "terms", property(lambda p: read.append(p) or terms.fget(p))
+    )
+    return built, read

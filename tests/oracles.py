@@ -14,12 +14,14 @@ determinant.  ``reference_update_pairs`` is the Gebauer-Moeller pair
 update with each lcm taken on exponent tuples, the reference for the
 engine's field-wise lcm on packed monomials.  ``reference_reduce_full``
 is the pseudo-reducer that scales by the full leading coefficient, the
-reference for the engine's gcd-scaled one.  ``reference_derivative``,
-``reference_lift`` and ``reference_restrict`` are the term-map loops on
-Fraction coefficients, the reference for the same operations on a
-polynomial's integer form.
+reference for the engine's gcd-scaled one.  ``reference_add``,
+``reference_mul``, ``reference_scale``, ``reference_substitute``,
+``reference_derivative``, ``reference_lift`` and ``reference_restrict``
+are the term-map loops on Fraction coefficients, the reference for the
+same operations on a polynomial's integer form.
 """
 
+from fractions import Fraction
 from heapq import heappush
 from math import gcd
 
@@ -31,7 +33,7 @@ from detsing.groebner import (
     ideal_quotient,
     ideals_equal,
 )
-from detsing.poly import GREVLEX, Polynomial, monomial_lcm
+from detsing.poly import GREVLEX, Polynomial, monomial_lcm, monomial_mul
 
 
 def monomials_up_to(width, degree):
@@ -307,6 +309,60 @@ def reference_reduce_full(p, basis, packing):
                 work = {k2: v // g2 for k2, v in work.items()}
                 rem = {k2: v // g2 for k2, v in rem.items()}
     return _primitive(rem)
+
+
+def reference_add(p, q):
+    """p + q, term by term on the Fraction term maps."""
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return Polynomial(p.vars, out)
+
+
+def reference_mul(p, q):
+    """p * q, every pair of terms multiplied on the Fraction term maps."""
+    out = {}
+    for ma, ca in p.terms.items():
+        for mb, cb in q.terms.items():
+            m = monomial_mul(ma, mb)
+            s = out.get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return Polynomial(p.vars, out)
+
+
+def reference_scale(p, c):
+    """c * p for a rational c, on the Fraction term map."""
+    c = Fraction(c)
+    if c == 0:
+        return Polynomial(p.vars)
+    return Polynomial(p.vars, {m: c * v for m, v in p.terms.items()})
+
+
+def reference_substitute(p, assignment, target):
+    """Simultaneous substitution of polynomials over ``target`` for
+    variables of p, term by term with the reference sum and product;
+    unassigned variables map to themselves."""
+    per_var = [
+        assignment[name]
+        if name in assignment
+        else Polynomial(target, {tuple(int(n == name) for n in target.names): 1})
+        for name in p.vars.names
+    ]
+    result = Polynomial(target)
+    for m, c in p.terms.items():
+        piece = Polynomial(target, {(0,) * len(target): c})
+        for value, e in zip(per_var, m):
+            for _ in range(e):
+                piece = reference_mul(piece, value)
+        result = reference_add(result, piece)
+    return result
 
 
 def reference_derivative(p, name):

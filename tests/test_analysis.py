@@ -155,3 +155,22 @@ def test_no_module_keeps_global_state():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Global)]
         assert not found, f"{path.name}: global statement at line(s) {found}"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Every import is relative (inside detsing) or names a module of the
+    # standard library, so the runtime needs nothing installed.
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name!r}"
+                )

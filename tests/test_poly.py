@@ -12,11 +12,20 @@ from detsing import (
     UnknownVariableError,
     VariableSet,
     ValidationError,
+    chain_rule_check,
     parse_polynomial,
     poly_to_str,
 )
-from helpers import P, XY, omega_vars, random_poly
-from oracles import reference_derivative, reference_lift, reference_restrict
+from helpers import P, XY, omega_model, omega_vars, random_poly, watch_term_maps
+from oracles import (
+    reference_add,
+    reference_derivative,
+    reference_lift,
+    reference_mul,
+    reference_restrict,
+    reference_scale,
+    reference_substitute,
+)
 
 
 class TestParse:
@@ -206,13 +215,15 @@ class TestIntegerForm:
     def test_integer_form_matches_the_term_map_property(self):
         """A polynomial built from integers over a common denominator is
         the one the same Fractions build: equal, with equal hashes and
-        term maps, and the same monomial readings before either view is
-        converted.  Derivative, lift and restriction of either agree with
-        the Fraction loops of the oracle, and the term map's own integer
-        form gives the polynomial back."""
+        term maps, and the same monomial readings before the term map is
+        read.  Sum, difference, product, scaling, powers, substitution,
+        derivative, lift and restriction of operands over different
+        denominators agree with the Fraction loops of the oracle, and the
+        integer form gives the polynomial back."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         xyu = VariableSet(("x", "y"), ("u",))
+        xy = VariableSet(("x", "y"))
         wide = VariableSet(("w", "x", "y", "v"), ("u",))
 
         @st.composite
@@ -226,12 +237,20 @@ class TestIntegerForm:
             )
             return ints, draw(st.integers(1, 36))
 
-        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-        @hypothesis.given(cases())
-        def run(case):
+        def both(case):
             ints, den = case
-            rational = Polynomial(xyu, {m: Fraction(c, den) for m, c in ints.items()})
-            integral = Polynomial._integral(xyu, dict(ints), den)
+            return (
+                Polynomial._integral(xyu, dict(ints), den),
+                Polynomial(xyu, {m: Fraction(c, den) for m, c in ints.items()}),
+            )
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(
+            cases(), cases(), cases(), st.fractions(max_denominator=12), st.integers(0, 3)
+        )
+        def run(case, second, third, c, e):
+            ints, den = case
+            integral, rational = both(case)
             assert integral.is_zero() == rational.is_zero()
             assert integral.is_constant() == rational.is_constant()
             assert integral.total_degree() == rational.total_degree()
@@ -253,6 +272,25 @@ class TestIntegerForm:
             assert Polynomial._integral(wide, *lifted._integer_form()).restrict(xyu) == (
                 reference_restrict(lifted, xyu)
             )
+            q, q_rational = both(second)
+            r, r_rational = both(third)
+            product = reference_mul(rational, q_rational)
+            assert fresh * q == product and hash(fresh * q) == hash(product)
+            assert fresh + q == reference_add(rational, q_rational)
+            assert fresh - q == reference_add(rational, reference_scale(q_rational, -1))
+            assert -fresh == reference_scale(rational, -1)
+            assert fresh.scale(c) == c * fresh == reference_scale(rational, c)
+            power = Polynomial(xyu, {(0, 0, 0): 1})
+            for _ in range(e):
+                power = reference_mul(power, rational)
+            assert fresh**e == power
+            assert fresh.substitute({"x": q, "u": r}) == reference_substitute(
+                rational, {"x": q_rational, "u": r_rational}, xyu
+            )
+            at_c = {"u": Polynomial.constant(xy, c)}
+            assert fresh.substitute(at_c, target=xy) == reference_substitute(
+                rational, {"u": Polynomial(xy, {(0, 0): c})}, xy
+            )
 
         run()
 
@@ -266,6 +304,20 @@ class TestIntegerForm:
         zero = Polynomial._integral(XY, {(1, 0): 0, (0, 1): 0}, 5)
         assert zero.is_zero() and zero == Polynomial.zero(XY)
         assert Polynomial._integral(XY, {(1, 0): 2, (0, 0): 0}, 4) == P("1/2*x", XY)
+
+    def test_equality_and_hashing_read_no_term_map(self, monkeypatch):
+        # 2x/4 and the parsed x/2 are one value stored over different
+        # denominators; comparing and hashing them reads the integer
+        # forms only.  The chain rule check compares minors, derivatives
+        # and their products and reads no term map either.
+        integral = Polynomial._integral(XY, {(1, 0): 2}, 4)
+        parsed = P("1/2*x", XY)
+        assert integral == parsed and hash(integral) == hash(parsed)
+        assert integral._terms is None
+        omega1 = omega_model(1)
+        built, read = watch_term_maps(monkeypatch)
+        assert chain_rule_check(omega1, 2).ok
+        assert built == [] and read == []
 
     def test_restrict_rejects_a_dropped_variable_that_occurs(self):
         p = Polynomial._integral(XY, {(1, 1): 3}, 2)

@@ -37,6 +37,7 @@ from helpers import (
     omega_model,
     random_matrix_model,
     saturation_inputs,
+    watch_term_maps,
 )
 from oracles import cofactor_det
 
@@ -334,22 +335,25 @@ class TestEidsCheck:
         ] == [(2, 1, 1, None)]
 
     def test_verdict_path_stays_in_integer_form(self, monkeypatch):
-        # Once the generic (2,2,2) model is built, eids_check builds every
-        # polynomial in integer form (minors, derivatives, bases) and reads
-        # no term map: no public constructor call, no Fraction.
-        m = generic_entry_model(2, 2, 2)
-        built, read = [], []
-        init, terms = Polynomial.__init__, Polynomial.terms
+        # Once the model is built, eids_check builds every polynomial in
+        # integer form (minors, derivatives, bases, the saturation's tagged
+        # polynomial) and reads no term map: no public constructor call,
+        # no Fraction.  The omega1_family member at u = 1 has a locus its
+        # basis does not certify, so its check saturates.
+        from detsing import strata
+        from detsing.modelfile import build_model, load_model_file
 
-        def counted_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        family = build_model(load_model_file(MODELS / "omega1_family.model"))
+        models = [generic_entry_model(2, 2, 2), family.specialize({"u": 1})]
+        saturated = []
+        real = strata.saturation
         monkeypatch.setattr(
-            Polynomial, "terms", property(lambda p: read.append(p) or terms.fget(p))
+            strata, "saturation", lambda a, b: saturated.append(a) or real(a, b)
         )
-        assert eids_check(m).overall
+        built, read = watch_term_maps(monkeypatch)
+        for m in models:
+            assert eids_check(m).overall
+        assert len(saturated) == 1
         assert built == [] and read == []
 
     def test_row_and_column_scaling_keep_every_verdict(self):
