@@ -212,7 +212,8 @@ def _all_minors(grid, size, vars):
     Its (k-1) x (k-1) sub-minors come from a memo keyed on (rows, cols),
     so each smaller minor is formed once however many larger minors
     share it.  The top-size minors are not memoized, and the memo lives
-    only for the call.
+    only for the call.  Every zero minor is one zero polynomial, shared
+    within the call, so the list still indexes minors by position.
     """
     bound = sum(max(0, max(e.total_degree() for e in row)) for row in grid)
     width = max(1, bound.bit_length())
@@ -265,6 +266,7 @@ def _all_minors(grid, size, vars):
             mono = exponents[m] = tuple((m >> s) & mask for s in shifts)
         return mono
 
+    zero = Polynomial.zero(vars)
     result = []
     col_sets = list(combinations(range(len(grid[0])), size))
     for rows in combinations(range(len(grid)), size):
@@ -273,6 +275,8 @@ def _all_minors(grid, size, vars):
             terms = det(rows, cols)
             result.append(
                 Polynomial._integral(vars, {unpack(m): c for m, c in terms.items()}, denom)
+                if terms
+                else zero
             )
     return result
 

@@ -60,11 +60,12 @@ a's reduced grevlex basis, lifted, replaces a's generators and seeds the
 elimination: on tag-free polynomials the block order compares exactly
 as grevlex in a's variables, so that basis is reduced there too.
 
-The support test ("does V(a) lie in the origin?") reads a's reduced
-grevlex basis first: the unit ideal, a pure power of every variable
-among its one-term elements, or homogeneous elements with a pure-power
-leading term in every variable each settle it with no saturation.
-Otherwise it is the saturation by the maximal ideal.
+The support test ("does V(a) lie in the origin?") first reads elements
+of a, cheapest first: its cached reduced grevlex basis, else its
+generators, the rows of Buchberger's input phase and its reduced basis.
+A nonzero constant, or homogeneous elements with a pure-power leading
+term in every variable, settle it with no saturation.  Otherwise it is
+the saturation by the maximal ideal.
 """
 
 from __future__ import annotations
@@ -563,38 +564,46 @@ def _update_pairs(lts, P, heap, new_lt, packing):
                 heappush(heap, (l, i, t))
 
 
+def _input_rows(polys, packing, cap, seeded=0):
+    """Buchberger's input phase on integer polynomials with exponent-tuple
+    keys: the reducer rows of the first ``seeded`` polynomials, a reduced
+    basis kept as it is, then of the others interreduced and reduced
+    against the rows before them.  Each row is an element of the ideal
+    the inputs generate, and each leading term is checked against the
+    degree cap.  Raises _Overflow when a monomial does not fit the
+    packing."""
+    pack = packing.pack
+    polys = [{pack(m): c for m, c in p.items()} for p in polys]
+    rows = [_row(_primitive(p), packing) for p in polys[:seeded]]
+    for row in rows:
+        _check_degree(row[1], cap, "input leading term", packing)
+    for f in _interreduce_input(polys[seeded:], packing):
+        f = _reduce_full(f, rows, packing)
+        if f:
+            row = _row(f, packing)
+            _check_degree(row[1], cap, "input leading term", packing)
+            rows.append(row)
+    return rows
+
+
 def _packed_basis(polys, packing, cap, seeded=0):
     """Reduced basis, as primitive packed polynomials sorted by leading
     term, of integer polynomials with exponent-tuple keys.  Raises
     _Overflow when a monomial does not fit the packing.
 
-    The first ``seeded`` polynomials are a reduced basis in the packing's
-    ordering: they start the basis as they are, and no pair joins two of
-    them.  That is where a run on them alone ends, since every S-pair of
-    a Groebner basis reduces to zero.  The other inputs are interreduced
-    and added one by one, pairing with the seed as usual."""
-    pack = packing.pack
-    polys = [{pack(m): c for m, c in p.items()} for p in polys]
-    G = [_row(_primitive(p), packing) for p in polys[:seeded]]
-    lts = [row[1] for row in G]
-    for lt in lts:
-        _check_degree(lt, cap, "input leading term", packing)
-    polys = _interreduce_input(polys[seeded:], packing)
+    The run starts from the rows of :func:`_input_rows`.  The first
+    ``seeded`` polynomials are a reduced basis in the packing's ordering:
+    they start the basis as they are, and no pair joins two of them.
+    That is where a run on them alone ends, since every S-pair of a
+    Groebner basis reduces to zero.  The other rows pair with every row
+    before them, as they would when added one by one."""
+    G = _input_rows(polys, packing, cap, seeded)
+    lts = [row[1] for row in G[:seeded]]
     P = {}  # pending pair (i, j) -> lcm(lts[i], lts[j])
     heap = []  # (lcm, i, j); entries of pruned pairs go stale
-
-    def add(f, phase):
-        row = _row(f, packing)
-        lt = row[1]
-        _check_degree(lt, cap, phase, packing)
-        _update_pairs(lts, P, heap, lt, packing)
-        G.append(row)
-        lts.append(lt)
-
-    for f in polys:
-        f = _reduce_full(f, G, packing)
-        if f:
-            add(f, "input leading term")
+    for row in G[seeded:]:
+        _update_pairs(lts, P, heap, row[1], packing)
+        lts.append(row[1])
 
     while P:
         _, i, j = heappop(heap)
@@ -604,7 +613,11 @@ def _packed_basis(polys, packing, cap, seeded=0):
         _check_degree(lcm, cap, "S-pair lcm", packing)
         s = _reduce_full(_spoly(G[i], G[j], lcm, packing), G, packing)
         if s:
-            add(s, "new basis element")
+            row = _row(s, packing)
+            _check_degree(row[1], cap, "new basis element", packing)
+            _update_pairs(lts, P, heap, row[1], packing)
+            G.append(row)
+            lts.append(row[1])
 
     # Minimalize: drop elements whose leading term another divides.  The
     # minimal rows arrive in ascending leading-term order, so their
@@ -618,6 +631,22 @@ def _packed_basis(polys, packing, cap, seeded=0):
     return _interreduce_input([G[i][3] for i in minimal], packing)
 
 
+def _packed_run(ideal, ordering, run):
+    """``run(polys, packing, cap, seeded)`` on the ideal's generators in
+    integer form, under its degree cap and from its seed when the seed is
+    in ``ordering``.  The packing starts as narrow as the generators
+    allow and is made twice as wide on each _Overflow, which starts the
+    run again.  Returns run's result and the packing it fit."""
+    ints = [g._integer_form()[0] for g in ideal.generators]
+    seeded = len(ideal.seed) if ideal.seed.ordering == ordering else 0
+    packing = _Packing.for_input(ordering, len(ideal.vars), ints)
+    while True:
+        try:
+            return run(ints, packing, ideal.max_degree, seeded), packing
+        except _Overflow:
+            packing = packing.wider()
+
+
 def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal, under its degree cap.
 
@@ -626,15 +655,7 @@ def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
     of leading terms and S-pair lcms.  The run starts from the ideal's
     seed when the seed is in ``ordering``.
     """
-    ints = [g._integer_form()[0] for g in ideal.generators]
-    seeded = len(ideal.seed) if ideal.seed.ordering == ordering else 0
-    packing = _Packing.for_input(ordering, len(ideal.vars), ints)
-    while True:
-        try:
-            final = _packed_basis(ints, packing, ideal.max_degree, seeded)
-            break
-        except _Overflow:
-            packing = packing.wider()
+    final, packing = _packed_run(ideal, ordering, _packed_basis)
     unpack = packing.unpack
     out = [
         Polynomial._integral(ideal.vars, {unpack(m): c for m, c in f.items()}, f[max(f)])
@@ -898,32 +919,71 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
+def _certifies_origin(polys, width):
+    """True when elements of an ideal a, given as integer forms, prove
+    that V(a) lies in the origin: one is a nonzero constant, or the
+    homogeneous ones have grevlex leading terms that include a pure power
+    of each of the ``width`` variables (a one-term pure power is such an
+    element).  The homogeneous elements then generate a homogeneous ideal
+    J in a whose leading-term ideal has finite colength, so J is
+    zero-dimensional (Macaulay's theorem); its zero set is a cone, so it
+    is the origin alone, and V(a) lies in V(J) (the graded
+    Nullstellensatz; Cox, Little & O'Shea, ch. 5 §3 and ch. 8 §3).  The
+    elements need not be a basis, and unlike a one-term power of every
+    variable the test survives a linear change of coordinates."""
+    powers = set()
+    for p in polys:
+        degrees = map(sum, p)
+        degree = next(degrees, None)
+        if degree is None or any(d != degree for d in degrees):
+            continue
+        if not degree:
+            return True
+        if not any(max(m) == degree for m in p):
+            continue  # no pure power, so none leads
+        lead = max(p, key=GREVLEX.key)
+        if max(lead) == degree:
+            powers.add(lead.index(degree))
+            if len(powers) == width:
+                return True
+    return len(powers) == width
+
+
 def _origin_certified(a: Ideal) -> bool:
-    """True when a's reduced grevlex basis alone proves V(a) lies in the
-    origin, with no saturation: the basis is the unit ideal; or it holds
-    a pure power of every variable as a one-term element, so every
-    variable lies in the radical; or every element is homogeneous and
-    every variable has an element led by a pure power of it.  In that
-    last case the ideal is zero-dimensional and its zero set is a cone,
-    so it is the origin alone (the graded Nullstellensatz; Cox, Little &
-    O'Shea, ch. 8 §3 and ch. 9 §3).  Unlike the second test, the third
-    survives a linear change of coordinates."""
-    basis = a.groebner_basis(GREVLEX)
-    if basis.is_unit():
+    """True when :func:`_certifies_origin` proves V(a) lies in the origin
+    from elements of a, with no saturation.  The sources are tried
+    cheapest first, up to the first that proves it:
+
+    1. a's reduced grevlex basis when it is cached, and nothing else;
+    2. a's generators, when none has total degree above a's degree cap;
+    3. the rows of Buchberger's input phase (:func:`_input_rows`), the
+       interreduced generators, with that phase's own cap check;
+    4. a's reduced grevlex basis, computed and cached.
+
+    Grevlex is degree-compatible, so interreduction cannot raise a
+    leading degree: generators within the cap cannot trip it in the input
+    phase, and 2 skips no limit error that 3 would raise.  A capped run
+    that 2 or 3 certifies skips the S-pair phase and any cap trip there.
+    """
+    width = len(a.vars)
+    basis = a.cached_basis()
+    if basis is not None:
+        return _certifies_origin((g._integer_form()[0] for g in basis), width)
+    cap = a.max_degree
+    within = cap is None or all(g.total_degree() <= cap for g in a.generators)
+    if within and _certifies_origin((g._integer_form()[0] for g in a.generators), width):
         return True
-    monos = [g._integer_form()[0] for g in basis]
-    if all(len({sum(m) for m in g}) == 1 for g in monos):
-        powers = basis.leading_monomials()
-    else:
-        powers = [m for g in monos if len(g) == 1 for m in g]
-    return all(any(0 < m[j] == sum(m) for m in powers) for j in range(len(a.vars)))
+    rows, packing = _packed_run(a, GREVLEX, _input_rows)
+    unpack = packing.unpack
+    if _certifies_origin(({unpack(m): c for m, c in r[3].items()} for r in rows), width):
+        return True
+    return _certifies_origin((g._integer_form()[0] for g in a.groebner_basis()), width)
 
 
 def _away_from_origin(a: Ideal):
     """a : m^inf, m the maximal ideal at the origin, or None when
-    :func:`_origin_certified` shows from a's reduced grevlex basis that
-    the support is at most the origin, with no saturation needed to
-    tell."""
+    :func:`_origin_certified` shows from elements of a that the support
+    is at most the origin, with no saturation needed to tell."""
     if _origin_certified(a):
         return None
     return saturation(a, maximal_ideal(a.vars))
@@ -931,10 +991,11 @@ def _away_from_origin(a: Ideal):
 
 def support_is_origin_only(a: Ideal) -> bool:
     """True when a : m^inf is the unit ideal, m the maximal ideal at the
-    origin: every variable then lies in the radical of a.  A reduced
-    basis that :func:`_origin_certified` accepts (a pure power of every
-    variable, or homogeneous and zero-dimensional) certifies this
-    without the saturation."""
+    origin: every variable then lies in the radical of a.  Elements of
+    a that :func:`_origin_certified` accepts (a nonzero constant, or
+    homogeneous elements led by a pure power of every variable) certify
+    this without the saturation.  The reduced basis is computed first,
+    to reject the unit ideal, so they are its elements."""
     if is_unit_ideal(a):
         raise PreconditionError("support test needs a proper ideal")
     away = _away_from_origin(a)
@@ -997,10 +1058,11 @@ def maximal_ideal(vars: VariableSet) -> Ideal:
 
 def colength_at_origin(a: Ideal) -> int:
     """Colength of the origin-primary component (0 when the origin is not
-    in the zero set).  Needs a zero-dimensional ideal.  A reduced basis
-    that :func:`_origin_certified` accepts (a pure power of every
-    variable, or homogeneous and zero-dimensional) is all origin-primary:
-    its colength is the colength, with no saturation."""
+    in the zero set).  Needs a zero-dimensional ideal.  An ideal whose
+    reduced basis :func:`_origin_certified` accepts (a nonzero constant,
+    or homogeneous elements led by a pure power of every variable) is
+    all origin-primary: its colength is the colength, with no
+    saturation."""
     if is_unit_ideal(a):
         return 0
     if dimension(a) != 0:

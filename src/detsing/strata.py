@@ -6,10 +6,12 @@ Transversality is tested through the equivalent smooth-of-expected-
 codimension condition (Jacobian criterion) on each stratum away from the
 next deeper stratum; everything stays inside ideal arithmetic.  A
 stratum whose reduced basis shows it lies in the origin passes without
-its non-smooth locus being built.  The saturation by the deeper stratum
-runs only when the non-smooth locus's reduced basis cannot show by
-itself that the locus lies in the origin.  The Jacobian minors stay in
-integer form (see ``poly``) from the determinant to the basis engine.
+its non-smooth locus being built.  A non-smooth locus is tested from
+its generators, then from Buchberger's input phase, and only then from
+its reduced basis (``groebner._origin_certified``); the saturation by
+the deeper stratum runs only when none of them shows by itself that
+the locus lies in the origin.  The Jacobian minors stay in integer form
+(see ``poly``) from the determinant to the basis engine.
 All checks are affine/global: supports and saturations are measured
 over the whole coordinate space, which matches germ-at-origin semantics
 for models whose interesting locus sits at the origin.
@@ -74,11 +76,14 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
     non-smooth locus, which contains the stratum's generators, and of
     every saturation of the locus: the stratum passes, with no witness,
     and no Jacobian, locus or saturation is built.  Otherwise the same
-    test runs on the locus's reduced basis, and a certified locus passes
-    with no saturation.  A wrong-dimensional top stratum means the model
-    is not determinantal of its declared type and raises
-    DimensionMismatchError.  The strata come from the analysis given, or
-    from a fresh one of a bare matrix.
+    test runs on the locus: on its generators, then on the interreduced
+    generators of its Buchberger input phase, then on its reduced basis.
+    A certified locus passes with no witness and no saturation, and one
+    certified before its reduced basis has none built, so under a degree
+    cap no S-pair of it can trip the cap.  A wrong-dimensional top
+    stratum means the model is not determinantal of its declared type
+    and raises DimensionMismatchError.  The strata come from the
+    analysis given, or from a fresh one of a bare matrix.
     """
     a = Analysis.of(m)
     if not a.model.is_specialized():

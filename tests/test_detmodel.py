@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +22,13 @@ from detsing import (
     singular_locus_ideal,
     stratum,
 )
-from detsing.detmodel import _generic_vars
+from detsing.detmodel import _all_minors, _generic_vars
 from detsing.groebner import Ideal
+from detsing.modelfile import build_model, load_model_file
 from helpers import P, omega_model, random_matrix_model
 from oracles import cofactor_det
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def _oracle_minors(grid, size):
@@ -81,6 +85,33 @@ class TestMinors:
     def test_size_out_of_range(self):
         with pytest.raises(ValidationError):
             minors(omega_model(1), 3)
+
+    def test_bundled_models_keep_positions_and_values(self):
+        # Every minor of every size of the bundled models and their
+        # sampled members, and of the Jacobians of their present strata,
+        # equals the cofactor oracle at its position.  The zero minors,
+        # which the Jacobians hold, are one shared zero polynomial.
+        models = []
+        for path in sorted(MODELS.glob("*.model")):
+            mf = load_model_file(path)
+            m = build_model(mf)
+            models += [m] + [m.specialize(dict(point)) for point in mf.samples]
+        zeros = 0
+        for m in models:
+            for size in range(1, min(m.rows, m.cols) + 1):
+                assert minors(m, size) == _oracle_minors(m.entries, size)
+            if not m.is_specialized():
+                continue
+            for i in range(1, m.dtype.t + 1):
+                gens = list(stratum(m, i).ideal.generators)
+                jac = [[g.derivative(n) for n in m.vars.names] for g in gens]
+                codim = min(m.dtype.expected_codim(i), len(gens), len(m.vars))
+                got = _all_minors(jac, codim, m.vars)
+                assert got == _oracle_minors(jac, codim)
+                zero = [p for p in got if p.is_zero()]
+                assert all(p is zero[0] for p in zero)
+                zeros += len(zero)
+        assert zeros
 
     def test_matches_cofactor_oracle_property(self):
         """minors, singular_locus_ideal and n_generators equal lists built

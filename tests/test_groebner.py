@@ -1014,11 +1014,62 @@ class TestSupport:
         assert not groebner._origin_certified(I)
         assert not support_is_origin_only(I)
 
+    def test_certificate_reads_generators_and_input_rows_first(self, monkeypatch):
+        # (x^2, y^2, (x + y)^3 - x*y^2) is certified by its generators.
+        # (x^2 - x*y, x^2 - x*y + y^3) is not, since the second is not
+        # homogeneous, but its interreduced generators x^2 - x*y and y^3
+        # are.  Neither builds a reduced basis.  (x^2 - x, y) needs its
+        # basis and is not certified.
+        rows = []
+        real = groebner._input_rows
+        monkeypatch.setattr(
+            groebner, "_input_rows", lambda *args: rows.append(1) or real(*args)
+        )
+        by_generators = ideal(XY, "x^2", "y^2", "(x + y)^3 - x*y^2")
+        assert groebner._origin_certified(by_generators)
+        assert (rows, by_generators.cached_basis()) == ([], None)
+        by_rows = ideal(XY, "x^2 - x*y", "x^2 - x*y + y^3")
+        assert groebner._origin_certified(by_rows)
+        assert (rows, by_rows.cached_basis()) == ([1], None)
+        far = ideal(XY, "x^2 - x", "y")
+        assert not groebner._origin_certified(far)
+        assert far.cached_basis() is not None
+
+    def test_certificate_keeps_the_input_phase_cap(self):
+        # The interreduced generators of (x^5 - y, y^5 - x) lead in degree
+        # 5: under a cap of 2 the certificate raises the input phase's
+        # own error, as the basis does.  (x^3, y^3, x*y) is certified by
+        # its generators, but they exceed the cap, so they are not read:
+        # the input phase trips first.
+        for texts, degree in ((("x^5 - y", "y^5 - x"), 5), (("x^3", "y^3", "x*y"), 3)):
+            errors = []
+            for read in (Ideal.groebner_basis, groebner._origin_certified):
+                with pytest.raises(LimitError) as caught:
+                    read(capped(ideal(XY, *texts), 2))
+                errors.append(str(caught.value))
+            message = "basis computation exceeded the degree cap 2: input leading term"
+            assert errors == [f"{message} reached degree {degree}"] * 2
+        assert groebner._origin_certified(capped(ideal(XY, "x^3", "y^3", "x*y"), 3))
+
+    def test_certificate_skips_the_s_pair_phase_under_a_cap(self):
+        # (x^2, y^2, z^2, x*y) lies within a cap of 2, but its basis
+        # run trips on the S-pair lcm x^2*y; its generators certify it
+        # before any S-pair.
+        gens = ideal(XYZ, "x^2", "y^2", "z^2", "x*y")
+        with pytest.raises(LimitError, match="cap 2: S-pair lcm reached degree 3$"):
+            capped(gens, 2).groebner_basis()
+        I = capped(gens, 2)
+        assert groebner._origin_certified(I)
+        assert I.cached_basis() is None
+
     def test_certified_ideals_saturate_to_the_unit_ideal_property(self):
         """Every proper ideal the saturation-free certificate accepts has
         a : m^inf = (1), m the maximal ideal.  The inputs are both ideals
         of each test_saturation_certified_property case, and the
-        homogeneous ideals of their generators' top-degree forms."""
+        homogeneous ideals of their generators' top-degree forms.  Each
+        is certified fresh, from its generators, input rows or basis in
+        turn, and again with its reduced basis cached: the fresh answer
+        holds whenever the cached one does."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         certified = []
@@ -1034,7 +1085,10 @@ class TestSupport:
         @hypothesis.given(saturation_cases(st))
         def run(case):
             for a in case + tuple(forms(a) for a in case):
-                if groebner._origin_certified(a) and not is_unit_ideal(a):
+                fresh = groebner._origin_certified(Ideal(a.generators, a.vars))
+                a.groebner_basis()
+                assert fresh or not groebner._origin_certified(a)
+                if fresh and not is_unit_ideal(a):
                     certified.append(a)
                     assert is_unit_ideal(saturation(a, groebner.maximal_ideal(a.vars)))
 

@@ -145,13 +145,22 @@ class TestEidsCheck:
             verdict = eids_check(generic_entry_model(n, k, t))
             assert verdict.overall, (n, k, t)
 
-    def test_generic_three_by_three_rank_one_passes(self):
+    def test_generic_three_by_three_rank_one_passes(self, monkeypatch):
         # Generic (3,0,2): stratum 2's singular locus has 15876 quartic
-        # Jacobian minors (pinned in TestSingularLocus).
+        # Jacobian minors (pinned in TestSingularLocus).  Its generators
+        # certify it, so its reduced basis is never built.
+        from detsing import strata
+
+        loci = []
+        real = strata.singular_locus_ideal
+        monkeypatch.setattr(
+            strata, "singular_locus_ideal", lambda a, codim: loci.append(real(a, codim)) or loci[-1]
+        )
         verdict = eids_check(generic_entry_model(3, 0, 2))
         assert verdict.overall
         assert [(r.index, r.expected_dim) for r in verdict.strata] == [(1, 0), (2, 5)]
         assert all(r.actual_dim == r.expected_dim for r in verdict.strata)
+        assert len(loci) == 1 and loci[0].cached_basis() is None
 
     def test_dimension_mismatch_is_an_error(self):
         vs = XY
@@ -230,10 +239,11 @@ class TestEidsCheck:
 
     def test_certified_loci_skip_the_saturation(self, monkeypatch):
         # The t = 2 cases of the generic grid, omega1, omega3 and omega1
-        # with x3 + y for x3 have non-smooth loci their own reduced bases
-        # certify; the last only through homogeneity, since no one-term
-        # element of its basis is a power of x3.  The omega1_family member
-        # at u = 1 is not certified and saturates.
+        # with x3 + y for x3 have non-smooth loci that their generators or
+        # interreduced generators certify, so no locus basis is built; the
+        # last only through homogeneity, since no one-term element of its
+        # locus is a power of x3.  The omega1_family member at u = 1 is
+        # not certified and saturates.
         from detsing import strata
         from detsing.modelfile import build_model, load_model_file, parse_model_file
 
@@ -249,9 +259,18 @@ class TestEidsCheck:
         monkeypatch.setattr(
             strata, "saturation", lambda a, b: saturated.append(b) or real_saturation(a, b)
         )
+        loci = []
+        real_locus = strata.singular_locus_ideal
+        monkeypatch.setattr(
+            strata,
+            "singular_locus_ideal",
+            lambda a, codim: loci.append(real_locus(a, codim)) or loci[-1],
+        )
         for m in models:
             assert eids_check(m).overall
         assert saturated == []
+        assert len(loci) == 6
+        assert all(locus.cached_basis() is None for locus in loci)
         assert eids_check(load("omega1_family").specialize({"u": 1})).overall
         assert len(saturated) == 1
 
