@@ -65,7 +65,11 @@ of a, cheapest first: its cached reduced grevlex basis, else its
 generators, the rows of Buchberger's input phase and its reduced basis.
 A nonzero constant, or homogeneous elements with a pure-power leading
 term in every variable, settle it with no saturation.  Otherwise it is
-the saturation by the maximal ideal.
+the saturation by the maximal ideal.  The certificate takes one element
+at a time, so the input phase stops at the first row that completes it,
+unless a generator exceeds the degree cap: then the whole phase runs and
+trips the cap where it always did.  ``colength`` tries the certificate
+on its cached basis before its normal forms of variable powers.
 """
 
 from __future__ import annotations
@@ -465,9 +469,9 @@ def _check_degree(mono, cap, phase, packing):
             )
 
 
-def _interreduce_input(polys, packing):
+def _interreduce_input(polys, packing, stop=None):
     """Interreduce a generator list (a run's inputs, and its minimal
-    basis at the end): the rows returned, sorted by leading term,
+    basis at the end): the reducer rows returned, sorted by leading term,
     generate the same ideal, and no term of a row is divisible by
     another row's leading term.
 
@@ -479,6 +483,11 @@ def _interreduce_input(polys, packing):
     each row against the rows below it.  When every kept leading term
     arrived above all earlier ones, each row was already reduced against
     all the rows below it, and the pass is skipped.
+
+    ``stop(row, packing)``, when given, sees each row as it is kept, and
+    the run returns None as soon as it returns True.  Every row ever kept
+    is an element of the ideal the inputs generate, even one that later
+    goes back into the queue.
     """
     queue = [(max(p), k, _primitive(dict(p))) for k, p in enumerate(polys) if p]
     heapify(queue)
@@ -507,6 +516,8 @@ def _interreduce_input(polys, packing):
                     still.append(r)
             kept = still
         kept.append(row)
+        if stop is not None and stop(row, packing):
+            return None
     kept.sort(key=lambda r: r[1])
     if not ascending:
         done = []
@@ -514,7 +525,7 @@ def _interreduce_input(polys, packing):
             f = _reduce_full(row[3], done, packing)
             done.append(row if f == row[3] else _row(f, packing))
         kept = done
-    return [r[3] for r in kept]
+    return kept
 
 
 def _update_pairs(lts, P, heap, new_lt, packing):
@@ -564,25 +575,37 @@ def _update_pairs(lts, P, heap, new_lt, packing):
                 heappush(heap, (l, i, t))
 
 
-def _input_rows(polys, packing, cap, seeded=0):
+def _input_rows(polys, packing, cap, seeded=0, stop=None):
     """Buchberger's input phase on integer polynomials with exponent-tuple
     keys: the reducer rows of the first ``seeded`` polynomials, a reduced
-    basis kept as it is, then of the others interreduced and reduced
-    against the rows before them.  Each row is an element of the ideal
-    the inputs generate, and each leading term is checked against the
-    degree cap.  Raises _Overflow when a monomial does not fit the
-    packing."""
-    pack = packing.pack
-    polys = [{pack(m): c for m, c in p.items()} for p in polys]
+    basis kept as it is, then of the others interreduced and, in a seeded
+    run, reduced against the rows before them.  (Unseeded, the rows are
+    already reduced against each other.)  Each row is an element of the
+    ideal the inputs generate, and each leading term is checked against
+    the degree cap.  Each distinct input monomial is packed once.  Returns
+    None when ``stop`` ends the interreduction (see
+    :func:`_interreduce_input`).  Raises _Overflow when a monomial does
+    not fit the packing."""
+    packed = {}
+    for p in polys:
+        for m in p:
+            if m not in packed:  # lex packs the monomial 1 as 0
+                packed[m] = packing.pack(m)
+    polys = [{packed[m]: c for m, c in p.items()} for p in polys]
     rows = [_row(_primitive(p), packing) for p in polys[:seeded]]
     for row in rows:
         _check_degree(row[1], cap, "input leading term", packing)
-    for f in _interreduce_input(polys[seeded:], packing):
-        f = _reduce_full(f, rows, packing)
-        if f:
+    kept = _interreduce_input(polys[seeded:], packing, stop)
+    if kept is None:
+        return None
+    for row in kept:
+        if seeded:
+            f = _reduce_full(row[3], rows, packing)
+            if not f:
+                continue
             row = _row(f, packing)
-            _check_degree(row[1], cap, "input leading term", packing)
-            rows.append(row)
+        _check_degree(row[1], cap, "input leading term", packing)
+        rows.append(row)
     return rows
 
 
@@ -628,7 +651,7 @@ def _packed_basis(polys, packing, cap, seeded=0):
         probe = sign * lts[i]
         if not any((G[j][0] - probe) & test == test for j in minimal):
             minimal.append(i)
-    return _interreduce_input([G[i][3] for i in minimal], packing)
+    return [r[3] for r in _interreduce_input([G[i][3] for i in minimal], packing)]
 
 
 def _packed_run(ideal, ordering, run):
@@ -919,6 +942,20 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
+def _certify_step(lead, powers, width):
+    """One element's step of the origin certificate, on a homogeneous
+    element of an ideal a with grevlex leading exponents ``lead``: a
+    constant proves V(a) lies in the origin, and a pure-power lead adds
+    its variable's index to ``powers``.  True once the elements stepped
+    so far prove it (see :func:`_certifies_origin`)."""
+    degree = sum(lead)
+    if not degree:
+        return True
+    if max(lead) == degree:
+        powers.add(lead.index(degree))
+    return len(powers) == width
+
+
 def _certifies_origin(polys, width):
     """True when elements of an ideal a, given as integer forms, prove
     that V(a) lies in the origin: one is a nonzero constant, or the
@@ -930,22 +967,18 @@ def _certifies_origin(polys, width):
     is the origin alone, and V(a) lies in V(J) (the graded
     Nullstellensatz; Cox, Little & O'Shea, ch. 5 §3 and ch. 8 §3).  The
     elements need not be a basis, and unlike a one-term power of every
-    variable the test survives a linear change of coordinates."""
+    variable the test survives a linear change of coordinates.  Each
+    homogeneous element is one :func:`_certify_step`."""
     powers = set()
     for p in polys:
         degrees = map(sum, p)
         degree = next(degrees, None)
         if degree is None or any(d != degree for d in degrees):
             continue
-        if not degree:
-            return True
-        if not any(max(m) == degree for m in p):
+        if degree and not any(max(m) == degree for m in p):
             continue  # no pure power, so none leads
-        lead = max(p, key=GREVLEX.key)
-        if max(lead) == degree:
-            powers.add(lead.index(degree))
-            if len(powers) == width:
-                return True
+        if _certify_step(max(p, key=GREVLEX.key), powers, width):
+            return True
     return len(powers) == width
 
 
@@ -957,13 +990,17 @@ def _origin_certified(a: Ideal) -> bool:
     1. a's reduced grevlex basis when it is cached, and nothing else;
     2. a's generators, when none has total degree above a's degree cap;
     3. the rows of Buchberger's input phase (:func:`_input_rows`), the
-       interreduced generators, with that phase's own cap check;
+       interreduced generators, with that phase's own cap check.  When
+       2 ran, each row is stepped (:func:`_certify_step`) as the
+       interreduction keeps it, and the phase ends as soon as the rows
+       kept so far prove it; otherwise the finished rows are read;
     4. a's reduced grevlex basis, computed and cached.
 
     Grevlex is degree-compatible, so interreduction cannot raise a
     leading degree: generators within the cap cannot trip it in the input
-    phase, and 2 skips no limit error that 3 would raise.  A capped run
-    that 2 or 3 certifies skips the S-pair phase and any cap trip there.
+    phase, and neither 2 nor an input phase cut short skips a limit error
+    that the whole phase would raise.  A capped run that 2 or 3 certifies
+    skips the S-pair phase and any cap trip there.
     """
     width = len(a.vars)
     basis = a.cached_basis()
@@ -973,7 +1010,20 @@ def _origin_certified(a: Ideal) -> bool:
     within = cap is None or all(g.total_degree() <= cap for g in a.generators)
     if within and _certifies_origin((g._integer_form()[0] for g in a.generators), width):
         return True
-    rows, packing = _packed_run(a, GREVLEX, _input_rows)
+    powers = set()
+
+    def proven(row, packing):
+        # The grevlex degree field is the most significant, so a row is
+        # homogeneous when its smallest term has its leading term's degree.
+        lt = row[1]
+        return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
+            packing.unpack(lt), powers, width
+        )
+
+    stop = proven if within else None
+    rows, packing = _packed_run(a, GREVLEX, lambda *run: _input_rows(*run, stop))
+    if rows is None:
+        return True
     unpack = packing.unpack
     if _certifies_origin(({unpack(m): c for m, c in r[3].items()} for r in rows), width):
         return True
@@ -1035,13 +1085,19 @@ def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
 
 def colength(a: Ideal) -> int:
     """Vector-space dimension of the quotient ring for an ideal supported
-    at the origin only (equals the local colength there)."""
+    at the origin only (equals the local colength there): the number of
+    standard monomials of the reduced grevlex basis.  The support is
+    checked on that basis, first by :func:`_origin_certified`, which
+    reads only the cached basis, and when that does not settle it by the
+    normal form of x^count for every variable x: each must vanish, as
+    every variable is nilpotent in the quotient, or PreconditionError."""
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("colength of the unit ideal is undefined")
-    std = _standard_monomials(basis, len(a.vars))
-    count = len(std)
-    # Support certificate: every variable is nilpotent in the quotient.
+    count = len(_standard_monomials(basis, len(a.vars)))
+    if _origin_certified(a):
+        return count
+    # Support test: every variable is nilpotent in the quotient.
     for name in a.vars.names:
         z = Polynomial.variable(a.vars, name) ** count
         if not normal_form(z, basis).is_zero():

@@ -36,6 +36,25 @@ def omega_model(k, extra_term=None, params=()):
     return PresentationMatrix(DeterminantalType(2, 1, 2), entries, vs)
 
 
+def sheared_omega_model(k, perm, shears):
+    """omega_model(k) in new coordinates, as the omega-coords benchmark
+    writes it: coordinate v goes to perm's v, then each shear
+    ((i, j), c), x_i <- x_i + c*x_j, rewrites every image."""
+    vs = omega_vars()
+    image = {v: {w: 1} for v, w in zip(vs.names, perm)}
+    for (i, j), c in shears:
+        for form in image.values():
+            if form.get(i):
+                form[j] = form.get(j, 0) + c * form[i]
+    forms = {
+        v: sum((Polynomial.variable(vs, w).scale(c) for w, c in form.items()), Polynomial.zero(vs))
+        for v, form in image.items()
+    }
+    m = omega_model(k)
+    entries = [[e.substitute(forms) for e in row] for row in m.entries]
+    return PresentationMatrix(m.dtype, entries, vs)
+
+
 def generic_entry_model(n, k, t):
     """All entries independent variables; q = n(n+k)."""
     rows, cols = n + k, n

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,7 @@ from helpers import (
     omega_vars,
     random_poly,
     saturation_inputs,
+    sheared_omega_model,
 )
 from oracles import (
     monomial_ideal_dimension,
@@ -60,6 +62,9 @@ from oracles import (
     stable_corank,
     standard_monomial_count,
 )
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def ideal(vs, *texts):
@@ -76,6 +81,17 @@ def generic_locus():
     on the stratum's reduced basis."""
     s = stratum(generic_entry_model(2, 2, 2), 2)
     reduced = Ideal(s.ideal.groebner_basis().elements, s.ideal.vars)
+    return singular_locus_ideal(reduced, s.expected_codim)
+
+
+def sheared_omega_locus():
+    """Non-smooth locus of stratum 2 of omega3 sheared as one omega-coords
+    benchmark model (94 generators), built on the stratum's reduced basis
+    as ``eids_check`` builds it."""
+    perm = ("x4", "x5", "y", "x3", "x2", "x1")
+    m = sheared_omega_model(3, perm, ((("x4", "x1"), 1), (("x1", "x2"), -2)))
+    s = stratum(m, 2)
+    reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
     return singular_locus_ideal(reduced, s.expected_codim)
 
 
@@ -362,9 +378,12 @@ class TestBuchberger:
         run()
 
     def test_engine_packs_only_inputs_and_unpacks_only_outputs(self, monkeypatch):
-        # Exponent tuples enter the engine once per input monomial and
-        # leave once per output monomial, with or without a degree cap.
+        # Exponent tuples enter the engine once per distinct input
+        # monomial (the Jacobian minors share most of theirs) and leave
+        # once per output monomial, with or without a degree cap.
         locus = generic_locus()
+        distinct = {m for g in locus.generators for m in g.terms}
+        assert len(distinct) < sum(len(g.terms) for g in locus.generators)
         calls = {}
         for name in ("pack", "unpack"):
             method = getattr(groebner._Packing, name)
@@ -377,7 +396,7 @@ class TestBuchberger:
         for cap in (None, 100):
             calls.update(pack=0, unpack=0)
             basis = buchberger(capped(locus, cap), GREVLEX)
-            assert calls["pack"] == sum(len(g.terms) for g in locus.generators)
+            assert calls["pack"] == len(distinct)
             assert calls["unpack"] == sum(len(g.terms) for g in basis)
 
     def test_reduced_bases_match_sympy(self):
@@ -1040,16 +1059,50 @@ class TestSupport:
         # 5: under a cap of 2 the certificate raises the input phase's
         # own error, as the basis does.  (x^3, y^3, x*y) is certified by
         # its generators, but they exceed the cap, so they are not read:
-        # the input phase trips first.
-        for texts, degree in ((("x^5 - y", "y^5 - x"), 5), (("x^3", "y^3", "x*y"), 3)):
+        # the input phase trips first.  The first two input rows of
+        # (x^3, y^3, x^2*y^2) prove its support, but its last generator
+        # exceeds a cap of 3, so the input phase is not cut short there
+        # and trips on that row.
+        cases = (
+            (("x^5 - y", "y^5 - x"), 2, 5),
+            (("x^3", "y^3", "x*y"), 2, 3),
+            (("x^3", "y^3", "x^2*y^2"), 3, 4),
+        )
+        for texts, cap, degree in cases:
             errors = []
             for read in (Ideal.groebner_basis, groebner._origin_certified):
                 with pytest.raises(LimitError) as caught:
-                    read(capped(ideal(XY, *texts), 2))
+                    read(capped(ideal(XY, *texts), cap))
                 errors.append(str(caught.value))
-            message = "basis computation exceeded the degree cap 2: input leading term"
+            message = f"basis computation exceeded the degree cap {cap}: input leading term"
             assert errors == [f"{message} reached degree {degree}"] * 2
         assert groebner._origin_certified(capped(ideal(XY, "x^3", "y^3", "x*y"), 3))
+        assert groebner._origin_certified(capped(ideal(XY, "x^3", "y^3", "x^2*y^2"), 4))
+
+    def test_certificate_stops_the_input_phase_at_the_proof(self, monkeypatch):
+        # The generators of a sheared omega3 locus do not prove its
+        # support, and its input rows do.  The interreduction stops once
+        # the rows kept so far prove it, so it makes fewer reductions than
+        # the whole input phase, which proves it too; no basis is built.
+        locus = sheared_omega_locus()
+        width = len(locus.vars)
+        assert not groebner._certifies_origin(
+            (g._integer_form()[0] for g in locus.generators), width
+        )
+        calls = []
+        real = groebner._reduce_full
+        monkeypatch.setattr(
+            groebner, "_reduce_full", lambda *args: calls.append(1) or real(*args)
+        )
+        rows, packing = groebner._packed_run(locus, GREVLEX, groebner._input_rows)
+        whole = len(calls)
+        assert groebner._certifies_origin(
+            ({packing.unpack(m): c for m, c in r[3].items()} for r in rows), width
+        )
+        calls.clear()
+        assert groebner._origin_certified(locus)
+        assert 0 < len(calls) < whole
+        assert locus.cached_basis() is None
 
     def test_certificate_skips_the_s_pair_phase_under_a_cap(self):
         # (x^2, y^2, z^2, x*y) lies within a cap of 2, but its basis
@@ -1148,6 +1201,43 @@ class TestColength:
         assert [len(g.terms) for g in I.groebner_basis()] == [1, 2, 1]
         assert groebner.is_unit_ideal(groebner._away_from_origin(I))
         assert colength_at_origin(I) == colength(I) == 5
+
+    def test_certificate_keeps_colengths_and_errors(self, monkeypatch):
+        # Differential oracle: colength and colength_at_origin of every
+        # stratum give the same value or error with the saturation-free
+        # certificate switched off, on the bundled models, their sampled
+        # members and sheared omega1-3 models.
+        from detsing.modelfile import build_model, load_model_file
+
+        models = []
+        for path in sorted(MODELS.glob("*.model")):
+            mf = load_model_file(path)
+            m = build_model(mf)
+            if m.is_specialized():
+                models.append(m)
+            models += [m.specialize(dict(point)) for point in mf.samples]
+        perm = ("x3", "x1", "x4", "y", "x2", "x5")
+        models += [
+            sheared_omega_model(k, perm, ((("x1", "x5"), 2), (("y", "x2"), -1)))
+            for k in (1, 2, 3)
+        ]
+
+        def outcomes():
+            out = []
+            for m in models:
+                for i in range(1, m.dtype.t + 1):
+                    for measure in (colength, colength_at_origin):
+                        try:
+                            out.append(measure(stratum(m, i).ideal))
+                        except DetsingError as exc:
+                            out.append(f"{type(exc).__name__}: {exc}")
+            return out
+
+        certified = outcomes()
+        monkeypatch.setattr(groebner, "_origin_certified", lambda a: False)
+        assert outcomes() == certified
+        assert any(isinstance(o, int) for o in certified)
+        assert any(isinstance(o, str) for o in certified)
 
     def test_colength_at_origin_of_a_far_point(self):
         assert colength_at_origin(ideal(XY, "x - 1", "y")) == 0
