@@ -60,16 +60,14 @@ a's reduced grevlex basis, lifted, replaces a's generators and seeds the
 elimination: on tag-free polynomials the block order compares exactly
 as grevlex in a's variables, so that basis is reduced there too.
 
-The support test ("does V(a) lie in the origin?") first reads elements
-of a, cheapest first: its cached reduced grevlex basis, else its
-generators, the rows of Buchberger's input phase and its reduced basis.
-A nonzero constant, or homogeneous elements with a pure-power leading
-term in every variable, settle it with no saturation.  Otherwise it is
-the saturation by the maximal ideal.  The certificate takes one element
-at a time, so the input phase stops at the first row that completes it,
-unless a generator exceeds the degree cap: then the whole phase runs and
-trips the cap where it always did.  ``colength`` tries the certificate
-on its cached basis before its normal forms of variable powers.
+The one support test ("does V(a) lie in the origin?") is
+``support_is_origin_only``; it passes the unit ideal.  It first reads
+elements of a: its cached reduced grevlex basis, else its generators and
+the rows of Buchberger's input phase up to the first that completes the
+certificate (both only when no generator exceeds the degree cap), then
+its reduced basis.  A nonzero constant, or homogeneous elements with a
+pure-power leading term in every variable, settle it with no
+saturation.  Otherwise it is the saturation by the maximal ideal.
 """
 
 from __future__ import annotations
@@ -988,45 +986,39 @@ def _origin_certified(a: Ideal) -> bool:
     cheapest first, up to the first that proves it:
 
     1. a's reduced grevlex basis when it is cached, and nothing else;
-    2. a's generators, when none has total degree above a's degree cap;
-    3. the rows of Buchberger's input phase (:func:`_input_rows`), the
-       interreduced generators, with that phase's own cap check.  When
-       2 ran, each row is stepped (:func:`_certify_step`) as the
-       interreduction keeps it, and the phase ends as soon as the rows
-       kept so far prove it; otherwise the finished rows are read;
+    2. a's generators;
+    3. the rows of Buchberger's input phase (:func:`_input_rows`), each
+       stepped (:func:`_certify_step`) as the interreduction keeps it, up
+       to the first row that completes the proof;
     4. a's reduced grevlex basis, computed and cached.
 
-    Grevlex is degree-compatible, so interreduction cannot raise a
-    leading degree: generators within the cap cannot trip it in the input
-    phase, and neither 2 nor an input phase cut short skips a limit error
-    that the whole phase would raise.  A capped run that 2 or 3 certifies
-    skips the S-pair phase and any cap trip there.
+    One cap test gates 2 and 3: they run only when no generator exceeds
+    a's degree cap, and otherwise 4 runs at once and trips the cap where
+    the basis does.  Grevlex is degree-compatible, so interreduction
+    cannot raise a leading degree: neither 2 nor a cut-short input phase
+    skips a limit error the whole phase would raise, and a capped run
+    that 2 or 3 certifies skips any cap trip in the S-pair phase.
     """
     width = len(a.vars)
-    basis = a.cached_basis()
-    if basis is not None:
-        return _certifies_origin((g._integer_form()[0] for g in basis), width)
     cap = a.max_degree
-    within = cap is None or all(g.total_degree() <= cap for g in a.generators)
-    if within and _certifies_origin((g._integer_form()[0] for g in a.generators), width):
-        return True
-    powers = set()
+    if a.cached_basis() is None and (
+        cap is None or all(g.total_degree() <= cap for g in a.generators)
+    ):
+        if _certifies_origin((g._integer_form()[0] for g in a.generators), width):
+            return True
+        powers = set()
 
-    def proven(row, packing):
-        # The grevlex degree field is the most significant, so a row is
-        # homogeneous when its smallest term has its leading term's degree.
-        lt = row[1]
-        return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
-            packing.unpack(lt), powers, width
-        )
+        def proven(row, packing):
+            # The grevlex degree field is the most significant, so a row is
+            # homogeneous when its smallest term has its leading term's degree.
+            lt = row[1]
+            return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
+                packing.unpack(lt), powers, width
+            )
 
-    stop = proven if within else None
-    rows, packing = _packed_run(a, GREVLEX, lambda *run: _input_rows(*run, stop))
-    if rows is None:
-        return True
-    unpack = packing.unpack
-    if _certifies_origin(({unpack(m): c for m, c in r[3].items()} for r in rows), width):
-        return True
+        rows, _ = _packed_run(a, GREVLEX, lambda *run: _input_rows(*run, proven))
+        if rows is None:
+            return True
     return _certifies_origin((g._integer_form()[0] for g in a.groebner_basis()), width)
 
 
@@ -1040,14 +1032,12 @@ def _away_from_origin(a: Ideal):
 
 
 def support_is_origin_only(a: Ideal) -> bool:
-    """True when a : m^inf is the unit ideal, m the maximal ideal at the
-    origin: every variable then lies in the radical of a.  Elements of
-    a that :func:`_origin_certified` accepts (a nonzero constant, or
-    homogeneous elements led by a pure power of every variable) certify
-    this without the saturation.  The reduced basis is computed first,
-    to reject the unit ideal, so they are its elements."""
-    if is_unit_ideal(a):
-        raise PreconditionError("support test needs a proper ideal")
+    """True when V(a) lies in the origin, that is when a : m^inf is the
+    unit ideal, m the maximal ideal at the origin (so the unit ideal,
+    whose zero set is empty, passes).  Elements of a that
+    :func:`_origin_certified` accepts (a nonzero constant, or homogeneous
+    elements led by a pure power of every variable) certify this without
+    the saturation."""
     away = _away_from_origin(a)
     return away is None or is_unit_ideal(away)
 
@@ -1087,24 +1077,17 @@ def colength(a: Ideal) -> int:
     """Vector-space dimension of the quotient ring for an ideal supported
     at the origin only (equals the local colength there): the number of
     standard monomials of the reduced grevlex basis.  The support is
-    checked on that basis, first by :func:`_origin_certified`, which
-    reads only the cached basis, and when that does not settle it by the
-    normal form of x^count for every variable x: each must vanish, as
-    every variable is nilpotent in the quotient, or PreconditionError."""
+    checked by :func:`support_is_origin_only`, which reads the cached
+    basis first; a support off the origin raises PreconditionError."""
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("colength of the unit ideal is undefined")
     count = len(_standard_monomials(basis, len(a.vars)))
-    if _origin_certified(a):
-        return count
-    # Support test: every variable is nilpotent in the quotient.
-    for name in a.vars.names:
-        z = Polynomial.variable(a.vars, name) ** count
-        if not normal_form(z, basis).is_zero():
-            raise PreconditionError(
-                "support is not confined to the origin; colength here is a "
-                "local invariant this operation cannot produce"
-            )
+    if not support_is_origin_only(a):
+        raise PreconditionError(
+            "support is not confined to the origin; colength here is a "
+            "local invariant this operation cannot produce"
+        )
     return count
 
 
@@ -1114,19 +1097,18 @@ def maximal_ideal(vars: VariableSet) -> Ideal:
 
 def colength_at_origin(a: Ideal) -> int:
     """Colength of the origin-primary component (0 when the origin is not
-    in the zero set).  Needs a zero-dimensional ideal.  An ideal whose
-    reduced basis :func:`_origin_certified` accepts (a nonzero constant,
-    or homogeneous elements led by a pure power of every variable) is
-    all origin-primary: its colength is the colength, with no
-    saturation."""
+    in the zero set), counted as its standard monomials.  Needs a
+    zero-dimensional ideal.  That component is a itself when nothing lies
+    away from the origin (:func:`_origin_certified` accepts a, or a : m^inf
+    is the unit ideal), else a saturated by a : m^inf."""
     if is_unit_ideal(a):
         return 0
     if dimension(a) != 0:
         raise PreconditionError("colength at the origin needs a zero-dimensional ideal")
     away = _away_from_origin(a)
-    if away is None or is_unit_ideal(away):
-        return colength(a)
-    origin_part = saturation(a, away)
-    if is_unit_ideal(origin_part):
-        return 0
-    return colength(origin_part)
+    origin_part = a
+    if away is not None and not is_unit_ideal(away):
+        origin_part = saturation(a, away)
+        if is_unit_ideal(origin_part):
+            return 0
+    return len(_standard_monomials(origin_part.groebner_basis(GREVLEX), len(a.vars)))

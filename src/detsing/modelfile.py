@@ -94,6 +94,7 @@ def _parse_assignments(text, line_no):
 
 def parse_model_file(text) -> ModelFile:
     sections = {}
+    headers = {}  # section name -> line of its header
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -108,6 +109,7 @@ def parse_model_file(text) -> ModelFile:
                 raise ParseError(f"duplicate section [{name}]", line=line_no)
             current = []
             sections[name] = current
+            headers[name] = line_no
             continue
         if current is None:
             raise ParseError("content before the first section header", line=line_no)
@@ -117,15 +119,19 @@ def parse_model_file(text) -> ModelFile:
         if required not in sections:
             raise ParseError(f"missing required section [{required}]", line=1)
 
-    variables = []
-    for line_no, line in sections["variables"]:
-        variables.extend(line.replace(",", " ").split())
-    parameters = []
-    for line_no, line in sections.get("parameters", []):
-        parameters.extend(line.replace(",", " ").split())
-    for name in variables + parameters:
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
-            raise ParseError(f"bad variable name {name!r}", line=1)
+    names = {"variables": [], "parameters": []}
+    seen = set()
+    # In file order, so that a repeated name is reported where it repeats.
+    for section in sorted(names, key=lambda s: headers.get(s, 0)):
+        for line_no, line in sections.get(section, []):
+            for name in line.replace(",", " ").split():
+                if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+                    raise ParseError(f"bad variable name {name!r}", line=line_no)
+                if name in seen:
+                    raise ParseError(f"variable name {name!r} repeats", line=line_no)
+                seen.add(name)
+                names[section].append(name)
+    variables, parameters = names["variables"], names["parameters"]
 
     type_fields = {}
     for line_no, line in sections["type"]:
@@ -133,7 +139,7 @@ def parse_model_file(text) -> ModelFile:
             type_fields[name] = _parse_int(value, ln)
     for needed in ("rows", "cols", "t"):
         if needed not in type_fields:
-            raise ParseError(f"[type] is missing {needed!r}", line=1)
+            raise ParseError(f"[type] is missing {needed!r}", line=headers["type"])
     rows, cols, t = type_fields["rows"], type_fields["cols"], type_fields["t"]
 
     matrix = []
@@ -148,7 +154,7 @@ def parse_model_file(text) -> ModelFile:
         matrix_lines.append(line_no)
     if len(matrix) != rows:
         raise ParseError(
-            f"matrix has {len(matrix)} rows, expected {rows}", line=1
+            f"matrix has {len(matrix)} rows, expected {rows}", line=headers["matrix"]
         )
 
     euler_reduced = False

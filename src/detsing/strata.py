@@ -28,7 +28,6 @@ from .groebner import (
     Ideal,
     _origin_certified,
     dimension,
-    is_unit_ideal,
     saturation,
     support_is_origin_only,
 )
@@ -118,7 +117,7 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
             continue
         if i > 1:
             off_deeper = saturation(locus, a.stratum(i - 1).ideal)
-        ok = is_unit_ideal(off_deeper) or support_is_origin_only(off_deeper)
+        ok = support_is_origin_only(off_deeper)
         records.append(
             StratumCheck(
                 i, s.expected_dim, actual, ok, None if ok else off_deeper
@@ -175,10 +174,7 @@ def stably_isolated_check(m: PresentationMatrix | Analysis, i: int) -> bool:
     deeper_codim = (n - i) * (n + m.dtype.k - i)
     if m.q != deeper_codim:
         return False
-    deeper = Ideal(minors(m, i + 1), m.vars, a.max_degree)
-    if is_unit_ideal(deeper):
-        return True
-    return support_is_origin_only(deeper)
+    return support_is_origin_only(Ideal(minors(m, i + 1), m.vars, a.max_degree))
 
 
 def conormal_fiber_gap(dtype: DeterminantalType) -> int:

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from detsing import eids_check, good_family_scan, groebner
+from detsing import colength, colength_at_origin, eids_check, good_family_scan, groebner
 from detsing.cli import main
 from detsing.modelfile import build_model, load_model_file
-from helpers import P, omega_vars
+from helpers import XY, P, generic_entry_model, omega_vars
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SRC = Path(__file__).resolve().parent.parent / "src" / "detsing"
@@ -150,6 +150,28 @@ def test_certified_loci_finish_under_the_cap(command, name, cap, capsys):
     uncapped = capsys.readouterr()
     assert main([command, path, "--max-degree", str(cap)]) == 0
     assert capsys.readouterr() == uncapped
+
+
+def test_verdicts_never_reach_the_tuple_reducer(monkeypatch, capsys):
+    # groebner._divide serves only normal_form, in_ideal and
+    # exact_divide.  Every support test goes through
+    # support_is_origin_only, so no verdict needs it: not analyze on the
+    # bundled models, not the eids check of a generic matrix, and not the
+    # colengths of (x*y, x^2 + y^3), whose reduced basis the certificate
+    # does not settle.
+    def divide(*args):
+        raise AssertionError("a verdict reached groebner._divide")
+
+    monkeypatch.setattr(groebner, "_divide", divide)
+    for path in sorted(MODELS.glob("*.model")):
+        assert main(["analyze", str(path), "--format", "structured"]) == 0
+    capsys.readouterr()
+    assert eids_check(generic_entry_model(2, 2, 2)).overall
+    I = groebner.Ideal([P("x*y", XY), P("x^2 + y^3", XY)], XY)
+    assert not groebner._certifies_origin(
+        (g._integer_form()[0] for g in I.groebner_basis()), len(XY)
+    )
+    assert colength(I) == colength_at_origin(I) == 5
 
 
 def test_failed_verdict_is_kept(monkeypatch):

@@ -991,6 +991,8 @@ class TestSupport:
         assert support_is_origin_only(
             ideal(vs, "x1", "x2", "x3", "x4", "x5", "y^4")
         )
+        # V(1) is empty, so it lies in the origin too.
+        assert support_is_origin_only(ideal(XY, "1"))
 
     def test_node_cone_false(self):
         assert not support_is_origin_only(ideal(XY, "x^2 - y^2"))

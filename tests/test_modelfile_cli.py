@@ -65,6 +65,23 @@ class TestModelFile:
             parse_model_file(bad)
         assert err.value.line is not None
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("x1 x2 x3 x4 x5 y", "x1 x2 x3\nx4 x5\ny\n1z", "bad variable name '1z' (line 6)"),
+            ("t = 2\n", "", "[type] is missing 't' (line 5)"),
+            ("x4, x5, x1 + y^3\n", "", "matrix has 1 rows, expected 2 (line 10)"),
+            ("[type]", "[parameters]\nu\nx2\n\n[type]", "variable name 'x2' repeats (line 7)"),
+        ],
+    )
+    def test_errors_name_the_line_at_fault(self, old, new, message):
+        # The line of the offending name, of the [type] header, of the
+        # [matrix] header, and of the name where it repeats.
+        bad = OMEGA2.replace(old, new)
+        with pytest.raises(ParseError) as err:
+            parse_model_file(bad)
+        assert str(err.value) == message
+
     def test_unknown_section(self):
         with pytest.raises(ParseError, match="unknown section"):
             parse_model_file("[nope]\n")
