@@ -4,16 +4,23 @@ Each command variant below runs in-process through ``cli.main`` from the
 repository root, with the model path relative to it.  Its stdout, stderr
 and exit code are hashed together and compared with the digests in
 ``tests/cli_reference.json``.  The capped runs reach exit codes 1, 2 and
-3 and the degree-cap messages.
+3 and the degree-cap messages; the ``--ordering lex`` runs pin the lex
+basis sizes.
 
-After an intended change of output, regenerate the digests with
+After adding a command variant, record its digest with
 
     PYTHONPATH=src python tests/test_cli_reference.py
+
+This writes only the entries the file lacks.  When an existing entry's
+digest would change, it writes nothing, names each such entry and exits
+1.  After an intended change of output, delete those keys from the file
+by hand, so that the deletion shows in the diff, and run it again.
 """
 
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +49,7 @@ COMMANDS = (
 )
 CAPPED = ("analyze", "eids-check", "family-scan", "screen-hyperplanes", "euler-solve", "consistency")
 CAPS = (3, 5, 7)
+LEX = ("analyze", "eids-check")
 
 
 def variants(model):
@@ -54,6 +62,14 @@ def variants(model):
     for command in CAPPED:
         for cap in CAPS:
             argv = [command, path, "--format", "structured", "--max-degree", str(cap)]
+            yield " ".join(argv), argv
+    for command in LEX:
+        for fmt in ("text", "structured"):
+            argv = [command, path, "--ordering", "lex", "--format", fmt]
+            yield " ".join(argv), argv
+        for cap in CAPS:
+            argv = [command, path, "--ordering", "lex", "--format", "structured",
+                    "--max-degree", str(cap)]
             yield " ".join(argv), argv
 
 
@@ -79,13 +95,17 @@ if __name__ == "__main__":
     import io
 
     os.chdir(ROOT)
-    reference = {}
+    reference = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
+    changed = []
     for model in MODELS:
-        reference[model] = {}
+        entries = reference.setdefault(model, {})
         for name, argv in variants(model):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                reference[model][name] = digest(
-                    argv, lambda: (out.getvalue(), err.getvalue())
-                )
+                got = digest(argv, lambda: (out.getvalue(), err.getvalue()))
+            if entries.setdefault(name, got) != got:
+                changed.append(name)
+    if changed:
+        changed.insert(0, "digests would change; delete these keys to regenerate them:")
+        sys.exit("\n".join(changed))
     REFERENCE.write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n")
