@@ -25,16 +25,17 @@ and added one by one, pairing with the seed as usual.
 Inside the engine each monomial is one ``int`` (the packing of Monagan
 & Pearce, "Sparse polynomial division using a heap", J. Symb. Comp.
 2011).  Every variable, and every block's degree, has a field of one
-width: a guard bit above a value of at most ``limit``.  From the most
-significant field down the layout is ``[deg | limit-e[n-1] | ... |
-limit-e[0]]`` for grevlex, ``[e[0] | ... | e[n-1]]`` for lex, and the
-grevlex layout of each block in turn for block orders, so integer ``<``
-is the monomial order.  Each field is linear in the exponents, so a
-product is an addition and a quotient a subtraction (each corrected by
-the packed monomial 1).  ``a`` divides ``b`` when the tested guard bits
-of ``sign*(a - b) + guards`` are all set: each such field then holds
-``limit + 1`` plus one exponent difference, so no field borrows from
-its neighbour.
+width: a guard bit above a value of at most ``limit``.  Every ordering
+is a sequence of grevlex blocks, most significant first, and each block
+``b`` is laid out as ``[deg | limit-e[b[-1]] | ... | limit-e[b[0]]]``:
+its degree field above one complement field per variable.  Grevlex is
+one block of all the variables, an elimination order two, and lex one
+block per variable, so integer ``<`` is the monomial order.  Each field
+is linear in the exponents, so a product is an addition and a quotient
+a subtraction (each corrected by the packed monomial 1).  ``a`` divides
+``b`` when the guard bits of the complement fields of ``a - b +
+guards`` are all set: each such field then holds ``limit + 1`` plus one
+exponent difference, so no field borrows from its neighbour.
 
 The lcm of two packed monomials is taken field-wise on the ints, a few
 whole-int operations ("SIMD within a register") and one multiplication
@@ -187,60 +188,53 @@ class _Overflow(Exception):
 
 class _Packing:
     """Monomials of one ordering packed into one int each, in fields
-    ``bits`` wide (layouts in the module docstring): integer ``<`` is
+    ``bits`` wide: one grevlex block ``[deg | limit-e...]`` per block of
+    the ordering (see the module docstring), so integer ``<`` is
     ``ordering.key`` order, the product of ``a`` and ``b`` is
     ``a + b - one`` and their quotient ``a - b + one``."""
 
-    __slots__ = ("ordering", "width", "bits", "limit", "blocks", "plain",
-                 "slots", "coeffs", "one", "guards", "test", "sign", "units",
-                 "sums")
+    __slots__ = ("ordering", "width", "bits", "limit", "blocks", "degrees",
+                 "slots", "coeffs", "one", "guards", "test", "units", "sums")
 
     def __init__(self, ordering, width, bits):
         self.ordering = ordering
         self.width = width
         self.bits = bits
         limit = self.limit = (1 << (bits - 1)) - 1
-        # Fields from the least significant up: (variables whose
-        # exponents the field sums, stored as limit - sum?).
+        # Most significant first; lex is a block order of single variables.
         if ordering.kind == "lex":
-            self.blocks = ()
-            layout = [((i,), False) for i in reversed(range(width))]
+            blocks = [(i,) for i in range(width)]
         else:
             first = ordering.block if ordering.kind == "block" else tuple(range(width))
-            rest = tuple(i for i in range(width) if i not in first)
-            self.blocks = tuple(b for b in (first, rest) if b)
-            layout = []
-            for b in reversed(self.blocks):
-                layout += [((i,), True) for i in b]
-                layout.append((b, False))
-        self.plain = [pos * bits for pos, (_, comp) in enumerate(layout) if not comp]
-        slots = [None] * width
+            blocks = [first, tuple(i for i in range(width) if i not in first)]
+        self.blocks = tuple(b for b in blocks if b)
+        slots = [0] * width
         coeffs = [0] * width
+        degrees = []
         sums = []
-        one = guards = test = units = block = 0
-        for pos, (members, comp) in enumerate(layout):
-            shift = pos * bits
-            guard = 1 << (shift + bits - 1)
-            guards |= guard
-            units |= 1 << shift
-            if comp:
-                one += limit << shift
+        one = shift = 0
+        # From the least significant field up: each block's complement
+        # fields limit - e[i], then its degree field.
+        for b in reversed(self.blocks):
+            top = shift + len(b) * bits
+            block = 0
+            for i in b:
+                slots[i] = shift
+                coeffs[i] = (1 << top) - (1 << shift)
                 block += limit << shift
-            elif self.blocks:
-                sums.append((block, (2 * limit + 1) << shift))
-                block = 0
-            if comp or not self.blocks:
-                slots[members[0]] = (shift, comp)
-                test |= guard
-            for i in members:
-                coeffs[i] += -(1 << shift) if comp else 1 << shift
+                shift += bits
+            degrees.append(top)
+            sums.append((block, (2 * limit + 1) << top))
+            one += block
+            shift += bits
+        self.degrees = degrees
         self.slots = tuple(slots)
         self.coeffs = tuple(coeffs)
         self.one = one
-        self.guards = guards
-        self.test = test  # the guard bits divides() reads
-        self.sign = -1 if ordering.kind == "lex" else 1
-        self.units = units  # 1 in every field
+        self.units = sum(1 << k for k in range(0, shift, bits))  # 1 in every field
+        self.guards = self.units << (bits - 1)
+        # The complement fields' guard bits, the ones divides() reads.
+        self.test = one << 1 & self.guards
         # Per block: (mask of its complement fields, of its degree field).
         self.sums = tuple(sums)
 
@@ -257,9 +251,8 @@ class _Packing:
         return _Packing(self.ordering, self.width, 2 * self.bits)
 
     def peak(self, exps):
-        """Largest field value of an exponent vector."""
-        if not self.blocks:
-            return max(exps)
+        """Largest field value of an exponent vector: its largest block
+        degree."""
         return max(sum(exps[i] for i in b) for b in self.blocks)
 
     def pack(self, exps):
@@ -270,10 +263,7 @@ class _Packing:
 
     def unpack(self, mono):
         limit = self.limit
-        return tuple(
-            limit - ((mono >> shift) & limit) if comp else (mono >> shift) & limit
-            for shift, comp in self.slots
-        )
+        return tuple(limit - ((mono >> shift) & limit) for shift in self.slots)
 
     def lcms(self, monos, b):
         """Packed lcm of each of ``monos`` with ``b``, all of them fitting
@@ -283,22 +273,14 @@ class _Packing:
         Each field of ``(a | guards) - b`` holds ``limit + 1`` plus that
         field of a less that of b, so none borrows, and ``& guards``
         flags the fields where a's is at least b's; ``d - (d >> (bits -
-        1))`` widens each flag to its field's value bits.  Lex keeps the
-        larger exponent of each field.  Grevlex and block orders keep the
-        smaller complement ``limit - e``, then fill each block's degree
-        field: ``one - c`` is the exponents, and the block's exponents
-        alone, times ``units``, add up in that degree field.  Every
-        partial sum is at most deg a + deg b <= ``2*limit``, so no carry
-        crosses a field.
+        1))`` widens each flag to its field's value bits.  The lcm keeps
+        the smaller complement ``limit - e`` of each variable, then fills
+        each block's degree field: ``one - c`` is the exponents, and the
+        block's exponents alone, times ``units``, add up in that degree
+        field.  Every partial sum is at most deg a + deg b <= ``2*limit``,
+        so no carry crosses a field.
         """
         guards, s = self.guards, self.bits - 1
-        if not self.blocks:
-            above = b | guards
-            return [
-                a ^ ((a ^ b) & (d - (d >> s)))
-                for a in monos
-                for d in ((above - a) & guards,)
-            ]
         one, units, sums = self.one, self.units, self.sums
         below = guards - b  # a + below == (a | guards) - b
         out = []
@@ -312,27 +294,28 @@ class _Packing:
         return out
 
     def degree(self, mono):
-        """Total degree of a packed monomial: the sum of its plain fields
-        (every field for lex, each block's degree field otherwise)."""
+        """Total degree of a packed monomial: the sum of its blocks'
+        degree fields."""
         limit = self.limit
-        return sum((mono >> shift) & limit for shift in self.plain)
+        return sum((mono >> shift) & limit for shift in self.degrees)
 
     def divides(self, a, b):
         """True when packed monomial a divides packed monomial b.
 
-        Each tested field of ``sign*(a - b) + guards`` holds ``limit + 1``
-        plus the exponent of b less that of a, in ``1..2*limit+1``, so no
-        field borrows from the next and its guard bit is set exactly when
-        that exponent of b is at least that of a.
+        Each field of ``a - b + guards`` holds ``limit + 1`` plus that
+        field of a less that of b, in ``1..2*limit+1``, so no field
+        borrows from the next.  ``test`` reads the complement fields
+        ``limit - e``, whose guard bit is set exactly when that exponent
+        of b is at least that of a.
         """
-        return (self.sign * (a - b) + self.guards) & self.test == self.test
+        return (a - b + self.guards) & self.test == self.test
 
     def ceiling(self, monos):
-        """Largest value of each plain field over packed monomials, with
+        """Largest value of each degree field over packed monomials, with
         every complement field at exponent 0.
 
         An exponent never exceeds its block's degree field, so a product
-        fits when its plain fields do.  ``ceiling + m - lt`` therefore has
+        fits when its degree fields do.  ``ceiling + m - lt`` therefore has
         a guard bit set exactly when some product ``mono * m / lt`` does
         not fit: a field below ``0`` or above ``limit`` reads, with no
         borrow or carry from the fields under it, as a value with its
@@ -340,7 +323,7 @@ class _Packing:
         """
         limit = self.limit
         out = self.one
-        for shift in self.plain:
+        for shift in self.degrees:
             out |= max((m >> shift) & limit for m in monos) << shift
         return out
 
@@ -370,7 +353,7 @@ def _row(p, packing):
     coefficient: (divisor key, lt, lc, terms, ceiling - lt)."""
     lt = max(p)
     return (
-        packing.sign * lt + packing.guards,
+        lt + packing.guards,
         lt,
         p[lt],
         p,
@@ -393,16 +376,15 @@ def _reduce_full(p, basis, packing):
     coefficients grow faster.  The content of the whole state is also
     divided out every 32 steps.
     """
-    guards, test, sign = packing.guards, packing.test, packing.sign
+    guards, test = packing.guards, packing.test
     rem = {}
     work = dict(p)
     steps = 0
     while work:
         m = max(work)
         c = work[m]
-        probe = sign * m
         for row in basis:
-            if (row[0] - probe) & test == test:
+            if (row[0] - m) & test == test:
                 break
         else:
             del work[m]
@@ -490,7 +472,7 @@ def _interreduce_input(polys, packing, stop=None):
     queue = [(max(p), k, _primitive(dict(p))) for k, p in enumerate(polys) if p]
     heapify(queue)
     count = len(queue)
-    sign, test, guards = packing.sign, packing.test, packing.guards
+    test, guards = packing.test, packing.guards
     kept = []
     top = -1  # the largest leading term kept so far
     ascending = True
@@ -504,10 +486,10 @@ def _interreduce_input(polys, packing, stop=None):
             top = lt
         else:
             ascending = False
-            divisor = sign * lt + guards
+            divisor = lt + guards
             still = []
             for r in kept:
-                if (divisor - sign * r[1]) & test == test:
+                if (divisor - r[1]) & test == test:
                     heappush(queue, (r[1], count, r[3]))
                     count += 1
                 else:
@@ -540,14 +522,14 @@ def _update_pairs(lts, P, heap, new_lt, packing):
     """
     t = len(lts)
     new_lcms = packing.lcms(lts, new_lt)
-    sign, test, guards = packing.sign, packing.test, packing.guards
+    test, guards = packing.test, packing.guards
     if any(map(guards.__and__, new_lcms)):
         raise _Overflow
-    divisor = sign * new_lt + guards
+    divisor = new_lt + guards
     pruned = [
         pair
         for pair, l in P.items()
-        if (divisor - sign * l) & test == test
+        if (divisor - l) & test == test
         and l != new_lcms[pair[0]]
         and l != new_lcms[pair[1]]
     ]
@@ -561,12 +543,11 @@ def _update_pairs(lts, P, heap, new_lt, packing):
     coprime = {l for lt, l in zip(lts, new_lcms) if lt + product == l}
     keys = []  # divisor keys of the minimal lcms
     for l in sorted(first):
-        probe = sign * l
         for k in keys:
-            if (k - probe) & test == test:
+            if (k - l) & test == test:
                 break
         else:
-            keys.append(probe + guards)
+            keys.append(l + guards)
             if l not in coprime:
                 i = first[l]
                 P[(i, t)] = l
@@ -587,7 +568,7 @@ def _input_rows(polys, packing, cap, seeded=0, stop=None):
     packed = {}
     for p in polys:
         for m in p:
-            if m not in packed:  # lex packs the monomial 1 as 0
+            if m not in packed:
                 packed[m] = packing.pack(m)
     polys = [{packed[m]: c for m, c in p.items()} for p in polys]
     rows = [_row(_primitive(p), packing) for p in polys[:seeded]]
@@ -643,11 +624,11 @@ def _packed_basis(polys, packing, cap, seeded=0):
     # Minimalize: drop elements whose leading term another divides.  The
     # minimal rows arrive in ascending leading-term order, so their
     # interreduction is one pass with no closing pass.
-    sign, test = packing.sign, packing.test
+    test = packing.test
     minimal = []
     for i in sorted(range(len(G)), key=lts.__getitem__):
-        probe = sign * lts[i]
-        if not any((G[j][0] - probe) & test == test for j in minimal):
+        lt = lts[i]
+        if not any((G[j][0] - lt) & test == test for j in minimal):
             minimal.append(i)
     return [r[3] for r in _interreduce_input([G[i][3] for i in minimal], packing)]
 

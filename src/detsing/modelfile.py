@@ -79,7 +79,10 @@ def _parse_int(text, line_no):
     return int(text)
 
 
-def _parse_assignments(text, line_no):
+def _parse_assignments(text, line_no, given=()):
+    """name -> (value, line) for each ``name = value`` on a line.  A name
+    repeated on the line, or already in ``given`` (the names of earlier
+    lines that set the same keys), is a ParseError at this line."""
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -88,7 +91,10 @@ def _parse_assignments(text, line_no):
         if "=" not in piece:
             raise ParseError(f"expected name = value, got {piece!r}", line=line_no)
         name, value = piece.split("=", 1)
-        out[name.strip()] = (value.strip(), line_no)
+        name = name.strip()
+        if name in out or name in given:
+            raise ParseError(f"key {name!r} repeats", line=line_no)
+        out[name] = (value.strip(), line_no)
     return out
 
 
@@ -135,7 +141,7 @@ def parse_model_file(text) -> ModelFile:
 
     type_fields = {}
     for line_no, line in sections["type"]:
-        for name, (value, ln) in _parse_assignments(line, line_no).items():
+        for name, (value, ln) in _parse_assignments(line, line_no, type_fields).items():
             type_fields[name] = _parse_int(value, ln)
     for needed in ("rows", "cols", "t"):
         if needed not in type_fields:
@@ -159,10 +165,13 @@ def parse_model_file(text) -> ModelFile:
 
     euler_reduced = False
     euler = {}
+    settings = {}  # the euler lines that are not stratum lines
     for line_no, line in sections.get("euler", []):
         m = _STRATUM_LINE.match(line)
         if m:
             idx = int(m.group(1))
+            if idx in euler:
+                raise ParseError(f"euler stratum {idx} repeats", line=line_no)
             fields = {}
             for name, (value, ln) in _parse_assignments(m.group(2), line_no).items():
                 fields[name] = _parse_int(value, ln)
@@ -174,7 +183,8 @@ def parse_model_file(text) -> ModelFile:
                     )
             euler[idx] = (fields["chi_stab"], fields["chi_section"])
         else:
-            fields = _parse_assignments(line, line_no)
+            fields = _parse_assignments(line, line_no, settings)
+            settings.update(fields)
             if "reduced" not in fields or len(fields) != 1:
                 raise ParseError(
                     "euler lines are 'reduced = true|false' or "
@@ -204,6 +214,8 @@ def parse_model_file(text) -> ModelFile:
                 line=line_no,
             )
         idx = int(m.group(1))
+        if idx in supplied:
+            raise ParseError(f"supplied stratum {idx} repeats", line=line_no)
         fields = {}
         for name, (value, ln) in _parse_assignments(m.group(2), line_no).items():
             if name not in ("e_pair", "polar"):

@@ -228,19 +228,18 @@ def cofactor_det(grid):
 
 def reference_update_pairs(lts, P, heap, new_lt, packing):
     """``groebner._update_pairs`` with each ``lcm(lts[i], new_lt)`` formed
-    from unpacked exponent tuples and packed again; raises ``_Overflow``
-    when an lcm does not fit."""
+    from unpacked exponent tuples and packed again, and each divisibility
+    tested with ``packing.divides``; raises ``_Overflow`` when an lcm does
+    not fit."""
     t = len(lts)
     new_exps = packing.unpack(new_lt)
     new_lcms = [packing.pack(monomial_lcm(packing.unpack(m), new_exps)) for m in lts]
-    sign, test, guards = packing.sign, packing.test, packing.guards
-    if any(l & guards for l in new_lcms):
+    if any(l & packing.guards for l in new_lcms):
         raise _Overflow
-    divisor = sign * new_lt + guards
     pruned = [
         (i, j)
         for (i, j), l in P.items()
-        if (divisor - sign * l) & test == test
+        if packing.divides(new_lt, l)
         and l != new_lcms[i]
         and l != new_lcms[j]
     ]
@@ -250,12 +249,9 @@ def reference_update_pairs(lts, P, heap, new_lt, packing):
     for i, l in enumerate(new_lcms):
         lcm_groups.setdefault(l, []).append(i)
     minimal = []
-    keys = []  # divisor keys of the minimal lcms
     for l in sorted(lcm_groups):
-        probe = sign * l
-        if not any((k - probe) & test == test for k in keys):
+        if not any(packing.divides(k, l) for k in minimal):
             minimal.append(l)
-            keys.append(probe + guards)
     product = new_lt - packing.one
     for l in minimal:
         # Buchberger's coprime criterion: skip when lcm = product.
@@ -268,24 +264,23 @@ def reference_update_pairs(lts, P, heap, new_lt, packing):
 def reference_reduce_full(p, basis, packing):
     """``groebner._reduce_full`` scaling the work by the row's whole
     leading coefficient lc and subtracting c times the row, not lc and c
-    divided by their gcd."""
-    guards, test, sign = packing.guards, packing.test, packing.sign
+    divided by their gcd, and testing divisibility with
+    ``packing.divides``."""
     rem = {}
     work = dict(p)
     steps = 0
     while work:
         m = max(work)
         c = work[m]
-        probe = sign * m
         for row in basis:
-            if (row[0] - probe) & test == test:
+            if packing.divides(row[1], m):
                 break
         else:
             del work[m]
             rem[m] = c
             continue
         _, lt, lc, g, rise = row
-        if (rise + m) & guards:
+        if (rise + m) & packing.guards:
             raise _Overflow
         shift = m - lt
         if lc != 1:

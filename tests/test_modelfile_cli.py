@@ -33,6 +33,7 @@ x4, x5, x1 + y^3
 reduced = false
 stratum 2: chi_stab = -1, chi_section = 2
 """
+LAST_LINE = "stratum 2: chi_stab = -1, chi_section = 2\n"
 
 
 class TestModelFile:
@@ -72,11 +73,25 @@ class TestModelFile:
             ("t = 2\n", "", "[type] is missing 't' (line 5)"),
             ("x4, x5, x1 + y^3\n", "", "matrix has 1 rows, expected 2 (line 10)"),
             ("[type]", "[parameters]\nu\nx2\n\n[type]", "variable name 'x2' repeats (line 7)"),
+            ("t = 2\n", "t = 2\nrows = 5\n", "key 'rows' repeats (line 9)"),
+            ("= false\n", "= false\nreduced = true\n", "key 'reduced' repeats (line 16)"),
+            (
+                LAST_LINE,
+                LAST_LINE + "stratum 2: chi_stab = 0, chi_section = 1\n",
+                "euler stratum 2 repeats (line 17)",
+            ),
+            (LAST_LINE, LAST_LINE + "[samples]\nu = 1, u = 2\n", "key 'u' repeats (line 18)"),
+            (
+                LAST_LINE,
+                LAST_LINE + "[supplied]\nstratum 1: e_pair = 1\nstratum 1: polar = 2\n",
+                "supplied stratum 1 repeats (line 19)",
+            ),
         ],
     )
     def test_errors_name_the_line_at_fault(self, old, new, message):
         # The line of the offending name, of the [type] header, of the
-        # [matrix] header, and of the name where it repeats.
+        # [matrix] header, of the name where it repeats, and of the key
+        # or stratum where it repeats.
         bad = OMEGA2.replace(old, new)
         with pytest.raises(ParseError) as err:
             parse_model_file(bad)
