@@ -234,7 +234,7 @@ class _Packing:
         self.units = sum(1 << k for k in range(0, shift, bits))  # 1 in every field
         self.guards = self.units << (bits - 1)
         # The complement fields' guard bits, the ones divides() reads.
-        self.test = one << 1 & self.guards
+        self.test = (one << 1) & self.guards
         # Per block: (mask of its complement fields, of its degree field).
         self.sums = tuple(sums)
 
