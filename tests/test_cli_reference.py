@@ -48,7 +48,7 @@ COMMANDS = (
     ("consistency",),
 )
 CAPPED = ("analyze", "eids-check", "family-scan", "screen-hyperplanes", "euler-solve", "consistency")
-CAPS = (3, 5, 7)
+CAPS = (1, 2, 3, 4, 5, 6, 7, 8)
 LEX = ("analyze", "eids-check")
 
 
