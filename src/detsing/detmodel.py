@@ -9,11 +9,12 @@ ideals agree).
 
 Every determinant in the package comes from one routine,
 :func:`_all_minors`, which returns all minors of one size of a polynomial
-grid.  It works fraction-free on integer polynomials with packed
-monomials and forms each smaller minor once, shared by every larger
-minor that expands into it; the results are exact polynomials in
-integer form (see ``poly``), equal term for term to a cofactor
-expansion.  The strata ideals
+grid.  It works fraction-free on integer polynomials with monomials
+packed as the Groebner engine packs them for grevlex, and forms each
+smaller minor once, shared by every larger minor that expands into it;
+the results are exact polynomials in packed integer form (see ``poly``),
+equal term for term to a cofactor expansion, which the engine takes as
+they are.  The strata ideals
 (:func:`minors`), the singular loci of ``strata.singular_locus_ideal``
 and the deformation generators (:func:`n_generators`) all use it.
 """
@@ -26,8 +27,8 @@ from itertools import combinations
 from math import lcm, prod
 
 from .errors import PreconditionError, ValidationError, VariableSetMismatchError
-from .groebner import Ideal
-from .poly import Polynomial, VariableSet
+from .groebner import Ideal, _Packing, _packed_forms
+from .poly import GREVLEX, Polynomial, VariableSet, _PackedPolynomial
 
 
 @dataclass(frozen=True)
@@ -197,16 +198,21 @@ def _all_minors(grid, size, vars):
     integer form.  With D = diag(d_r), det(D·M) = det(D)·det(M), so the
     minor of the scaled grid on rows R is the true minor times the
     product of d_r over R.  Each minor is returned in integer form over
-    that product, so no Fraction is built here: the Groebner engine reads
-    the integer form as it is, and the term map, when a caller reads it,
-    holds exactly the true minor's coefficients.
+    that product, so no Fraction is built here, and the term map, when a
+    caller reads it, holds exactly the true minor's coefficients.
 
-    A monomial is one int with a field per variable, so a product of
-    monomials is an addition.  The fields never overflow: a minor on rows
-    R is a sum of products of one entry from each row, so its exponent
-    in any variable is at most the sum over rows of max(0, the row's
-    largest total degree) (an all-zero row has total degree -1 and adds
-    nothing), and each field is that bound's bit length wide.
+    A monomial is one int in the layout of the Groebner engine's grevlex
+    ``_Packing``, so the product of a and b is ``a + b - one``.  Each
+    minor keeps its packed map and that packing
+    (``poly._PackedPolynomial``): a grevlex run in the same layout takes
+    it with no monomial packed, and exponent tuples are formed only if a
+    caller reads them.  An entry born packed in this layout is read as
+    it is; the others are packed, each distinct monomial once.  The
+    fields never overflow: a minor on rows R is a sum of products of one
+    entry from each row, so its total degree is at most the sum over
+    rows of max(0, the row's largest total degree) (an all-zero row has
+    total degree -1 and adds nothing), and the packing holds that
+    degree.
 
     Each k x k minor is expanded along the first row of its row subset.
     Its (k-1) x (k-1) sub-minors come from a memo keyed on (rows, cols),
@@ -216,22 +222,18 @@ def _all_minors(grid, size, vars):
     within the call, so the list still indexes minors by position.
     """
     bound = sum(max(0, max(e.total_degree() for e in row)) for row in grid)
-    width = max(1, bound.bit_length())
-    mask = (1 << width) - 1
-    shifts = tuple(width * j for j in range(len(vars)))
+    packing = _Packing.for_degree(GREVLEX, len(vars), bound)
+    one = packing.one
+    forms = iter(_packed_forms([e for row in grid for e in row], packing))
     scale = []
     packed = []
     for row in grid:
-        forms = [e._integer_form() for e in row]
-        d = lcm(*(den for _, den in forms))
+        d = lcm(*(e._den for e in row))
         scale.append(d)
         packed.append(
             [
-                {
-                    sum(x << s for x, s in zip(m, shifts)): c * (d // den)
-                    for m, c in ints.items()
-                }
-                for ints, den in forms
+                {m: c * (d // e._den) for m, c in f.items()}
+                for e, f in zip(row, forms)
             ]
         )
     memo = {}
@@ -253,18 +255,11 @@ def _all_minors(grid, size, vars):
             for me, ce in entry.items():
                 if j & 1:
                     ce = -ce
+                me -= one
                 for ms, cs in sub.items():
                     m = me + ms
                     out[m] = out.get(m, 0) + ce * cs
         return {m: c for m, c in out.items() if c}
-
-    exponents = {}  # packed monomial -> exponent tuple, shared by the results
-
-    def unpack(m):
-        mono = exponents.get(m)
-        if mono is None:
-            mono = exponents[m] = tuple((m >> s) & mask for s in shifts)
-        return mono
 
     zero = Polynomial.zero(vars)
     result = []
@@ -273,11 +268,7 @@ def _all_minors(grid, size, vars):
         denom = prod(scale[r] for r in rows)
         for cols in col_sets:
             terms = det(rows, cols)
-            result.append(
-                Polynomial._integral(vars, {unpack(m): c for m, c in terms.items()}, denom)
-                if terms
-                else zero
-            )
+            result.append(_PackedPolynomial(vars, terms, denom, packing) if terms else zero)
     return result
 
 

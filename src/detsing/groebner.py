@@ -40,8 +40,12 @@ exponent difference, so no field borrows from its neighbour.
 The lcm of two packed monomials is taken field-wise on the ints, a few
 whole-int operations ("SIMD within a register") and one multiplication
 per block for its degree field (see :meth:`_Packing.lcms`), and a
-degree is read from the packed fields, so exponent tuples enter only
-with the input and come back only for the returned polynomials.
+degree is read from the packed fields.  The determinant multiplies in
+the grevlex packing and its minors keep their packed maps (see
+``poly._PackedPolynomial``), which a run in the same layout takes as
+they are; only an input without one is packed, each distinct monomial
+once.  The returned basis elements keep the run's packed maps too, so
+exponent tuples are formed only when a caller reads them.
 
 Fields start as narrow as the input's largest total degree allows (at
 least 16 bits).  Each new lcm is checked, and each S-polynomial and
@@ -90,6 +94,7 @@ from .poly import (
     MonomialOrdering,
     Polynomial,
     VariableSet,
+    _PackedPolynomial,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -193,13 +198,14 @@ class _Packing:
     ``ordering.key`` order, the product of ``a`` and ``b`` is
     ``a + b - one`` and their quotient ``a - b + one``."""
 
-    __slots__ = ("ordering", "width", "bits", "limit", "blocks", "degrees",
+    __slots__ = ("ordering", "width", "bits", "key", "limit", "blocks", "degrees",
                  "slots", "coeffs", "one", "guards", "test", "units", "sums")
 
     def __init__(self, ordering, width, bits):
         self.ordering = ordering
         self.width = width
         self.bits = bits
+        self.key = (ordering, width, bits)  # equal keys, equal layouts
         limit = self.limit = (1 << (bits - 1)) - 1
         # Most significant first; lex is a block order of single variables.
         if ordering.kind == "lex":
@@ -239,12 +245,19 @@ class _Packing:
         self.sums = tuple(sums)
 
     @classmethod
-    def for_input(cls, ordering, width, polys):
+    def for_degree(cls, ordering, width, degree):
         """A packing, at least 16 bits a field, holding every monomial of
-        the input.  The fields are sized by the largest total degree,
-        which bounds every block degree and every exponent."""
-        peak = max((sum(m) for p in polys for m in p), default=0)
-        return cls(ordering, width, max(16, peak.bit_length() + 1))
+        total degree at most ``degree``, which bounds every block degree
+        and every exponent."""
+        return cls(ordering, width, max(16, degree.bit_length() + 1))
+
+    @classmethod
+    def for_input(cls, ordering, width, polys):
+        """A packing holding every monomial of the polynomials, sized by
+        their largest total degree."""
+        return cls.for_degree(
+            ordering, width, max((p.total_degree() for p in polys), default=0)
+        )
 
     def wider(self):
         """The same layout with fields twice as wide."""
@@ -298,6 +311,12 @@ class _Packing:
         degree fields."""
         limit = self.limit
         return sum((mono >> shift) & limit for shift in self.degrees)
+
+    def largest_degree(self, monos):
+        """Largest total degree of packed monomials, at least one."""
+        if len(self.blocks) == 1:  # the degree field leads
+            return self.degree(max(monos))
+        return max(map(self.degree, monos))
 
     def divides(self, a, b):
         """True when packed monomial a divides packed monomial b.
@@ -554,23 +573,38 @@ def _update_pairs(lts, P, heap, new_lt, packing):
                 heappush(heap, (l, i, t))
 
 
+def _packed_forms(polys, packing):
+    """Each polynomial's integer numerators keyed by monomials packed in
+    ``packing``: the packed map it carries when that map is in the same
+    layout (ordering, width and bits), else its exponent tuples packed,
+    each distinct one once over all the polynomials.  The maps may be
+    the polynomials' own; callers must not change them."""
+    key = packing.key
+    packed = {}
+    out = []
+    for p in polys:
+        own = p._packing
+        if own is not None and own.key == key:
+            out.append(p._packed)
+            continue
+        ints = p._ints
+        for m in ints:
+            if m not in packed:
+                packed[m] = packing.pack(m)
+        out.append({packed[m]: c for m, c in ints.items()})
+    return out
+
+
 def _input_rows(polys, packing, cap, seeded=0, stop=None):
-    """Buchberger's input phase on integer polynomials with exponent-tuple
-    keys: the reducer rows of the first ``seeded`` polynomials, a reduced
+    """Buchberger's input phase on integer polynomials keyed by packed
+    monomials: the reducer rows of the first ``seeded`` polynomials, a reduced
     basis kept as it is, then of the others interreduced and, in a seeded
     run, reduced against the rows before them.  (Unseeded, the rows are
     already reduced against each other.)  Each row is an element of the
     ideal the inputs generate, and each leading term is checked against
-    the degree cap.  Each distinct input monomial is packed once.  Returns
-    None when ``stop`` ends the interreduction (see
-    :func:`_interreduce_input`).  Raises _Overflow when a monomial does
-    not fit the packing."""
-    packed = {}
-    for p in polys:
-        for m in p:
-            if m not in packed:
-                packed[m] = packing.pack(m)
-    polys = [{packed[m]: c for m, c in p.items()} for p in polys]
+    the degree cap.  Returns None when ``stop`` ends the interreduction
+    (see :func:`_interreduce_input`).  Raises _Overflow when a product
+    does not fit the packing."""
     rows = [_row(_primitive(p), packing) for p in polys[:seeded]]
     for row in rows:
         _check_degree(row[1], cap, "input leading term", packing)
@@ -590,7 +624,7 @@ def _input_rows(polys, packing, cap, seeded=0, stop=None):
 
 def _packed_basis(polys, packing, cap, seeded=0):
     """Reduced basis, as primitive packed polynomials sorted by leading
-    term, of integer polynomials with exponent-tuple keys.  Raises
+    term, of integer polynomials keyed by packed monomials.  Raises
     _Overflow when a monomial does not fit the packing.
 
     The run starts from the rows of :func:`_input_rows`.  The first
@@ -635,16 +669,21 @@ def _packed_basis(polys, packing, cap, seeded=0):
 
 def _packed_run(ideal, ordering, run):
     """``run(polys, packing, cap, seeded)`` on the ideal's generators in
-    integer form, under its degree cap and from its seed when the seed is
-    in ``ordering``.  The packing starts as narrow as the generators
-    allow and is made twice as wide on each _Overflow, which starts the
-    run again.  Returns run's result and the packing it fit."""
-    ints = [g._integer_form()[0] for g in ideal.generators]
+    packed integer form (:func:`_packed_forms`), under its degree cap and
+    from its seed when the seed is in ``ordering``.  The packing starts as
+    narrow as the generators' total degrees allow, which a generator born
+    packed reads from its degree field, so generators already packed in
+    that layout (the minors of one determinant call, the basis of an
+    earlier grevlex run) enter as they are.  Each _Overflow makes the
+    fields twice as wide and starts the run again, every generator then
+    packed from its exponent tuples.  Returns run's result and the
+    packing it fit."""
+    gens = ideal.generators
     seeded = len(ideal.seed) if ideal.seed.ordering == ordering else 0
-    packing = _Packing.for_input(ordering, len(ideal.vars), ints)
+    packing = _Packing.for_input(ordering, len(ideal.vars), gens)
     while True:
         try:
-            return run(ints, packing, ideal.max_degree, seeded), packing
+            return run(_packed_forms(gens, packing), packing, ideal.max_degree, seeded), packing
         except _Overflow:
             packing = packing.wider()
 
@@ -655,15 +694,15 @@ def buchberger(ideal: Ideal, ordering=GREVLEX) -> GroebnerBasis:
     Deterministic: normal pair selection and fixed tie-breaking yield
     the same basis on every run.  ``ideal.max_degree`` caps the degree
     of leading terms and S-pair lcms.  The run starts from the ideal's
-    seed when the seed is in ``ordering``.
+    seed when the seed is in ``ordering``.  Each element keeps its packed
+    map (see ``poly._PackedPolynomial``): its primitive numerators over
+    its leading coefficient.
     """
     final, packing = _packed_run(ideal, ordering, _packed_basis)
-    unpack = packing.unpack
-    out = [
-        Polynomial._integral(ideal.vars, {unpack(m): c for m, c in f.items()}, f[max(f)])
-        for f in final
-    ]
-    return GroebnerBasis(out, ordering)
+    vars = ideal.vars
+    return GroebnerBasis(
+        [_PackedPolynomial(vars, f, f[max(f)], packing) for f in final], ordering
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +790,10 @@ def eliminate(a: Ideal, drop) -> Ideal:
 
     The result carries its reduced grevlex basis, the block-order basis
     elements free of the dropped variables (Cox, Little & O'Shea, ch. 3
-    §1): on them the block order is grevlex in the kept variables.  The
-    result is over a's variables less the dropped ones, ambient and
-    parameters kept apart."""
+    §1): on them the block order is grevlex in the kept variables.  An
+    element is free of them when its leading term is, since the dropped
+    block leads the order.  The result is over a's variables less the
+    dropped ones, ambient and parameters kept apart."""
     drop_idx = sorted({a.vars.index(n) for n in drop})
     if len(drop_idx) >= len(a.vars):
         raise ValidationError("cannot eliminate every variable")
@@ -762,11 +802,12 @@ def eliminate(a: Ideal, drop) -> Ideal:
         tuple(n for n in a.vars.ambient if n not in dropped),
         tuple(n for n in a.vars.parameters if n not in dropped),
     )
-    kept = [
-        g.restrict(target)
-        for g in a.groebner_basis(MonomialOrdering.eliminating(drop_idx))
-        if not any(m[i] for m in g._integer_form()[0] for i in drop_idx)
-    ]
+    order = MonomialOrdering.eliminating(drop_idx)
+    kept = []
+    for g in a.groebner_basis(order):
+        lead = g.leading_monomial(order)
+        if not any(lead[i] for i in drop_idx):
+            kept.append(g.restrict(target))
     return Ideal.from_basis(GroebnerBasis(kept, GREVLEX), target, a.max_degree)
 
 
@@ -921,23 +962,26 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
-def _certify_step(lead, powers, width):
+def _certify_step(lead, powers, packing):
     """One element's step of the origin certificate, on a homogeneous
-    element of an ideal a with grevlex leading exponents ``lead``: a
+    element of an ideal a with packed grevlex leading term ``lead``: a
     constant proves V(a) lies in the origin, and a pure-power lead adds
-    its variable's index to ``powers``.  True once the elements stepped
-    so far prove it (see :func:`_certifies_origin`)."""
-    degree = sum(lead)
+    its variable to ``powers``.  The lead of degree d is the power
+    x_i^d exactly when it is ``one + d*coeffs[i]`` (see
+    :meth:`_Packing.pack`), so no exponent is unpacked.  True once the
+    elements stepped so far prove it (see :func:`_certifies_origin`)."""
+    degree = packing.degree(lead)
     if not degree:
         return True
-    if max(lead) == degree:
-        powers.add(lead.index(degree))
-    return len(powers) == width
+    power, rest = divmod(lead - packing.one, degree)
+    if not rest and power in packing.coeffs:
+        powers.add(power)
+    return len(powers) == packing.width
 
 
 def _certifies_origin(polys, width):
-    """True when elements of an ideal a, given as integer forms, prove
-    that V(a) lies in the origin: one is a nonzero constant, or the
+    """True when elements of an ideal a, polynomials over ``width``
+    variables, prove that V(a) lies in the origin: one is a nonzero constant, or the
     homogeneous ones have grevlex leading terms that include a pure power
     of each of the ``width`` variables (a one-term pure power is such an
     element).  The homogeneous elements then generate a homogeneous ideal
@@ -947,18 +991,18 @@ def _certifies_origin(polys, width):
     Nullstellensatz; Cox, Little & O'Shea, ch. 5 §3 and ch. 8 §3).  The
     elements need not be a basis, and unlike a one-term power of every
     variable the test survives a linear change of coordinates.  Each
-    homogeneous element is one :func:`_certify_step`."""
+    homogeneous element is one :func:`_certify_step`, read from its packed
+    grevlex form (:func:`_packed_forms`)."""
+    packing = _Packing.for_input(GREVLEX, width, polys)
+    degree = packing.degree
     powers = set()
-    for p in polys:
-        degrees = map(sum, p)
-        degree = next(degrees, None)
-        if degree is None or any(d != degree for d in degrees):
-            continue
-        if degree and not any(max(m) == degree for m in p):
-            continue  # no pure power, so none leads
-        if _certify_step(max(p, key=GREVLEX.key), powers, width):
+    for p in _packed_forms(polys, packing):
+        # The degree field leads, so p is homogeneous when its smallest
+        # term has its leading term's degree.
+        lead = max(p)
+        if degree(min(p)) == degree(lead) and _certify_step(lead, powers, packing):
             return True
-    return len(powers) == width
+    return False
 
 
 def _origin_certified(a: Ideal) -> bool:
@@ -985,22 +1029,25 @@ def _origin_certified(a: Ideal) -> bool:
     if a.cached_basis() is None and (
         cap is None or all(g.total_degree() <= cap for g in a.generators)
     ):
-        if _certifies_origin((g._integer_form()[0] for g in a.generators), width):
+        if _certifies_origin(a.generators, width):
             return True
-        powers = set()
 
-        def proven(row, packing):
-            # The grevlex degree field is the most significant, so a row is
-            # homogeneous when its smallest term has its leading term's degree.
-            lt = row[1]
-            return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
-                packing.unpack(lt), powers, width
-            )
+        def input_phase(polys, packing, cap, seeded):
+            powers = set()  # one set per packing, as it holds packed powers
 
-        rows, _ = _packed_run(a, GREVLEX, lambda *run: _input_rows(*run, proven))
+            def proven(row, packing):
+                # As in _certifies_origin: a homogeneous row steps.
+                lt = row[1]
+                return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
+                    lt, powers, packing
+                )
+
+            return _input_rows(polys, packing, cap, seeded, proven)
+
+        rows, _ = _packed_run(a, GREVLEX, input_phase)
         if rows is None:
             return True
-    return _certifies_origin((g._integer_form()[0] for g in a.groebner_basis()), width)
+    return _certifies_origin(a.groebner_basis().elements, width)
 
 
 def _away_from_origin(a: Ideal):

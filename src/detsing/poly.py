@@ -1,16 +1,22 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is an immutable exact value over an ordered variable set,
-stored in one form: nonzero integer numerators keyed by exponent tuples
-over one positive common denominator.  Every operation reads and builds
-that form, so the determinant, the derivative, lifting and restriction,
-the ring operators, substitution and Buchberger's algorithm pass values
-between them without a Fraction.  The term map from exponent tuples to
-nonzero Fraction coefficients (``terms``) is a view derived from it on
-first read and kept; nothing is ever computed back from it.  Equality
-and hashing are by value.  Exponent tuples index into the variable set,
-whose order is fixed for the lifetime of a computation.  All operations
-are pure; any value may be shared freely.
+stored in one form: nonzero integer numerators over one positive common
+denominator.  Every operation reads and builds that form, so the
+determinant, the derivative, lifting and restriction, the ring operators,
+substitution and Buchberger's algorithm pass values between them without
+a Fraction.  The numerators are keyed by exponent tuples, except in a
+polynomial born packed: a minor from the determinant or a basis element
+from the Groebner engine keys them by the engine's packed monomials and
+keeps the packing they are in (see ``_PackedPolynomial``), so a minor
+enters the engine, and a basis leaves it, with no monomial converted.
+The exponent-tuple map of such a polynomial, and the term map from
+exponent tuples to nonzero Fraction coefficients (``terms``) of every
+polynomial, are views derived on first read and kept; nothing is ever
+computed back from them.  Equality and hashing are by value.  Exponent
+tuples index into the variable set, whose order is fixed for the
+lifetime of a computation.  All operations are pure; any value may be
+shared freely.
 
 The text grammar accepted by :func:`parse_polynomial`:
 
@@ -170,9 +176,15 @@ def monomial_lcm(a, b):
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    It stores ``_ints`` (exponent tuple -> nonzero integer numerator) and
+    ``_den`` (a positive integer), set when it is constructed.  A
+    polynomial born packed is a :class:`_PackedPolynomial`; every other
+    one has no packing."""
 
     __slots__ = ("vars", "_terms", "_ints", "_den", "_hash")
+    _packing = None
 
     def __init__(self, vars: VariableSet, terms=None):
         self.vars = vars
@@ -449,6 +461,56 @@ class Polynomial:
                 mm[pos] = e
             out[tuple(mm)] = c
         return Polynomial._integral(target, out, den)
+
+
+class _PackedPolynomial(Polynomial):
+    """A nonzero polynomial born packed, by the determinant or the basis
+    engine.  It stores its numerators keyed by packed monomials
+    (``_packed``), in the layout of ``_packing`` (a ``groebner._Packing``:
+    one int per monomial, and integer ``<`` its ordering), over the
+    positive denominator ``_den``.  The exponent-tuple map ``_ints`` is
+    derived from the packed map on first read and kept, as ``terms`` is
+    from ``_ints``.  Zero tests, degrees and leading monomials in the
+    packing's ordering read the packed map; everything else reads
+    ``_ints`` and builds polynomials that are not packed."""
+
+    __slots__ = ("_packed", "_packing", "_unpacked")
+
+    def __init__(self, vars, packed, den, packing):
+        self.vars = vars
+        self._terms = None
+        self._den = den
+        self._hash = None
+        self._packed = packed
+        self._packing = packing
+        self._unpacked = None
+
+    @property
+    def _ints(self):
+        ints = self._unpacked
+        if ints is None:
+            unpack = self._packing.unpack
+            ints = self._unpacked = {unpack(m): c for m, c in self._packed.items()}
+        return ints
+
+    def is_zero(self):
+        return not self._packed
+
+    def __bool__(self):
+        return bool(self._packed)
+
+    def is_constant(self):
+        # The monomial 1 is the smallest in every ordering.
+        return max(self._packed) == self._packing.one
+
+    def total_degree(self):
+        return self._packing.largest_degree(self._packed)
+
+    def leading_monomial(self, ordering=GREVLEX):
+        packing = self._packing
+        if ordering != packing.ordering:
+            return super().leading_monomial(ordering)
+        return packing.unpack(max(self._packed))
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,7 @@ class TestBuchberger:
         # z^K*z.  The basis is recomputed with wider fields, not wrapped.
         for vs, ordering, limit, gens, expected in WIDENING_CASES:
             I = ideal(vs, *gens)
-            ints = [g._integer_form()[0] for g in I.generators]
-            assert groebner._Packing.for_input(ordering, len(vs), ints).limit == limit
+            assert groebner._Packing.for_input(ordering, len(vs), I.generators).limit == limit
             assert set(buchberger(I, ordering)) == {P(t, vs) for t in expected}
 
     def test_basis_independent_of_generator_order(self):
@@ -378,12 +377,21 @@ class TestBuchberger:
         run()
 
     def test_engine_packs_only_inputs_and_unpacks_only_outputs(self, monkeypatch):
-        # Exponent tuples enter the engine once per distinct input
-        # monomial (the Jacobian minors share most of theirs) and leave
-        # once per output monomial, with or without a degree cap.
+        # The generic (2,2,2) locus is its stratum's reduced basis and
+        # the Jacobian minors, all born packed in the grevlex layout, so
+        # they enter the engine with no monomial packed, and the basis
+        # leaves it with none unpacked until a caller reads its terms,
+        # then once per output monomial; with or without a degree cap.
+        # Built from exponent tuples, the same generators enter once per
+        # distinct input monomial (the minors share most of theirs).
         locus = generic_locus()
+        assert all(g._packing is not None for g in locus.generators)
         distinct = {m for g in locus.generators for m in g.terms}
         assert len(distinct) < sum(len(g.terms) for g in locus.generators)
+        tuples = Ideal(
+            [Polynomial._integral(locus.vars, *g._integer_form()) for g in locus.generators],
+            locus.vars,
+        )
         calls = {}
         for name in ("pack", "unpack"):
             method = getattr(groebner._Packing, name)
@@ -396,8 +404,14 @@ class TestBuchberger:
         for cap in (None, 100):
             calls.update(pack=0, unpack=0)
             basis = buchberger(capped(locus, cap), GREVLEX)
+            assert calls == {"pack": 0, "unpack": 0}
+            terms = sum(len(g.terms) for g in basis)
+            assert calls == {"pack": 0, "unpack": terms}
+            calls.update(pack=0, unpack=0)
+            again = buchberger(capped(tuples, cap), GREVLEX)
             assert calls["pack"] == len(distinct)
-            assert calls["unpack"] == sum(len(g.terms) for g in basis)
+            assert calls["unpack"] == 0
+            assert again.elements == basis.elements
 
     def test_reduced_bases_match_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -582,7 +596,7 @@ class TestPackedMonomials:
         # content division runs at step 32; with the input scaled by 3 it
         # divides that 3 out.  The primitive remainder is the normal form
         # y^41 + 1/2^40 times 2^40.
-        packing = groebner._Packing.for_input(GREVLEX, 2, [{(0, 41): 1}])
+        packing = groebner._Packing.for_input(GREVLEX, 2, [P("y^41", XY)])
         pack = packing.pack
         f = {pack((0, 41)): scale, pack((40, 0)): scale}
         row = groebner._row({pack((1, 0)): 2, pack((0, 0)): -1}, packing)
@@ -826,9 +840,9 @@ class TestQuotientSaturation:
         st = hypothesis.strategies
 
         def with_and_without(polys, seeded, vs, ordering):
-            ints = [g._integer_form()[0] for g in polys]
-            packing = groebner._Packing.for_input(ordering, len(vs), ints)
-            return [groebner._packed_basis(ints, packing, None, k) for k in (seeded, 0)]
+            packing = groebner._Packing.for_input(ordering, len(vs), polys)
+            forms = groebner._packed_forms(polys, packing)
+            return [groebner._packed_basis(forms, packing, None, k) for k in (seeded, 0)]
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
         @hypothesis.given(saturation_cases(st))
@@ -874,7 +888,7 @@ class TestQuotientSaturation:
         def packed_basis(polys, packing, cap, seeded=0):
             seed.clear()
             for p in polys[:seeded]:
-                seed.add(key(groebner._primitive({packing.pack(m): c for m, c in p.items()})))
+                seed.add(key(groebner._primitive(p)))
             seed_runs.append(seeded)
             return engine(polys, packing, cap, seeded)
 
@@ -1088,9 +1102,7 @@ class TestSupport:
         # the whole input phase, which proves it too; no basis is built.
         locus = sheared_omega_locus()
         width = len(locus.vars)
-        assert not groebner._certifies_origin(
-            (g._integer_form()[0] for g in locus.generators), width
-        )
+        assert not groebner._certifies_origin(locus.generators, width)
         calls = []
         real = groebner._reduce_full
         monkeypatch.setattr(
@@ -1099,7 +1111,11 @@ class TestSupport:
         rows, packing = groebner._packed_run(locus, GREVLEX, groebner._input_rows)
         whole = len(calls)
         assert groebner._certifies_origin(
-            ({packing.unpack(m): c for m, c in r[3].items()} for r in rows), width
+            [
+                Polynomial._integral(locus.vars, {packing.unpack(m): c for m, c in r[3].items()}, 1)
+                for r in rows
+            ],
+            width,
         )
         calls.clear()
         assert groebner._origin_certified(locus)
