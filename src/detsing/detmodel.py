@@ -101,14 +101,19 @@ class PresentationMatrix:
     def is_specialized(self):
         return not self.vars.parameters
 
-    def specialize(self, assignment):
-        """Member of the family at a rational parameter point."""
+    def _check_sample(self, assignment):
+        """Raise unless ``assignment`` names every parameter and nothing
+        else."""
         missing = [p for p in self.vars.parameters if p not in assignment]
         if missing:
             raise PreconditionError(f"sample leaves parameters {missing} unspecialized")
         extra = [name for name in assignment if name not in self.vars.parameters]
         if extra:
             raise ValidationError(f"unknown parameters {extra} in sample")
+
+    def specialize(self, assignment):
+        """Member of the family at a rational parameter point."""
+        self._check_sample(assignment)
         target = self.vars.ambient_only()
         subs = {
             name: Polynomial.constant(target, Fraction(value))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .detmodel import DeterminantalType, PresentationMatrix
-from .errors import ParseError, ValidationError
+from .errors import ParseError, PreconditionError, ValidationError
 from .genericity import Hyperplane
 from .invariants import ChiData
 from .poly import VariableSet, parse_polynomial, poly_to_str
@@ -48,6 +48,7 @@ class ModelFile:
     euler: dict = field(default_factory=dict)  # stratum -> (chi_stab, chi_section)
     hyperplanes: tuple = ()
     samples: tuple = ()  # tuples of (name, Fraction) pairs
+    sample_lines: tuple = ()  # source line of each sample, for errors
     supplied: dict = field(default_factory=dict)  # stratum -> {e_pair, polar}
 
     def variable_set(self):
@@ -199,11 +200,13 @@ def parse_model_file(text) -> ModelFile:
     hyperplanes = tuple(line for _, line in sections.get("hyperplanes", []))
 
     samples = []
+    sample_lines = []
     for line_no, line in sections.get("samples", []):
         point = {}
         for name, (value, ln) in _parse_assignments(line, line_no).items():
             point[name] = _parse_fraction(value, ln)
         samples.append(tuple(sorted(point.items())))
+        sample_lines.append(line_no)
 
     supplied = {}
     for line_no, line in sections.get("supplied", []):
@@ -235,11 +238,17 @@ def parse_model_file(text) -> ModelFile:
         euler=euler,
         hyperplanes=hyperplanes,
         samples=tuple(samples),
+        sample_lines=tuple(sample_lines),
         supplied=supplied,
     )
 
 
 def build_model(mf: ModelFile) -> PresentationMatrix:
+    """The model's matrix.  Each sample must name every parameter and
+    nothing else; one that does not raises the error ``specialize`` would
+    (PreconditionError for a parameter left out, ValidationError for an
+    unknown name), with its line, whether or not the command reads
+    samples."""
     vars = mf.variable_set()
     n = min(mf.rows, mf.cols)
     k = abs(mf.rows - mf.cols)
@@ -256,7 +265,13 @@ def build_model(mf: ModelFile) -> PresentationMatrix:
                     f"bad matrix entry {cell!r}: {exc}", line=line
                 ) from None
         entries.append(parsed)
-    return PresentationMatrix(dtype, entries, vars)
+    model = PresentationMatrix(dtype, entries, vars)
+    for point, line in zip(mf.samples, mf.sample_lines):
+        try:
+            model._check_sample(dict(point))
+        except (PreconditionError, ValidationError) as exc:
+            raise type(exc)(f"{exc} (line {line})") from None
+    return model
 
 
 def build_hyperplanes(mf: ModelFile, vars: VariableSet):

@@ -10,8 +10,9 @@ its non-smooth locus being built.  A non-smooth locus is tested from
 its generators, then from Buchberger's input phase, and only then from
 its reduced basis (``groebner._origin_certified``); the saturation by
 the deeper stratum runs only when none of them shows by itself that
-the locus lies in the origin.  The Jacobian minors stay in integer form
-(see ``poly``) from the determinant to the basis engine.
+the locus lies in the origin.  The Jacobian minors stay in the engine's
+packed integer form (see ``poly``) from the determinant to the basis
+engine, and the reduced bases come back in it.
 All checks are affine/global: supports and saturations are measured
 over the whole coordinate space, which matches germ-at-origin semantics
 for models whose interesting locus sits at the origin.

@@ -24,6 +24,7 @@ from detsing import (
 )
 from detsing.detmodel import _all_minors, _generic_vars
 from detsing.groebner import Ideal
+from detsing.poly import GREVLEX, LEX, MonomialOrdering
 from detsing.modelfile import build_model, load_model_file
 from helpers import P, omega_model, random_matrix_model
 from oracles import cofactor_det
@@ -170,6 +171,103 @@ class TestMinors:
                     assert n_generators(m, size).entries == _oracle_n_generators(m, size)
 
         run()
+
+
+def _tuple_born(p):
+    """A copy of p that stores only its exponent-tuple integer form."""
+    return Polynomial._integral(p.vars, dict(p._integer_form()[0]), p._den)
+
+
+class TestPackedBorn:
+    """Minors and reduced bases keep the engine's packed form; every view
+    of them must be the value a tuple-born polynomial would give."""
+
+    def cases(self):
+        rng = random.Random(20)
+        for rows, cols, nvars, degree in [(2, 2, 2, 2), (2, 3, 3, 2), (3, 3, 3, 1), (3, 2, 2, 3)]:
+            for _ in range(4):
+                m = random_matrix_model(rng, rows, cols, nvars, degree)
+                # Rational entries: each row's denominators differ.
+                yield PresentationMatrix(
+                    m.dtype,
+                    [[e.scale(Fraction(1, r + 2 + c)) for c, e in enumerate(row)]
+                     for r, row in enumerate(m.entries)],
+                    m.vars,
+                )
+
+    def test_minors_match_the_cofactor_oracle(self):
+        # Term map, integer form and the readers that answer from the
+        # packed map, for minors of tuple-born entries and for minors of
+        # a grid of packed-born entries (the 1 x 1 minors, reshaped).
+        checked = 0
+        for m in self.cases():
+            entries = minors(m, 1)
+            reshaped = [entries[r * m.cols : (r + 1) * m.cols] for r in range(m.rows)]
+            for size in range(1, min(m.rows, m.cols) + 1):
+                want = _oracle_minors(m.entries, size)
+                for got in (minors(m, size), _all_minors(reshaped, size, m.vars)):
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        if w.is_zero():
+                            assert g.is_zero() and g._packing is None
+                            continue
+                        packing = g._packing
+                        assert packing.ordering == GREVLEX
+                        assert g.total_degree() == w.total_degree()
+                        assert g.leading_monomial() == w.leading_monomial()
+                        assert g.is_constant() == w.is_constant()
+                        assert not g.is_zero() and g
+                        assert g._unpacked is None  # the readers unpack nothing
+                        assert g == w
+                        assert g.leading_monomial(LEX) == w.leading_monomial(LEX)
+                        ints, den = g._integer_form()
+                        assert {packing.pack(e): c for e, c in ints.items()} == g._packed
+                        assert _tuple_born(g) == w and hash(g) == hash(w)
+                        assert g.terms == w.terms
+                        assert {e: Fraction(c, den) for e, c in ints.items()} == w.terms
+                        checked += 1
+        assert checked > 200
+
+    def test_bases_match_tuple_born_ones(self):
+        # The reduced basis of packed-born generators (a stratum's minors
+        # and, over two variables, the Jacobian minors of its reduced
+        # basis; over three their lex bases take minutes) equals that of
+        # tuple-born copies, in grevlex, in lex and in an elimination
+        # order, and comes back packed in the run's ordering.
+        orders = [GREVLEX, LEX, MonomialOrdering.eliminating([0])]
+        compared = 0
+        for m in self.cases():
+            s = stratum(m, min(m.rows, m.cols))
+            basis = s.ideal.groebner_basis()
+            gens = list(s.ideal.generators)
+            if len(m.vars) == 2 and len(basis) <= 2:
+                gens += singular_locus_ideal(Ideal(basis.elements, m.vars), len(basis)).generators
+            tuples = [_tuple_born(g) for g in gens]
+            for order in orders:
+                got = Ideal(gens, m.vars).groebner_basis(order)
+                want = Ideal(tuples, m.vars).groebner_basis(order)
+                assert got.elements == want.elements
+                assert [g.terms for g in got] == [w.terms for w in want]
+                assert got.leading_monomials() == [
+                    max(w.terms, key=order.key) for w in want
+                ]
+                assert all(g._packing.ordering == order for g in got)
+                compared += 1
+        assert compared == 48
+
+    def test_packed_inputs_widen_from_their_exponents(self):
+        # x^K - y and y^K - x, K = 2^15 - 1, born packed in 16-bit fields:
+        # the run takes them as they are, the lcm x^K*y^K overflows, and
+        # the run starts again with 32-bit fields from their exponents.
+        K = 2**15 - 1
+        vs = VariableSet(("x", "y"))
+        grid = [[P(f"x^{K} - y", vs), P(f"y^{K} - x", vs)]]
+        gens = _all_minors(grid, 1, vs)
+        assert {g._packing.bits for g in gens} == {16}
+        got = Ideal(gens, vs).groebner_basis()
+        assert {g._packing.bits for g in got} == {32}
+        assert got.elements == Ideal([_tuple_born(g) for g in gens], vs).groebner_basis().elements
+        assert set(got) == set(grid[0])
 
 
 class TestStratum:

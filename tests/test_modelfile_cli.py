@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from detsing import ParseError
 from detsing.cli import main
 from detsing.modelfile import build_model, format_model, parse_model_file
 from detsing.report import validate_report
+from helpers import random_matrix_model
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -296,6 +298,24 @@ class TestCli:
         assert main(["analyze", str(bad)]) == 1
         assert main(["analyze", str(tmp_path / "missing.model")]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "family-scan"])
+    @pytest.mark.parametrize(
+        "sample, code, message",
+        [
+            ("u = 0, w = 1", 1, "unknown parameters ['w'] in sample (line 21)"),
+            ("x1 = 0", 2, "sample leaves parameters ['u'] unspecialized (line 21)"),
+        ],
+    )
+    def test_sample_errors_name_the_line(self, capsys, tmp_path, command, sample, code, message):
+        # A bad [samples] line is rejected when the model is built, with
+        # its line, by a command that reads samples and by one that does
+        # not; the exit code stays that of the error's class.
+        text = (MODELS / "omega1_family.model").read_text()
+        path = tmp_path / "bad_sample.model"
+        path.write_text(text.replace("u = 1\n", sample + "\n"))
+        assert main([command, str(path)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_exit_code_non_utf8_model(self, capsys, tmp_path):
         bad = tmp_path / "binary.model"
         bad.write_bytes(b"\xff\xfe\x00bad")
@@ -345,6 +365,42 @@ class TestCli:
         )
         assert (done.returncode, code) == (0, 0)
         assert done.stdout == out.encode()
+
+    def test_structured_output_ignores_the_hash_seed(self, tmp_path):
+        # Six derandomized random models, written as model files, each
+        # analyzed in a fresh interpreter under two hash seeds: set and
+        # dict iteration orders of strings differ between the two, and
+        # the output must not.
+        rng = random.Random(9)
+        shapes = [(2, 2, 3, 2), (2, 3, 4, 1), (2, 3, 3, 2), (1, 2, 2, 2), (2, 2, 4, 2), (3, 3, 4, 1)]
+        paths = []
+        for i, (rows, cols, nvars, degree) in enumerate(shapes):
+            path = tmp_path / f"random{i}.model"
+            path.write_text(format_model(random_matrix_model(rng, rows, cols, nvars, degree)))
+            paths.append(str(path))
+        script = (
+            "import sys\n"
+            "from detsing.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    print(main(['analyze', path, '--format', 'structured']))\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script, *paths],
+                capture_output=True,
+                cwd=ROOT,
+                env=env,
+                timeout=120,
+            )
+            assert done.returncode == 0 and done.stderr == b""
+            outputs.append(done.stdout)
+        assert outputs[0].count(b'"command": "analyze"') == len(shapes)
+        assert outputs[0] == outputs[1]
 
     def test_exit_code_precondition(self, capsys):
         # colength of the positive-dimensional top stratum.
