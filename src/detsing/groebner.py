@@ -245,19 +245,24 @@ class _Packing:
         self.sums = tuple(sums)
 
     @classmethod
-    def for_degree(cls, ordering, width, degree):
+    def for_degree(cls, ordering, width, degree, polys=()):
         """A packing, at least 16 bits a field, holding every monomial of
         total degree at most ``degree``, which bounds every block degree
-        and every exponent."""
-        return cls(ordering, width, max(16, degree.bit_length() + 1))
+        and every exponent: the packing one of ``polys`` carries when it
+        has that layout, else a new one."""
+        key = (ordering, width, max(16, degree.bit_length() + 1))
+        for p in polys:
+            own = p._packing
+            if own is not None and own.key == key:
+                return own
+        return cls(*key)
 
     @classmethod
     def for_input(cls, ordering, width, polys):
         """A packing holding every monomial of the polynomials, sized by
         their largest total degree."""
-        return cls.for_degree(
-            ordering, width, max((p.total_degree() for p in polys), default=0)
-        )
+        peak = max((p.total_degree() for p in polys), default=0)
+        return cls.for_degree(ordering, width, peak, polys)
 
     def wider(self):
         """The same layout with fields twice as wide."""
@@ -310,7 +315,10 @@ class _Packing:
         """Total degree of a packed monomial: the sum of its blocks'
         degree fields."""
         limit = self.limit
-        return sum((mono >> shift) & limit for shift in self.degrees)
+        degrees = self.degrees
+        if len(degrees) == 1:
+            return (mono >> degrees[0]) & limit
+        return sum((mono >> shift) & limit for shift in degrees)
 
     def largest_degree(self, monos):
         """Largest total degree of packed monomials, at least one."""
