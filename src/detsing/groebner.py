@@ -974,8 +974,8 @@ def _certify_step(lead, powers, packing):
     """One element's step of the origin certificate, on a homogeneous
     element of an ideal a with packed grevlex leading term ``lead``: a
     constant proves V(a) lies in the origin, and a pure-power lead adds
-    its variable to ``powers``.  The lead of degree d is the power
-    x_i^d exactly when it is ``one + d*coeffs[i]`` (see
+    its variable's index to ``powers``.  The lead of degree d is the
+    power x_i^d exactly when it is ``one + d*coeffs[i]`` (see
     :meth:`_Packing.pack`), so no exponent is unpacked.  True once the
     elements stepped so far prove it (see :func:`_certifies_origin`)."""
     degree = packing.degree(lead)
@@ -983,16 +983,16 @@ def _certify_step(lead, powers, packing):
         return True
     power, rest = divmod(lead - packing.one, degree)
     if not rest and power in packing.coeffs:
-        powers.add(power)
+        powers.add(packing.coeffs.index(power))
     return len(powers) == packing.width
 
 
 def _certifies_origin(polys, width):
     """True when elements of an ideal a, polynomials over ``width``
-    variables, prove that V(a) lies in the origin: one is a nonzero constant, or the
-    homogeneous ones have grevlex leading terms that include a pure power
-    of each of the ``width`` variables (a one-term pure power is such an
-    element).  The homogeneous elements then generate a homogeneous ideal
+    variables, prove that V(a) lies in the origin: one is a nonzero
+    constant, or the homogeneous ones have grevlex leading terms that
+    include a pure power of each variable (a one-term pure power is such
+    an element).  The homogeneous elements then generate a homogeneous ideal
     J in a whose leading-term ideal has finite colength, so J is
     zero-dimensional (Macaulay's theorem); its zero set is a cone, so it
     is the origin alone, and V(a) lies in V(J) (the graded
@@ -1039,20 +1039,16 @@ def _origin_certified(a: Ideal) -> bool:
     ):
         if _certifies_origin(a.generators, width):
             return True
+        powers = set()
 
-        def input_phase(polys, packing, cap, seeded):
-            powers = set()  # one set per packing, as it holds packed powers
+        def proven(row, packing):
+            # As in _certifies_origin, a homogeneous row steps.
+            lt = row[1]
+            return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
+                lt, powers, packing
+            )
 
-            def proven(row, packing):
-                # As in _certifies_origin: a homogeneous row steps.
-                lt = row[1]
-                return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
-                    lt, powers, packing
-                )
-
-            return _input_rows(polys, packing, cap, seeded, proven)
-
-        rows, _ = _packed_run(a, GREVLEX, input_phase)
+        rows, _ = _packed_run(a, GREVLEX, lambda *run: _input_rows(*run, proven))
         if rows is None:
             return True
     return _certifies_origin(a.groebner_basis().elements, width)
