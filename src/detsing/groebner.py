@@ -322,8 +322,9 @@ class _Packing:
 
     def largest_degree(self, monos):
         """Largest total degree of packed monomials, at least one."""
-        if len(self.blocks) == 1:  # the degree field leads
-            return self.degree(max(monos))
+        degrees = self.degrees
+        if len(degrees) == 1:  # the degree field leads
+            return (max(monos) >> degrees[0]) & self.limit
         return max(map(self.degree, monos))
 
     def divides(self, a, b):
@@ -970,15 +971,14 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
-def _certify_step(lead, powers, packing):
+def _certify_step(lead, degree, powers, packing):
     """One element's step of the origin certificate, on a homogeneous
-    element of an ideal a with packed grevlex leading term ``lead``: a
-    constant proves V(a) lies in the origin, and a pure-power lead adds
+    element of an ideal a of total ``degree`` with packed grevlex leading
+    term ``lead``: a constant proves V(a) lies in the origin, and a pure-power lead adds
     its variable's index to ``powers``.  The lead of degree d is the
     power x_i^d exactly when it is ``one + d*coeffs[i]`` (see
     :meth:`_Packing.pack`), so no exponent is unpacked.  True once the
     elements stepped so far prove it (see :func:`_certifies_origin`)."""
-    degree = packing.degree(lead)
     if not degree:
         return True
     power, rest = divmod(lead - packing.one, degree)
@@ -1002,13 +1002,14 @@ def _certifies_origin(polys, width):
     homogeneous element is one :func:`_certify_step`, read from its packed
     grevlex form (:func:`_packed_forms`)."""
     packing = _Packing.for_input(GREVLEX, width, polys)
-    degree = packing.degree
+    top = packing.degrees[0]  # the one degree field, with only its guard bit above
     powers = set()
     for p in _packed_forms(polys, packing):
         # The degree field leads, so p is homogeneous when its smallest
         # term has its leading term's degree.
         lead = max(p)
-        if degree(min(p)) == degree(lead) and _certify_step(lead, powers, packing):
+        degree = lead >> top
+        if min(p) >> top == degree and _certify_step(lead, degree, powers, packing):
             return True
     return False
 
@@ -1044,8 +1045,9 @@ def _origin_certified(a: Ideal) -> bool:
         def proven(row, packing):
             # As in _certifies_origin, a homogeneous row steps.
             lt = row[1]
-            return packing.degree(min(row[3])) == packing.degree(lt) and _certify_step(
-                lt, powers, packing
+            degree = packing.degree(lt)
+            return packing.degree(min(row[3])) == degree and _certify_step(
+                lt, degree, powers, packing
             )
 
         rows, _ = _packed_run(a, GREVLEX, lambda *run: _input_rows(*run, proven))
