@@ -1,11 +1,16 @@
 """Byte-identity gate for the command line.
 
-Each command variant below runs in-process through ``cli.main`` from the
-repository root, with the model path relative to it.  Its stdout, stderr
-and exit code are hashed together and compared with the digests in
-``tests/cli_reference.json``.  The capped runs reach exit codes 1, 2 and
-3 and the degree-cap messages; the ``--ordering lex`` runs pin the lex
-basis sizes.
+Each command variant below runs in-process through ``cli.main`` from a
+directory holding ``models/``: the bundled models, and the random 2x2
+models ``random_matrix_model(Random(s), 2, 2, 3)`` as ``random-<s>``
+for s in ``RANDOM_SEEDS``.  The model path is relative to it.  Its
+stdout, stderr and exit code are hashed together and compared with the
+digests in ``tests/cli_reference.json``.  The capped runs reach exit
+codes 1, 2 and 3 and the degree-cap messages; the ``--ordering lex``
+runs pin the lex basis sizes.  A random model runs only ``analyze`` and
+``eids-check``, structured, under each cap in both orderings: those runs
+hold the S-pair sequence, as the order in which pending pairs are pruned
+decides where some of them trip the cap.
 
 After adding a command variant, record its digest with
 
@@ -17,19 +22,27 @@ digest would change, it writes nothing, names each such entry and exits
 by hand, so that the deletion shows in the diff, and run it again.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from detsing.cli import main
+from detsing.modelfile import format_model
+from helpers import random_matrix_model
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = Path(__file__).resolve().parent / "cli_reference.json"
-MODELS = sorted(p.stem for p in (ROOT / "models").glob("*.model"))
+BUNDLED = sorted(p.stem for p in (ROOT / "models").glob("*.model"))
+RANDOM_SEEDS = (4, 6, 8)
+MODELS = BUNDLED + [f"random-{s}" for s in RANDOM_SEEDS]
 
 COMMANDS = (
     ("analyze",),
@@ -52,9 +65,29 @@ CAPS = (1, 2, 3, 4, 5, 6, 7, 8)
 LEX = ("analyze", "eids-check")
 
 
+def write_models(directory, seeds=RANDOM_SEEDS):
+    """Write the bundled models, and the random model of each seed as
+    ``random-<seed>``, into ``directory/models``."""
+    models = Path(directory) / "models"
+    models.mkdir()
+    for stem in BUNDLED:
+        (models / f"{stem}.model").write_text((ROOT / "models" / f"{stem}.model").read_text())
+    for s in seeds:
+        model = random_matrix_model(random.Random(s), 2, 2, 3)
+        (models / f"random-{s}.model").write_text(format_model(model))
+
+
 def variants(model):
     """(name, argv) of every run on one model."""
     path = f"models/{model}.model"
+    if model not in BUNDLED:
+        for command in LEX:
+            for cap in CAPS:
+                for ordering in ((), ("--ordering", "lex")):
+                    argv = [command, path, *ordering, "--format", "structured",
+                            "--max-degree", str(cap)]
+                    yield " ".join(argv), argv
+        return
     for command, *rest in COMMANDS:
         for fmt in ("text", "structured"):
             argv = [command, path, *rest, "--format", fmt]
@@ -81,8 +114,9 @@ def digest(argv, read_output):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_cli_output_matches_reference(model, capsys, monkeypatch):
-    monkeypatch.chdir(ROOT)
+def test_cli_output_matches_reference(model, capsys, monkeypatch, tmp_path):
+    write_models(tmp_path)
+    monkeypatch.chdir(tmp_path)
     expected = json.loads(REFERENCE.read_text())[model]
     capsys.readouterr()
     got = {name: digest(argv, capsys.readouterr) for name, argv in variants(model)}
@@ -90,21 +124,26 @@ def test_cli_output_matches_reference(model, capsys, monkeypatch):
     assert [name for name in got if got[name] != expected[name]] == []
 
 
-if __name__ == "__main__":
-    import contextlib
-    import io
+def captured_digest(argv):
+    """:func:`digest` of one run, its output captured without pytest."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return digest(argv, lambda: (out.getvalue(), err.getvalue()))
 
-    os.chdir(ROOT)
+
+if __name__ == "__main__":
     reference = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
     changed = []
-    for model in MODELS:
-        entries = reference.setdefault(model, {})
-        for name, argv in variants(model):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                got = digest(argv, lambda: (out.getvalue(), err.getvalue()))
-            if entries.setdefault(name, got) != got:
-                changed.append(name)
+    with tempfile.TemporaryDirectory() as directory:
+        write_models(directory)
+        os.chdir(directory)
+        for model in MODELS:
+            entries = reference.setdefault(model, {})
+            for name, argv in variants(model):
+                got = captured_digest(argv)
+                if entries.setdefault(name, got) != got:
+                    changed.append(name)
+        os.chdir(ROOT)
     if changed:
         changed.insert(0, "digests would change; delete these keys to regenerate them:")
         sys.exit("\n".join(changed))
