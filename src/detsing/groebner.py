@@ -3,11 +3,10 @@
 Buchberger's algorithm with the Gebauer-Moeller pair-elimination
 criteria and the normal selection strategy (smallest lcm under the
 active ordering, ties broken by generator index), so bases are
-reproducible across runs.  Pending pairs live in a map from the pair
-``(i, j)`` to its lcm, computed once when the pair is created.  A heap
-of ``(lcm, i, j)`` entries yields the next pair in exactly that order;
-a pair the update criteria prune leaves the map, and its heap entry is
-skipped when popped (lazy deletion).  The engine works on primitive
+reproducible across runs.  The pending pairs are one heap of
+``(lcm, i, j)``, each lcm computed once when its pair is created, so
+the heap yields the next pair in exactly that order.  A pair the update
+criteria prune leaves the heap at once.  The engine works on primitive
 integer-coefficient polynomials.  It reads each input's integer form
 (see ``poly``), which differs from the primitive one by a positive
 scalar, and returns each basis element in integer form: its primitive
@@ -72,12 +71,14 @@ the rows of Buchberger's input phase up to the first that completes the
 certificate (both only when no generator exceeds the degree cap), then
 its reduced basis.  A nonzero constant, or homogeneous elements with a
 pure-power leading term in every variable, settle it with no
-saturation.  Otherwise it is the saturation by the maximal ideal.
+saturation.  Otherwise a of positive dimension fails, read from that
+basis, and only a zero-dimensional a is saturated by the maximal ideal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul
@@ -143,7 +144,7 @@ class Ideal:
                 raise ValidationError("zero ideal needs an explicit variable set")
             vars = gens[0].vars
         for g in gens:
-            if g.vars != vars:
+            if g.vars is not vars and g.vars != vars:
                 raise VariableSetMismatchError("generators use different variable sets")
         self.vars = vars
         self.generators = tuple(gens)
@@ -492,10 +493,10 @@ def _interreduce_input(polys, packing, stop=None):
     arrived above all earlier ones, each row was already reduced against
     all the rows below it, and the pass is skipped.
 
-    ``stop(row, packing)``, when given, sees each row as it is kept, and
-    the run returns None as soon as it returns True.  Every row ever kept
-    is an element of the ideal the inputs generate, even one that later
-    goes back into the queue.
+    ``stop(terms, packing)``, when given, sees each row's terms as the
+    row is kept, and the run returns None as soon as it returns True.
+    Every row ever kept is an element of the ideal the inputs generate,
+    even one that later goes back into the queue.
     """
     queue = [(max(p), k, _primitive(dict(p))) for k, p in enumerate(polys) if p]
     heapify(queue)
@@ -524,7 +525,7 @@ def _interreduce_input(polys, packing, stop=None):
                     still.append(r)
             kept = still
         kept.append(row)
-        if stop is not None and stop(row, packing):
+        if stop is not None and stop(f, packing):
             return None
     kept.sort(key=lambda r: r[1])
     if not ascending:
@@ -536,17 +537,17 @@ def _interreduce_input(polys, packing, stop=None):
     return kept
 
 
-def _update_pairs(lts, P, heap, new_lt, packing):
+def _update_pairs(lts, heap, new_lt, packing):
     """Gebauer-Moeller pair update for the element about to be appended.
 
-    ``lts`` are the packed leading terms.  ``P`` maps each pending pair
-    ``(i, j)`` to its packed lcm.  Pairs the new leading term makes
-    redundant are deleted from ``P``; their entries stay in ``heap`` and
-    the caller skips them when popped.  Each new pair ``(i, t)`` enters
-    both ``P`` and ``heap`` as ``(lcm, i, t)``, so selection keeps the
+    ``lts`` are the packed leading terms and ``heap`` holds each pending
+    pair ``(i, j)`` as ``(lcm, i, j)``, its packed lcm first.  A pending
+    pair whose lcm the new leading term divides, and differs from both
+    of its own lcms with it, is redundant (criterion B); the heap is
+    filtered and re-heapified only when there is one.  Each new pair
+    ``(i, t)`` is pushed as ``(lcm, i, t)``, so selection keeps the
     ``(lcm, i, j)`` order.  ``lcm(lts[i], new_lt)`` is computed once per
-    ``i``, field-wise on the packed ints (:meth:`_Packing.lcms`); old
-    pairs reuse their stored lcm.
+    ``i``, field-wise on the packed ints (:meth:`_Packing.lcms`).
     """
     t = len(lts)
     new_lcms = packing.lcms(lts, new_lt)
@@ -554,15 +555,16 @@ def _update_pairs(lts, P, heap, new_lt, packing):
     if any(map(guards.__and__, new_lcms)):
         raise _Overflow
     divisor = new_lt + guards
-    pruned = [
+    kept = [
         pair
-        for pair, l in P.items()
-        if (divisor - l) & test == test
-        and l != new_lcms[pair[0]]
-        and l != new_lcms[pair[1]]
+        for pair in heap
+        if (divisor - pair[0]) & test != test
+        or pair[0] == new_lcms[pair[1]]
+        or pair[0] == new_lcms[pair[2]]
     ]
-    for pair in pruned:
-        del P[pair]
+    if len(kept) < len(heap):
+        heap[:] = kept
+        heapify(heap)
     # Each distinct lcm with its smallest i (written last, as the pairs
     # are reversed), and the lcms equal to the product of the leading
     # terms, which Buchberger's coprime criterion skips.
@@ -577,9 +579,7 @@ def _update_pairs(lts, P, heap, new_lt, packing):
         else:
             keys.append(l + guards)
             if l not in coprime:
-                i = first[l]
-                P[(i, t)] = l
-                heappush(heap, (l, i, t))
+                heappush(heap, (l, first[l], t))
 
 
 def _packed_forms(polys, packing):
@@ -604,23 +604,19 @@ def _packed_forms(polys, packing):
     return out
 
 
-def _input_rows(polys, packing, cap, seeded=0, stop=None):
+def _input_rows(polys, packing, cap, seeded=0):
     """Buchberger's input phase on integer polynomials keyed by packed
     monomials: the reducer rows of the first ``seeded`` polynomials, a reduced
     basis kept as it is, then of the others interreduced and, in a seeded
     run, reduced against the rows before them.  (Unseeded, the rows are
     already reduced against each other.)  Each row is an element of the
     ideal the inputs generate, and each leading term is checked against
-    the degree cap.  Returns None when ``stop`` ends the interreduction
-    (see :func:`_interreduce_input`).  Raises _Overflow when a product
-    does not fit the packing."""
+    the degree cap.  Raises _Overflow when a product does not fit the
+    packing."""
     rows = [_row(_primitive(p), packing) for p in polys[:seeded]]
     for row in rows:
         _check_degree(row[1], cap, "input leading term", packing)
-    kept = _interreduce_input(polys[seeded:], packing, stop)
-    if kept is None:
-        return None
-    for row in kept:
+    for row in _interreduce_input(polys[seeded:], packing):
         if seeded:
             f = _reduce_full(row[3], rows, packing)
             if not f:
@@ -644,23 +640,19 @@ def _packed_basis(polys, packing, cap, seeded=0):
     before them, as they would when added one by one."""
     G = _input_rows(polys, packing, cap, seeded)
     lts = [row[1] for row in G[:seeded]]
-    P = {}  # pending pair (i, j) -> lcm(lts[i], lts[j])
-    heap = []  # (lcm, i, j); entries of pruned pairs go stale
+    heap = []  # pending pairs (i, j) as (lcm(lts[i], lts[j]), i, j)
     for row in G[seeded:]:
-        _update_pairs(lts, P, heap, row[1], packing)
+        _update_pairs(lts, heap, row[1], packing)
         lts.append(row[1])
 
-    while P:
-        _, i, j = heappop(heap)
-        lcm = P.pop((i, j), None)
-        if lcm is None:
-            continue
+    while heap:
+        lcm, i, j = heappop(heap)
         _check_degree(lcm, cap, "S-pair lcm", packing)
         s = _reduce_full(_spoly(G[i], G[j], lcm, packing), G, packing)
         if s:
             row = _row(s, packing)
             _check_degree(row[1], cap, "new basis element", packing)
-            _update_pairs(lts, P, heap, row[1], packing)
+            _update_pairs(lts, heap, row[1], packing)
             G.append(row)
             lts.append(row[1])
 
@@ -971,14 +963,20 @@ def dimension(a: Ideal) -> int:
     return q - best
 
 
-def _certify_step(lead, degree, powers, packing):
-    """One element's step of the origin certificate, on a homogeneous
-    element of an ideal a of total ``degree`` with packed grevlex leading
-    term ``lead``: a constant proves V(a) lies in the origin, and a pure-power lead adds
-    its variable's index to ``powers``.  The lead of degree d is the
-    power x_i^d exactly when it is ``one + d*coeffs[i]`` (see
-    :meth:`_Packing.pack`), so no exponent is unpacked.  True once the
-    elements stepped so far prove it (see :func:`_certifies_origin`)."""
+def _certify_step(powers, p, packing):
+    """One step of the origin certificate (:func:`_certifies_origin`) on
+    ``p``, the packed grevlex map of an element of a: True once the
+    elements stepped so far prove that V(a) lies in the origin.  The
+    degree field leads, with only its guard bit above, so ``m >>
+    degrees[0]`` is a degree, and p is homogeneous when its smallest term
+    has its lead's degree; only then does it step.  A constant proves it;
+    a lead x_i^d, d > 0, packed as ``one + d*coeffs[i]``
+    (:meth:`_Packing.pack`), adds i to ``powers``."""
+    top = packing.degrees[0]
+    lead = max(p)
+    degree = lead >> top
+    if min(p) >> top != degree:
+        return False
     if not degree:
         return True
     power, rest = divmod(lead - packing.one, degree)
@@ -999,19 +997,11 @@ def _certifies_origin(polys, width):
     Nullstellensatz; Cox, Little & O'Shea, ch. 5 §3 and ch. 8 §3).  The
     elements need not be a basis, and unlike a one-term power of every
     variable the test survives a linear change of coordinates.  Each
-    homogeneous element is one :func:`_certify_step`, read from its packed
-    grevlex form (:func:`_packed_forms`)."""
+    element is one :func:`_certify_step` on its packed grevlex form
+    (:func:`_packed_forms`)."""
     packing = _Packing.for_input(GREVLEX, width, polys)
-    top = packing.degrees[0]  # the one degree field, with only its guard bit above
     powers = set()
-    for p in _packed_forms(polys, packing):
-        # The degree field leads, so p is homogeneous when its smallest
-        # term has its leading term's degree.
-        lead = max(p)
-        degree = lead >> top
-        if min(p) >> top == degree and _certify_step(lead, degree, powers, packing):
-            return True
-    return False
+    return any(_certify_step(powers, p, packing) for p in _packed_forms(polys, packing))
 
 
 def _origin_certified(a: Ideal) -> bool:
@@ -1021,17 +1011,17 @@ def _origin_certified(a: Ideal) -> bool:
 
     1. a's reduced grevlex basis when it is cached, and nothing else;
     2. a's generators;
-    3. the rows of Buchberger's input phase (:func:`_input_rows`), each
-       stepped (:func:`_certify_step`) as the interreduction keeps it, up
-       to the first row that completes the proof;
+    3. the rows of Buchberger's input phase, the generators interreduced
+       (:func:`_interreduce_input`), each stepped (:func:`_certify_step`)
+       as it is kept, up to the first row that completes the proof;
     4. a's reduced grevlex basis, computed and cached.
 
     One cap test gates 2 and 3: they run only when no generator exceeds
     a's degree cap, and otherwise 4 runs at once and trips the cap where
     the basis does.  Grevlex is degree-compatible, so interreduction
-    cannot raise a leading degree: neither 2 nor a cut-short input phase
-    skips a limit error the whole phase would raise, and a capped run
-    that 2 or 3 certifies skips any cap trip in the S-pair phase.
+    cannot raise a leading degree and no row of 3 exceeds the cap: a
+    capped run that 2 or 3 certifies skips only cap trips of the S-pair
+    phase.  Seeds are in block orders, so 3 is the input phase unseeded.
     """
     width = len(a.vars)
     cap = a.max_degree
@@ -1040,29 +1030,13 @@ def _origin_certified(a: Ideal) -> bool:
     ):
         if _certifies_origin(a.generators, width):
             return True
-        powers = set()
-
-        def proven(row, packing):
-            # As in _certifies_origin, a homogeneous row steps.
-            lt = row[1]
-            degree = packing.degree(lt)
-            return packing.degree(min(row[3])) == degree and _certify_step(
-                lt, degree, powers, packing
-            )
-
-        rows, _ = _packed_run(a, GREVLEX, lambda *run: _input_rows(*run, proven))
+        step = partial(_certify_step, set())
+        rows, _ = _packed_run(
+            a, GREVLEX, lambda polys, packing, *_: _interreduce_input(polys, packing, step)
+        )
         if rows is None:
             return True
     return _certifies_origin(a.groebner_basis().elements, width)
-
-
-def _away_from_origin(a: Ideal):
-    """a : m^inf, m the maximal ideal at the origin, or None when
-    :func:`_origin_certified` shows from elements of a that the support
-    is at most the origin, with no saturation needed to tell."""
-    if _origin_certified(a):
-        return None
-    return saturation(a, maximal_ideal(a.vars))
 
 
 def support_is_origin_only(a: Ideal) -> bool:
@@ -1071,9 +1045,14 @@ def support_is_origin_only(a: Ideal) -> bool:
     whose zero set is empty, passes).  Elements of a that
     :func:`_origin_certified` accepts (a nonzero constant, or homogeneous
     elements led by a pure power of every variable) certify this without
-    the saturation."""
-    away = _away_from_origin(a)
-    return away is None or is_unit_ideal(away)
+    the saturation.  When they do not, a's reduced grevlex basis is
+    cached, and a of positive Krull dimension fails with no saturation:
+    V(a) within the origin would make it at most 0."""
+    if _origin_certified(a):
+        return True
+    if dimension(a) > 0:
+        return False
+    return is_unit_ideal(saturation(a, maximal_ideal(a.vars)))
 
 
 def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
@@ -1139,10 +1118,11 @@ def colength_at_origin(a: Ideal) -> int:
         return 0
     if dimension(a) != 0:
         raise PreconditionError("colength at the origin needs a zero-dimensional ideal")
-    away = _away_from_origin(a)
     origin_part = a
-    if away is not None and not is_unit_ideal(away):
-        origin_part = saturation(a, away)
-        if is_unit_ideal(origin_part):
-            return 0
+    if not _origin_certified(a):
+        away = saturation(a, maximal_ideal(a.vars))
+        if not is_unit_ideal(away):
+            origin_part = saturation(a, away)
+            if is_unit_ideal(origin_part):
+                return 0
     return len(_standard_monomials(origin_part.groebner_basis(GREVLEX), len(a.vars)))

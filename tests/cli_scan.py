@@ -1,0 +1,92 @@
+"""Capped command-line scan, a wider and slower companion of the
+byte-identity gate in ``test_cli_reference.py`` (pytest does not collect
+this file).
+
+Every command variant of the gate's ``COMMANDS`` runs in both formats
+and both orderings, with no degree cap and under ``--max-degree`` 1-12,
+on the bundled models and on ``random_matrix_model(Random(s), 2, 2, 3)``
+for s = 1-8: 8,736 runs, in-process through ``cli.main``.  Each run's
+exit code, stdout and stderr are hashed as the gate hashes them.
+
+    PYTHONPATH=src python tests/cli_scan.py OUT.json
+    PYTHONPATH=src python tests/cli_scan.py --compare A.json B.json
+
+The first form writes ``{argv: "<sha256>:<exit code>"}`` and prints the
+count of each exit code.  The second lists the runs whose entries differ
+between two such files, and exits 1 when there is one.  To check that a
+change keeps the command line's output, scan a checkout of the parent and
+the change, each with its own ``src``, and compare.
+"""
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+from collections import Counter
+
+from test_cli_reference import BUNDLED, COMMANDS, digest, run_captured, write_models
+
+SEEDS = range(1, 9)
+CAPS = (None, *range(1, 13))
+
+
+def runs():
+    """argv of every run, on models written by ``write_models``."""
+    models = BUNDLED + [f"random-{s}" for s in SEEDS]
+    for model in models:
+        for command, *rest in COMMANDS:
+            for fmt in ("text", "structured"):
+                for ordering in ((), ("--ordering", "lex")):
+                    for cap in CAPS:
+                        limit = () if cap is None else ("--max-degree", str(cap))
+                        yield [command, f"models/{model}.model", *rest, *ordering,
+                               "--format", fmt, *limit]
+
+
+def scan():
+    results = {}
+    with tempfile.TemporaryDirectory() as directory:
+        write_models(directory, SEEDS)
+        home = os.getcwd()
+        os.chdir(directory)
+        try:
+            for argv in runs():
+                code, out, err = run_captured(argv)
+                results[" ".join(argv)] = f"{digest(code, out, err)}:{code}"
+        finally:
+            os.chdir(home)
+    return results
+
+
+def compare(a, b):
+    """Names of the runs whose entries differ, or that one file lacks."""
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="write the scan to this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(open(path).read()) for path in args.compare)
+        differing = compare(a, b)
+        for name in differing:
+            print(f"{name}: {a.get(name)} -> {b.get(name)}")
+        print(f"{len(differing)} of {len(a.keys() | b.keys())} runs differ")
+        return 1 if differing else 0
+    if not args.out:
+        parser.error("give an output file or --compare A B")
+    results = scan()
+    with open(args.out, "w") as f:
+        json.dump(results, f, indent=1, sort_keys=True)
+        f.write("\n")
+    codes = Counter(entry.rsplit(":", 1)[1] for entry in results.values())
+    print(f"{len(results)} runs; exit codes " + ", ".join(
+        f"{code}: {count}" for code, count in sorted(codes.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

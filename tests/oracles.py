@@ -22,7 +22,7 @@ same operations on a polynomial's integer form.
 """
 
 from fractions import Fraction
-from heapq import heappush
+from heapq import heapify, heappush
 from math import gcd
 
 from detsing.groebner import (
@@ -226,7 +226,7 @@ def cofactor_det(grid):
     return total
 
 
-def reference_update_pairs(lts, P, heap, new_lt, packing):
+def reference_update_pairs(lts, heap, new_lt, packing):
     """``groebner._update_pairs`` with each ``lcm(lts[i], new_lt)`` formed
     from unpacked exponent tuples and packed again, and each divisibility
     tested with ``packing.divides``; raises ``_Overflow`` when an lcm does
@@ -236,15 +236,16 @@ def reference_update_pairs(lts, P, heap, new_lt, packing):
     new_lcms = [packing.pack(monomial_lcm(packing.unpack(m), new_exps)) for m in lts]
     if any(l & packing.guards for l in new_lcms):
         raise _Overflow
-    pruned = [
-        (i, j)
-        for (i, j), l in P.items()
+    pruned = {
+        (l, i, j)
+        for l, i, j in heap
         if packing.divides(new_lt, l)
         and l != new_lcms[i]
         and l != new_lcms[j]
-    ]
-    for pair in pruned:
-        del P[pair]
+    }
+    if pruned:
+        heap[:] = [pair for pair in heap if pair not in pruned]
+        heapify(heap)
     lcm_groups = {}
     for i, l in enumerate(new_lcms):
         lcm_groups.setdefault(l, []).append(i)
@@ -256,9 +257,7 @@ def reference_update_pairs(lts, P, heap, new_lt, packing):
     for l in minimal:
         # Buchberger's coprime criterion: skip when lcm = product.
         if not any(lts[i] + product == l for i in lcm_groups[l]):
-            i = min(lcm_groups[l])
-            P[(i, t)] = l
-            heappush(heap, (l, i, t))
+            heappush(heap, (l, min(lcm_groups[l]), t))
 
 
 def reference_reduce_full(p, basis, packing):

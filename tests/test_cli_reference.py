@@ -8,9 +8,8 @@ stdout, stderr and exit code are hashed together and compared with the
 digests in ``tests/cli_reference.json``.  The capped runs reach exit
 codes 1, 2 and 3 and the degree-cap messages; the ``--ordering lex``
 runs pin the lex basis sizes.  A random model runs only ``analyze`` and
-``eids-check``, structured, under each cap in both orderings: those runs
-hold the S-pair sequence, as the order in which pending pairs are pruned
-decides where some of them trip the cap.
+``eids-check``, structured, under each cap in both orderings: the pairs
+the update criteria prune decide where some of those runs trip the cap.
 
 After adding a command variant, record its digest with
 
@@ -106,29 +105,27 @@ def variants(model):
             yield " ".join(argv), argv
 
 
-def digest(argv, read_output):
+def digest(code, out, err):
     """SHA-256 of one run's exit code, stdout and stderr."""
-    code = main(argv)
-    out, err = read_output()
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
 
 
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("model", MODELS)
-def test_cli_output_matches_reference(model, capsys, monkeypatch, tmp_path):
+def test_cli_output_matches_reference(model, monkeypatch, tmp_path):
     write_models(tmp_path)
     monkeypatch.chdir(tmp_path)
     expected = json.loads(REFERENCE.read_text())[model]
-    capsys.readouterr()
-    got = {name: digest(argv, capsys.readouterr) for name, argv in variants(model)}
+    got = {name: digest(*run_captured(argv)) for name, argv in variants(model)}
     assert sorted(got) == sorted(expected)
     assert [name for name in got if got[name] != expected[name]] == []
-
-
-def captured_digest(argv):
-    """:func:`digest` of one run, its output captured without pytest."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        return digest(argv, lambda: (out.getvalue(), err.getvalue()))
 
 
 if __name__ == "__main__":
@@ -140,7 +137,7 @@ if __name__ == "__main__":
         for model in MODELS:
             entries = reference.setdefault(model, {})
             for name, argv in variants(model):
-                got = captured_digest(argv)
+                got = digest(*run_captured(argv))
                 if entries.setdefault(name, got) != got:
                     changed.append(name)
         os.chdir(ROOT)

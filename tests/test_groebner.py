@@ -255,25 +255,22 @@ class TestBuchberger:
                 assert bases[0] == bases[1] == bases[2]
 
     def test_pair_update_matches_tuple_reference(self, monkeypatch):
-        # Each pair update leaves the same pending pairs, in the same
-        # order, and the same heap as the update on exponent tuples, and
-        # overflows at the same calls.  That pins the S-pair sequence, and
-        # with it every degree-cap trip.
+        # Each pair update leaves the same heap of pending pairs as the
+        # update on exponent tuples, and overflows at the same calls.
+        # That pins the S-pair sequence, and with it every degree-cap trip.
         engine = groebner._update_pairs
         outcomes = []
 
-        def outcome(update, lts, P, heap, new_lt, packing):
+        def outcome(update, lts, heap, new_lt, packing):
             try:
-                update(lts, P, heap, new_lt, packing)
+                update(lts, heap, new_lt, packing)
             except groebner._Overflow:
                 return "overflow"
-            return list(P.items()), heap
+            return heap
 
-        def checked(lts, P, heap, new_lt, packing):
-            expected = outcome(
-                reference_update_pairs, list(lts), dict(P), list(heap), new_lt, packing
-            )
-            got = outcome(engine, lts, P, heap, new_lt, packing)
+        def checked(lts, heap, new_lt, packing):
+            expected = outcome(reference_update_pairs, list(lts), list(heap), new_lt, packing)
+            got = outcome(engine, lts, heap, new_lt, packing)
             assert got == expected
             outcomes.append(got == "overflow")
             if got == "overflow":
@@ -1049,6 +1046,16 @@ class TestSupport:
         assert not groebner._origin_certified(I)
         assert not support_is_origin_only(I)
 
+    def test_positive_dimension_fails_without_saturation(self, monkeypatch):
+        # (x^3) is not certified, and its zero set, the line x = 0, is not
+        # within the origin: its dimension, read from the basis the
+        # certificate cached, says so with no saturation.
+        def refuse(a, b):
+            raise AssertionError("saturated")
+
+        monkeypatch.setattr(groebner, "saturation", refuse)
+        assert not support_is_origin_only(ideal(XY, "x^3"))
+
     def test_certificate_reads_generators_and_input_rows_first(self, monkeypatch):
         # (x^2, y^2, (x + y)^3 - x*y^2) is certified by its generators.
         # (x^2 - x*y, x^2 - x*y + y^3) is not, since the second is not
@@ -1056,9 +1063,9 @@ class TestSupport:
         # are.  Neither builds a reduced basis.  (x^2 - x, y) needs its
         # basis and is not certified.
         rows = []
-        real = groebner._input_rows
+        real = groebner._interreduce_input
         monkeypatch.setattr(
-            groebner, "_input_rows", lambda *args: rows.append(1) or real(*args)
+            groebner, "_interreduce_input", lambda *args: rows.append(1) or real(*args)
         )
         by_generators = ideal(XY, "x^2", "y^2", "(x + y)^3 - x*y^2")
         assert groebner._origin_certified(by_generators)
@@ -1217,7 +1224,8 @@ class TestColength:
         # y, so the part away from the origin is computed: the unit ideal.
         I = ideal(XY, "x*y", "x^2 + y^3")
         assert [len(g.terms) for g in I.groebner_basis()] == [1, 2, 1]
-        assert groebner.is_unit_ideal(groebner._away_from_origin(I))
+        assert not groebner._origin_certified(I)
+        assert is_unit_ideal(saturation(I, groebner.maximal_ideal(XY)))
         assert colength_at_origin(I) == colength(I) == 5
 
     def test_certificate_keeps_colengths_and_errors(self, monkeypatch):
