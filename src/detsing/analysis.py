@@ -23,10 +23,10 @@ class Analysis:
     on the same model recomputes everything.  A computation that raises a
     ``DetsingError`` keeps the error and raises it again when asked for.
     A stratum keeps its ``Ideal``, capped at ``max_degree``, and so that
-    ideal's basis cache.  Members are keyed on their specialized entries,
-    so samples that give equal matrices share one member; sections are
-    keyed on the normalized hyperplane.  Members and sections are analyses
-    themselves, with the same cap.
+    ideal's basis cache.  Each sample point is specialized once; members
+    are keyed on their entries, so samples giving equal matrices share
+    one member, and sections on the normalized hyperplane.  Members and
+    sections are analyses themselves, with the same cap.
     """
 
     __slots__ = ("model", "max_degree", "_memo")
@@ -85,8 +85,11 @@ class Analysis:
         return self._once(("mvector", tuple(sorted(chi.items()))), solve)
 
     def member(self, point) -> Analysis:
-        m = self.model.specialize(point)
-        return self._once(("member", m.entries), lambda: Analysis(m, self.max_degree))
+        def build():
+            m = self.model.specialize(point)
+            return self._once(("member", m.entries), lambda: Analysis(m, self.max_degree))
+
+        return self._once(("point", frozenset(point.items())), build)
 
     def section(self, h) -> Analysis:
         from .genericity import slice_model

@@ -54,15 +54,15 @@ overflow the basis is recomputed from the start with fields twice as
 wide.  Order, S-pair sequence and basis do not depend on the width.
 
 On top of the basis engine: membership, sums, products, elimination,
-intersection, quotient, saturation, Krull dimension, radical membership
-of variables, and colength (standard-monomial count) for ideals
-supported at the origin.  A saturation a : b^inf is one elimination: a
-fresh tag t_i for each generator g_i of b, 1 - sum t_i*g_i adjoined to
-the lifted generators of a, and all the tags eliminated in one block
-order.  It needs no round limit: the degree cap bounds its one basis.
-a's reduced grevlex basis, lifted, replaces a's generators and seeds the
-elimination: on tag-free polynomials the block order compares exactly
-as grevlex in a's variables, so that basis is reduced there too.
+intersection, quotient, saturation, Krull dimension, and colength
+(standard-monomial count) for ideals supported at the origin.  A
+saturation a : b^inf is one elimination: a fresh tag t_i for each
+generator g_i of b, 1 - sum t_i*g_i adjoined to the lifted generators of
+a, and all the tags eliminated in one block order.  It needs no round
+limit: the degree cap bounds its one basis.  a's reduced grevlex basis,
+lifted, replaces a's generators and seeds the elimination: on tag-free
+polynomials the block order compares exactly as grevlex in a's
+variables, so that basis is reduced there too.
 
 The one support test ("does V(a) lie in the origin?") is
 ``support_is_origin_only``; it passes the unit ideal.  It first reads

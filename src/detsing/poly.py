@@ -16,7 +16,8 @@ polynomial, are views derived on first read and kept; nothing is ever
 computed back from them.  Equality and hashing are by value.  Exponent
 tuples index into the variable set, whose order is fixed for the
 lifetime of a computation.  All operations are pure; any value may be
-shared freely.
+shared freely.  Lifting, restriction and substitution share one loop
+that re-indexes exponents (``Polynomial._reindex``).
 
 The text grammar accepted by :func:`parse_polynomial`:
 
@@ -391,76 +392,71 @@ class Polynomial:
         """
         values = {}
         for name, val in assignment.items():
-            self.vars.index(name)  # raises for unknown names
+            i = self.vars.index(name)  # raises for unknown names
             if not isinstance(val, Polynomial):
                 raise ValidationError("substitution values must be polynomials")
-            values[name] = val
+            values[i] = val
         if target is None:
-            for val in values.values():
-                target = val.vars
-                break
-            else:
-                target = self.vars
-        for val in values.values():
-            if val.vars != target:
-                raise VariableSetMismatchError(
-                    "substitution values use different variable sets"
-                )
-        per_var = []
-        for name in self.vars.names:
-            if name in values:
-                per_var.append(values[name])
-            else:
-                per_var.append(Polynomial.variable(target, name))
-        # Each piece takes a numerator; the sum is divided by the
-        # denominator once, at the end.
-        result = Polynomial.zero(target)
-        pow_cache = {}
-        for m, c in self._ints.items():
-            piece = Polynomial.constant(target, c)
-            for j, e in enumerate(m):
-                if e == 0:
-                    continue
-                key = (j, e)
-                if key not in pow_cache:
-                    pow_cache[key] = per_var[j] ** e
-                piece = piece * pow_cache[key]
-            result = result + piece
-        return Polynomial._integral(target, result._ints, result._den * self._den)
+            target = next((val.vars for val in values.values()), self.vars)
+        if any(val.vars != target for val in values.values()):
+            raise VariableSetMismatchError("substitution values use different variable sets")
+        for i, name in enumerate(self.vars.names):
+            if i not in values:
+                target.index(name)  # raises for names the target lacks
+        return self._reindex(target, values)
 
     def lift(self, target: VariableSet):
         """Re-express over a larger variable set containing the same names."""
-        positions = [target.index(n) for n in self.vars.names]
-        width = len(target)
-        ints, den = self._integer_form()
-        out = {}
-        for m, c in ints.items():
-            mm = [0] * width
-            for pos, e in zip(positions, m):
-                mm[pos] = e
-            out[tuple(mm)] = c
-        return Polynomial._integral(target, out, den)
+        return self.substitute({}, target)
 
     def restrict(self, target: VariableSet):
         """Re-express over a smaller variable set; dropped variables must
         not occur."""
-        positions = [target._index.get(n) for n in self.vars.names]
+        return self._reindex(target, {})
+
+    def _reindex(self, target, values):
+        """This polynomial over ``target`` with ``values[i]`` (over
+        ``target``) put for variable i.  Any other variable keeps its name,
+        which ``target`` must hold where the variable occurs.  Terms that
+        agree in the assigned exponents form one polynomial, multiplied
+        once by the cached powers of the values."""
+        names = self.vars.names
         width = len(target)
+        # An assigned exponent goes past the target's, into its group key.
+        positions = [target._index.get(n) for n in names]
+        for k, i in enumerate(values):
+            positions[i] = width + k
         ints, den = self._integer_form()
         out = {}
+        groups = {}
         for m, c in ints.items():
-            mm = [0] * width
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                pos = positions[i]
-                if pos is None:
-                    raise ValidationError(
-                        f"variable {self.vars.names[i]!r} occurs but is not in the target set"
-                    )
-                mm[pos] = e
+            mm = [0] * (width + len(values))
+            for name, pos, e in zip(names, positions, m):
+                if e:
+                    if pos is None:
+                        raise ValidationError(
+                            f"variable {name!r} occurs but is not in the target set"
+                        )
+                    mm[pos] = e
+            if values:
+                out = groups.setdefault(tuple(mm[width:]), {})
+                del mm[width:]
             out[tuple(mm)] = c
-        return Polynomial._integral(target, out, den)
+        if not values:
+            return Polynomial._integral(target, out, den)
+        # Each group takes its numerators; the sum is divided by the
+        # denominator once, at the end.
+        result = Polynomial.zero(target)
+        powers = {}
+        for exps, group in groups.items():
+            piece = Polynomial._integral(target, group, 1)
+            for i, e in zip(values, exps):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = values[i] ** e
+                    piece = piece * powers[i, e]
+            result = result + piece
+        return Polynomial._integral(target, result._ints, result._den * den)
 
 
 class _PackedPolynomial(Polynomial):

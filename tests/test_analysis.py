@@ -3,6 +3,7 @@ built once per call, and no cache outlives the call."""
 
 import ast
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,28 @@ def test_analyze_builds_each_stratum_slice_and_member_once(name, monkeypatch, ca
     capsys.readouterr()
     got = (counts["stratum"], counts["slice_model"], counts["eids_check"])
     assert got == ANALYZE_WORK[name]
+
+
+def test_analyze_specializes_each_sample_once(monkeypatch, capsys):
+    # omega2_family's three samples are specialized once each, though the
+    # family scan and the Whitney report both ask for every member.
+    from detsing.detmodel import PresentationMatrix
+
+    calls = []
+    original = PresentationMatrix.specialize
+
+    def wrapper(self, assignment):
+        calls.append(dict(assignment))
+        return original(self, assignment)
+
+    monkeypatch.setattr(PresentationMatrix, "specialize", wrapper)
+    path = str(MODELS / "omega2_family.model")
+    assert main(["analyze", path, "--format", "structured"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+    assert {frozenset(c.items()) for c in calls} == {
+        frozenset({("u", Fraction(v))}) for v in (0, 1, Fraction(-3, 2))
+    }
 
 
 def test_bare_model_calls_share_nothing(monkeypatch):

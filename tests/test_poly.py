@@ -6,16 +6,19 @@ import pytest
 from detsing import (
     GREVLEX,
     LEX,
+    Ideal,
     MonomialOrdering,
     ParseError,
     Polynomial,
     UnknownVariableError,
     VariableSet,
+    VariableSetMismatchError,
     ValidationError,
     chain_rule_check,
     parse_polynomial,
     poly_to_str,
 )
+from detsing.detmodel import _all_minors
 from helpers import P, XY, omega_model, omega_vars, random_poly, watch_term_maps
 from oracles import (
     reference_add,
@@ -219,7 +222,10 @@ class TestIntegerForm:
         read.  Sum, difference, product, scaling, powers, substitution,
         derivative, lift and restriction of operands over different
         denominators agree with the Fraction loops of the oracle, and the
-        integer form gives the polynomial back."""
+        integer form gives the polynomial back.  Lift, restriction and
+        substitution agree with the oracle on packed-born inputs too: the
+        minors of a grid from ``_all_minors`` and reduced grevlex basis
+        elements."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         xyu = VariableSet(("x", "y"), ("u",))
@@ -291,6 +297,28 @@ class TestIntegerForm:
             assert fresh.substitute(at_c, target=xy) == reference_substitute(
                 rational, {"u": Polynomial(xy, {(0, 0): c})}, xy
             )
+            # Packed-born: the entries and the minor of [[p, q], [2, 1]]
+            # (p - 2q), and the monic basis element of (p) over xyu and
+            # of (p lifted) over wide, which restricts back to xyu.
+            grid = [[fresh, q], [Polynomial.constant(xyu, 2), Polynomial.constant(xyu, 1)]]
+            born = _all_minors(grid, 1, xyu) + _all_minors(grid, 2, xyu)
+            if rational:
+                born += Ideal([fresh], xyu).groebner_basis(GREVLEX).elements
+                over_wide = Ideal([lifted], wide).groebner_basis(GREVLEX).elements[0]
+                assert over_wide._packing is not None
+                assert over_wide.restrict(xyu) == reference_restrict(over_wide, xyu)
+            for g in born:
+                if not g:
+                    continue
+                assert g._packing is not None
+                assert g.lift(wide) == reference_lift(g, wide)
+                assert g.lift(wide).restrict(xyu) == g
+                assert g.substitute({"x": q, "u": r}) == reference_substitute(
+                    g, {"x": q_rational, "u": r_rational}, xyu
+                )
+                assert g.substitute(at_c, target=xy) == reference_substitute(
+                    g, {"u": Polynomial(xy, {(0, 0): c})}, xy
+                )
 
         run()
 
@@ -323,3 +351,72 @@ class TestIntegerForm:
         p = Polynomial._integral(XY, {(1, 1): 3}, 2)
         with pytest.raises(ValidationError, match="'y' occurs"):
             p.restrict(VariableSet(("x",)))
+
+
+XT = VariableSet(("x", "t"))
+T = VariableSet(("t",))
+
+# Every error rule of lift, restrict and substitute, which share one
+# re-indexing loop: (call, error type or None, message or result).
+# Unassigned names are checked against the target before any term is
+# read, so lift and substitute raise for a missing name that does not
+# occur; restrict raises only for a dropped variable that occurs.
+REINDEX_RULES = {
+    "lift-missing-name-that-does-not-occur": (
+        lambda: P("x", XY).lift(XT),
+        UnknownVariableError,
+        "unknown variable 'y'",
+    ),
+    "lift-zero-missing-name": (
+        lambda: Polynomial.zero(XY).lift(XT),
+        UnknownVariableError,
+        "unknown variable 'y'",
+    ),
+    "substitute-unassigned-name-that-does-not-occur": (
+        lambda: P("x", XY).substitute({"x": P("t", T)}),
+        UnknownVariableError,
+        "unknown variable 'y'",
+    ),
+    "substitute-unknown-assigned-name": (
+        lambda: P("x", XY).substitute({"z": P("x", XY)}),
+        UnknownVariableError,
+        "unknown variable 'z'",
+    ),
+    "substitute-value-not-a-polynomial": (
+        lambda: P("x", XY).substitute({"x": 1}),
+        ValidationError,
+        "substitution values must be polynomials",
+    ),
+    "substitute-values-over-other-variables": (
+        lambda: P("x*y", XY).substitute({"x": P("t", XT), "y": P("x", XY)}),
+        VariableSetMismatchError,
+        "substitution values use different variable sets",
+    ),
+    "substitute-value-over-other-than-target": (
+        lambda: P("x*y", XY).substitute({"x": P("x", XY)}, target=XT),
+        VariableSetMismatchError,
+        "substitution values use different variable sets",
+    ),
+    "restrict-dropped-variable-that-occurs": (
+        lambda: P("x + x*y^2", XY).restrict(VariableSet(("x",))),
+        ValidationError,
+        "variable 'y' occurs but is not in the target set",
+    ),
+    "restrict-dropped-variable-that-does-not-occur": (
+        lambda: P("x^2 - 3", XY).restrict(VariableSet(("x",))),
+        None,
+        P("x^2 - 3", VariableSet(("x",))),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(REINDEX_RULES))
+def test_reindex_error_rules(rule):
+    call, error, expected = REINDEX_RULES[rule]
+    if error is None:
+        assert call() == expected
+        return
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == expected
