@@ -1,15 +1,18 @@
 """Byte-identity gate for the command line.
 
 Each command variant below runs in-process through ``cli.main`` from a
-directory holding ``models/``: the bundled models, and the random 2x2
+directory holding ``models/``: the bundled models, the random 2x2
 models ``random_matrix_model(Random(s), 2, 2, 3)`` as ``random-<s>``
-for s in ``RANDOM_SEEDS``.  The model path is relative to it.  Its
+for s in ``RANDOM_SEEDS``, and the small models of ``TEXT_MODELS``.
+The model path is relative to it.  Its
 stdout, stderr and exit code are hashed together and compared with the
 digests in ``tests/cli_reference.json``.  The capped runs reach exit
 codes 1, 2 and 3 and the degree-cap messages; the ``--ordering lex``
 runs pin the lex basis sizes.  A random model runs only ``analyze`` and
 ``eids-check``, structured, under each cap in both orderings: the pairs
 the update criteria prune decide where some of those runs trip the cap.
+A text model runs its own commands, in both formats: each reaches a
+report branch that no other model reaches.
 
 After adding a command variant, record its digest with
 
@@ -41,7 +44,43 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = Path(__file__).resolve().parent / "cli_reference.json"
 BUNDLED = sorted(p.stem for p in (ROOT / "models").glob("*.model"))
 RANDOM_SEEDS = (4, 6, 8)
-MODELS = BUNDLED + [f"random-{s}" for s in RANDOM_SEEDS]
+
+
+def _text_model(variables, rows, hyperplanes=()):
+    lines = ["[variables]", variables, "", "[type]", "rows = 2", "cols = 3", "t = 2", "",
+             "[matrix]", *rows]
+    if hyperplanes:
+        lines += ["", "[hyperplanes]", *hyperplanes]
+    return "\n".join(lines) + "\n"
+
+
+# name -> (model text, commands run on it).
+TEXT_MODELS = {
+    # Stratum 1 is (x1, ..., x5, y^2 - y^3): its colength is not
+    # computable, since the support holds the point y = 1.
+    "text-off-origin": (
+        _text_model("x1 x2 x3 x4 x5 y", ["x1, x2, x3", "x4, x5, x1 + y^2 - y^3"]),
+        ("analyze",),
+    ),
+    # One variable: no stratum has a nonnegative expected dimension.
+    "text-empty-system": (
+        _text_model("x", ["x, 0, x^2", "0, x, 0"]),
+        ("analyze",),
+    ),
+    # q = 2 is the codimension of the rank < 2 locus, and its minors
+    # x^2, x*y, y^2 confine it to the origin: stably-isolated verified.
+    "text-stably-isolated": (
+        _text_model("x y", ["x, y, 0", "0, x, y"]),
+        ("analyze",),
+    ),
+    # The x1 section's stratum 1, (x2, x3, x4, x + y^2, y^3), is not
+    # certified by its reduced basis, so its support needs a saturation.
+    "text-screen": (
+        _text_model("x1 x2 x3 x4 x y", ["x1, x2, x3", "x4, x + y^2, y^3"], ["x1"]),
+        ("analyze", "screen-hyperplanes"),
+    ),
+}
+MODELS = BUNDLED + [f"random-{s}" for s in RANDOM_SEEDS] + list(TEXT_MODELS)
 
 COMMANDS = (
     ("analyze",),
@@ -65,8 +104,8 @@ LEX = ("analyze", "eids-check")
 
 
 def write_models(directory, seeds=RANDOM_SEEDS):
-    """Write the bundled models, and the random model of each seed as
-    ``random-<seed>``, into ``directory/models``."""
+    """Write the bundled models, the random model of each seed as
+    ``random-<seed>`` and the text models into ``directory/models``."""
     models = Path(directory) / "models"
     models.mkdir()
     for stem in BUNDLED:
@@ -74,11 +113,19 @@ def write_models(directory, seeds=RANDOM_SEEDS):
     for s in seeds:
         model = random_matrix_model(random.Random(s), 2, 2, 3)
         (models / f"random-{s}.model").write_text(format_model(model))
+    for name, (text, _) in TEXT_MODELS.items():
+        (models / f"{name}.model").write_text(text)
 
 
 def variants(model):
     """(name, argv) of every run on one model."""
     path = f"models/{model}.model"
+    if model in TEXT_MODELS:
+        for command in TEXT_MODELS[model][1]:
+            for fmt in ("text", "structured"):
+                argv = [command, path, "--format", fmt]
+                yield " ".join(argv), argv
+        return
     if model not in BUNDLED:
         for command in LEX:
             for cap in CAPS:
