@@ -304,39 +304,33 @@ def jacobian_generators(polys, vars: VariableSet) -> GeneratorMatrix:
     )
 
 
-def _generic_vars(rows, cols):
-    names = tuple(f"g{r + 1}_{c + 1}" for r in range(rows) for c in range(cols))
-    return VariableSet(names)
-
-
 def n_generators(m: PresentationMatrix, i: int) -> GeneratorMatrix:
     """Generators of the module of determinantal first-order deformations:
     the Jacobian of the generic-matrix minors, evaluated on the entries.
 
     Rows are indexed by the i x i minors, columns by matrix positions in
-    row-major order.
+    row-major order.  By Laplace expansion, the entry of the minor on
+    rows R and columns C at (r, c) is (-1)^(a+b) times the (i-1)-minor
+    on R - {r} and C - {c}, where r is the a-th element of R and c the
+    b-th of C (1 when i = 1), and 0 off R x C.
     """
     if not 1 <= i <= m.dtype.t:
         raise ValidationError(f"stratum index {i} outside 1..{m.dtype.t}")
-    gvars = _generic_vars(m.rows, m.cols)
-    generic = [
-        [Polynomial.variable(gvars, f"g{r + 1}_{c + 1}") for c in range(m.cols)]
-        for r in range(m.rows)
-    ]
-    gminors = _all_minors(generic, i, gvars)
-    assignment = {
-        f"g{r + 1}_{c + 1}": m.entries[r][c]
-        for r in range(m.rows)
-        for c in range(m.cols)
-    }
+    rows, cols = range(m.rows), range(m.cols)
+    if i == 1:
+        sub = {((), ()): Polynomial.constant(m.vars, 1)}
+    else:
+        keys = [(R, C) for R in combinations(rows, i - 1) for C in combinations(cols, i - 1)]
+        sub = dict(zip(keys, _all_minors(m.entries, i - 1, m.vars)))
     out = []
-    for gm in gminors:
-        row = []
-        for r in range(m.rows):
-            for c in range(m.cols):
-                d = gm.derivative(f"g{r + 1}_{c + 1}")
-                row.append(d.substitute(assignment, target=m.vars))
-        out.append(row)
+    for R in combinations(rows, i):
+        for C in combinations(cols, i):
+            row = [Polynomial.zero(m.vars)] * (m.rows * m.cols)
+            for a, r in enumerate(R):
+                for b, c in enumerate(C):
+                    cofactor = sub[R[:a] + R[a + 1 :], C[:b] + C[b + 1 :]]
+                    row[r * m.cols + c] = -cofactor if (a + b) & 1 else cofactor
+            out.append(row)
     return GeneratorMatrix(out)
 
 

@@ -10,7 +10,8 @@ A hyperplane fails the screen when
   * a zero-dimensional stratum scheme of the original model is truncated
     by the section: its sliced ideal must stay supported at the origin
     with the same colength, since that colength is part of the
-    invariant data the section is supposed to carry.
+    invariant data the section is supposed to carry.  One colength call
+    tests both, as it raises PreconditionError off the origin.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .groebner import dimension, is_unit_ideal, support_is_origin_only
+from .groebner import dimension, is_unit_ideal
 from .invariants import solve_for_m
 from .poly import Polynomial, VariableSet, poly_to_str
 
@@ -125,10 +126,11 @@ def hyperplane_screen(m: PresentationMatrix | Analysis, h: Hyperplane) -> Screen
     for i in range(1, a.model.dtype.t + 1):
         if a.stratum(i).expected_dim != 0:
             continue
-        sliced_ideal = section.stratum(i).ideal
-        if is_unit_ideal(sliced_ideal):
+        if is_unit_ideal(section.stratum(i).ideal):
             continue
-        if not support_is_origin_only(sliced_ideal):
+        try:
+            sliced_colength = section.colength(i)
+        except PreconditionError:
             reasons.append(
                 f"section of zero-dimensional stratum {i} extends beyond the origin"
             )
@@ -141,7 +143,6 @@ def hyperplane_screen(m: PresentationMatrix | Analysis, h: Hyperplane) -> Screen
                 "at the origin; cannot screen its section"
             )
             continue
-        sliced_colength = section.colength(i)
         if sliced_colength != original_colength:
             reasons.append(
                 f"hyperplane truncates the zero-dimensional stratum {i} "

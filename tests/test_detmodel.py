@@ -22,7 +22,7 @@ from detsing import (
     singular_locus_ideal,
     stratum,
 )
-from detsing.detmodel import _all_minors, _generic_vars
+from detsing.detmodel import _all_minors
 from detsing.groebner import Ideal
 from detsing.poly import GREVLEX, LEX, MonomialOrdering
 from detsing.modelfile import build_model, load_model_file
@@ -41,8 +41,10 @@ def _oracle_minors(grid, size):
 
 
 def _oracle_n_generators(m, i):
-    gvars = _generic_vars(m.rows, m.cols)
-    names = gvars.names
+    """The Jacobian of the i x i minors of a generic matrix, one variable
+    per entry, with each entry substituted for its variable."""
+    names = tuple(f"g{r + 1}_{c + 1}" for r in range(m.rows) for c in range(m.cols))
+    gvars = VariableSet(names)
     generic = [
         [Polynomial.variable(gvars, names[r * m.cols + c]) for c in range(m.cols)]
         for r in range(m.rows)

@@ -4,21 +4,38 @@ from fractions import Fraction
 import pytest
 
 from detsing import (
+    DeterminantalType,
     Hyperplane,
     PreconditionError,
+    PresentationMatrix,
     ValidationError,
     dimension,
     hyperplane_screen,
     parse_polynomial,
     section_invariant_compare,
     slice_model,
+    groebner,
     stratum,
 )
-from helpers import P, generic_entry_model, omega_model
+from detsing.cli import main
+from helpers import XY, XYZ, P, generic_entry_model, omega_model, omega_vars
 
 
 def hp(*coeffs):
     return Hyperplane(tuple(Fraction(c) for c in coeffs))
+
+
+def model(vs, rows):
+    """The model of a grid of expression texts; t is the smaller size."""
+    n = min(len(rows), len(rows[0]))
+    dtype = DeterminantalType(n, abs(len(rows) - len(rows[0])), n)
+    return PresentationMatrix(dtype, [[P(e, vs) for e in row] for row in rows], vs)
+
+
+def off_origin_omega():
+    """The omega matrix with last entry x1 + y^2 - y^3: stratum 1 is
+    zero-dimensional and also holds the point y = 1, x = 0."""
+    return model(omega_vars(), [["x1", "x2", "x3"], ["x4", "x5", "x1 + y^2 - y^3"]])
 
 
 class TestHyperplane:
@@ -104,6 +121,56 @@ class TestScreen:
         verdict = hyperplane_screen(m, h)
         assert verdict.passed, verdict.reasons
 
+    def test_section_dimension_mismatch(self):
+        # x = 0 kills the entry x*y: the section's top stratum is the
+        # zero ideal, of dimension 2 where 1 is expected.
+        verdict = hyperplane_screen(model(XYZ, [["x*y"]]), hp(1, 0, 0))
+        assert verdict.reasons == (
+            "sliced model dimension mismatch: top stratum has dimension 2, "
+            "expected 1; not determinantal of the declared type",
+        )
+
+    def test_section_extends_beyond_the_origin(self):
+        # The x1 section of stratum 1 is (x2, ..., x5, y^2 - y^3), which
+        # keeps the point y = 1.
+        verdict = hyperplane_screen(off_origin_omega(), hp(1, 0, 0, 0, 0, 0))
+        assert verdict.reasons[-1] == (
+            "section of zero-dimensional stratum 1 extends beyond the origin"
+        )
+
+    def test_model_not_supported_at_the_origin(self):
+        # The y section of stratum 1 is the maximal ideal, but stratum 1
+        # itself holds the point y = 1, so its colength is undefined.
+        verdict = hyperplane_screen(off_origin_omega(), hp(0, 0, 0, 0, 0, 1))
+        assert verdict.reasons == (
+            "zero-dimensional stratum 1 of the model is not supported at the "
+            "origin; cannot screen its section",
+        )
+
+    def test_analyze_tests_each_sliced_support_once(self, monkeypatch, tmp_path, capsys):
+        # The x1 section's stratum 1, (x2, x3, x4, x + y^2, y^3), is not
+        # certified by its reduced basis, so its support needs one
+        # saturation by the maximal ideal, shared by the screen and the
+        # colength: 11 bases on 11 distinct inputs.
+        path = tmp_path / "screen.model"
+        path.write_text(
+            "[variables]\nx1 x2 x3 x4 x y\n\n[type]\nrows = 2\ncols = 3\nt = 2\n\n"
+            "[matrix]\nx1, x2, x3\nx4, x + y^2, y^3\n\n[hyperplanes]\nx1\n"
+        )
+        calls = []
+        original = groebner.buchberger
+
+        def wrapper(ideal, ordering=groebner.GREVLEX):
+            calls.append(
+                (ordering, ideal.vars, frozenset(tuple(sorted(g.terms.items())) for g in ideal.generators))
+            )
+            return original(ideal, ordering)
+
+        monkeypatch.setattr(groebner, "buchberger", wrapper)
+        assert main(["analyze", str(path), "--format", "structured"]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == 11
+
     def test_needs_specialized_model(self):
         m = omega_model(1, params=("u",))
         with pytest.raises(PreconditionError):
@@ -139,6 +206,19 @@ class TestSectionCompare:
     def test_empty_list_rejected(self):
         with pytest.raises(PreconditionError):
             section_invariant_compare(omega_model(1), [])
+
+    def test_section_without_euler_system(self):
+        # The x section of (x, y, 0; 0, x, y) has q = 1, below the
+        # codimension 2 of every stratum: no Euler system, so no dims.
+        rows = section_invariant_compare(model(XY, [["x", "y", "0"], ["0", "x", "y"]]), [hp(1, 0)])
+        assert rows[0].dims == () and rows[0].colengths == {}
+        assert rows[0].mvector is None
+
+    def test_section_colength_off_the_origin(self):
+        # The x section of x + y^2 - y^3 is (y^2 - y^3), zero-dimensional
+        # but holding y = 1: its colength is left out.
+        rows = section_invariant_compare(model(XY, [["x + y^2 - y^3"]]), [hp(1, 0)])
+        assert rows[0].dims == (0,) and rows[0].colengths == {}
 
     def test_section_mvector_with_chi(self):
         from detsing import ChiData
