@@ -10,11 +10,11 @@ from detsing import (
     PresentationMatrix,
     ValidationError,
     dimension,
+    groebner,
     hyperplane_screen,
     parse_polynomial,
     section_invariant_compare,
     slice_model,
-    groebner,
     stratum,
 )
 from detsing.cli import main
