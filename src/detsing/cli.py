@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from .analysis import Analysis
 from .detmodel import minors as compute_minors
@@ -157,7 +156,7 @@ def _screen_hyperplanes(a, mf, args, warnings):
     forms = args.hyperplane or mf.hyperplanes
     if not forms:
         raise ValidationError("no hyperplanes: add a [hyperplanes] section or --hyperplane")
-    screened = replace(mf, hyperplanes=tuple(forms))
+    screened = mf._replace(hyperplanes=tuple(forms))
     return {"genericity": genericity_section(a, screened, warnings)}
 
 

@@ -21,30 +21,33 @@ and the deformation generators (:func:`n_generators`) all use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError, VariableSetMismatchError
 from .groebner import Ideal, _Packing, _packed_forms
 from .poly import GREVLEX, Polynomial, VariableSet, _PackedPolynomial
 
 
-@dataclass(frozen=True)
-class DeterminantalType:
+class DeterminantalType(namedtuple("DeterminantalType", ("n", "k", "t"))):
     """Type (n+k, n, t): n the smaller matrix dimension, k the excess,
     t the minor size cutting out the variety."""
 
-    n: int
-    k: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 0:
+    def __new__(cls, n, k, t):
+        if n < 1 or k < 0:
             raise ValidationError("need n >= 1 and k >= 0")
-        if not 1 <= self.t <= self.n:
-            raise ValidationError(f"stratum cutoff t={self.t} outside 1..{self.n}")
+        if not 1 <= t <= n:
+            raise ValidationError(f"stratum cutoff t={t} outside 1..{n}")
+        return super().__new__(cls, n, k, t)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def expected_codim(self, i):
         """Codimension of the rank < i locus in matrix space."""
@@ -132,8 +135,7 @@ class PresentationMatrix:
         )
 
 
-@dataclass(frozen=True)
-class StratumModel:
+class StratumModel(NamedTuple):
     """One rank stratum: its minor ideal and dimension bookkeeping."""
 
     index: int

@@ -16,8 +16,9 @@ A hyperplane fails the screen when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import Analysis
 from .detmodel import PresentationMatrix
@@ -31,22 +32,23 @@ from .invariants import solve_for_m
 from .poly import Polynomial, VariableSet, poly_to_str
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(namedtuple("Hyperplane", ("coefficients",))):
     """A linear form through the origin, up to scale: stored normalized
     so the first nonzero coefficient is 1."""
 
-    coefficients: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    def __new__(cls, coefficients):
+        coeffs = tuple(Fraction(c) for c in coefficients)
         pivot = next((i for i, c in enumerate(coeffs) if c != 0), None)
         if pivot is None:
             raise ValidationError("hyperplane coefficients must not all vanish")
         scale = coeffs[pivot]
-        object.__setattr__(
-            self, "coefficients", tuple(c / scale for c in coeffs)
-        )
+        return super().__new__(cls, tuple(c / scale for c in coeffs))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def pivot(self):
@@ -96,8 +98,7 @@ def slice_model(m: PresentationMatrix, h: Hyperplane) -> PresentationMatrix:
     return PresentationMatrix(m.dtype, entries, target)
 
 
-@dataclass(frozen=True)
-class ScreenVerdict:
+class ScreenVerdict(NamedTuple):
     hyperplane: Hyperplane
     passed: bool
     reasons: tuple
@@ -151,8 +152,7 @@ def hyperplane_screen(m: PresentationMatrix | Analysis, h: Hyperplane) -> Screen
     return ScreenVerdict(h, not reasons, tuple(reasons))
 
 
-@dataclass(frozen=True)
-class SectionInvariants:
+class SectionInvariants(NamedTuple):
     hyperplane: Hyperplane
     screen: ScreenVerdict
     dims: tuple
@@ -215,7 +215,7 @@ def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes, eul
         floor = [min(col) for col in zip(*flat)]
         for pos, f in zip(passing, flat):
             if f == floor:
-                rows[pos] = replace(rows[pos], minimal=True)
+                rows[pos] = rows[pos]._replace(minimal=True)
     return rows
 
 

@@ -496,9 +496,11 @@ def _interreduce_input(polys, packing, stop=None):
     ``stop(terms, packing)``, when given, sees each row's terms as the
     row is kept, and the run returns None as soon as it returns True.
     Every row ever kept is an element of the ideal the inputs generate,
-    even one that later goes back into the queue.
+    even one that later goes back into the queue.  The input maps may be
+    the polynomials' own (:func:`_packed_forms`); they are read, never
+    changed, so the queue holds them uncopied.
     """
-    queue = [(max(p), k, _primitive(dict(p))) for k, p in enumerate(polys) if p]
+    queue = [(max(p), k, _primitive(p)) for k, p in enumerate(polys) if p]
     heapify(queue)
     count = len(queue)
     test, guards = packing.test, packing.guards

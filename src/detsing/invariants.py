@@ -10,8 +10,8 @@ unknowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .analysis import Analysis
 from .detmodel import DeterminantalType, PresentationMatrix
@@ -33,8 +33,7 @@ def nit_coefficient(n: int, k: int, t: int, i: int) -> int:
     return sign * comb(n - i, n - t)
 
 
-@dataclass(frozen=True)
-class ChiData:
+class ChiData(NamedTuple):
     """Euler characteristics for one positive-dimensional stratum:
     the stabilization and its generic hyperplane section (unreduced)."""
 
@@ -48,8 +47,7 @@ class ChiData:
         return ChiData(chi_stab, chi_section)
 
 
-@dataclass(frozen=True)
-class EulerSystem:
+class EulerSystem(NamedTuple):
     """Unit-diagonal lower-triangular system over the present strata.
 
     Row j encodes: (-1)^dim chi(stab) + (-1)^(dim-1) chi(section) =
@@ -185,8 +183,7 @@ def md_consistency(e_pair: int, polar_term: int, m_d: int) -> bool:
     return e_pair + polar_term == m_d
 
 
-@dataclass(frozen=True)
-class SampleInvariants:
+class SampleInvariants(NamedTuple):
     point: dict
     dims: tuple
     colengths: dict  # stratum -> colength of the origin component
@@ -197,8 +194,7 @@ class SampleInvariants:
         return (self.dims, tuple(sorted(self.colengths.items())), mv)
 
 
-@dataclass(frozen=True)
-class WhitneyReport:
+class WhitneyReport(NamedTuple):
     reliable: bool
     scan: tuple
     samples: tuple

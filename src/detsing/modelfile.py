@@ -10,8 +10,9 @@ diff-friendly and round-trips through :func:`format_model`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .detmodel import DeterminantalType, PresentationMatrix
 from .errors import ParseError, PreconditionError, ValidationError
@@ -33,9 +34,11 @@ _SECTIONS = (
 _STRATUM_LINE = re.compile(r"^stratum\s+(\d+)\s*:\s*(.*)$")
 
 
-@dataclass
-class ModelFile:
-    """Parsed model file: the matrix data plus the optional sections."""
+class ModelFile(NamedTuple):
+    """Parsed model file: the matrix data plus the optional sections.
+
+    The default of ``euler`` and ``supplied`` is an empty read-only
+    mapping, so the records that share it cannot change it."""
 
     variables: tuple
     parameters: tuple
@@ -45,11 +48,11 @@ class ModelFile:
     matrix: tuple  # row-major tuples of expression strings
     matrix_lines: tuple = ()  # source line of each matrix row, for errors
     euler_reduced: bool = False
-    euler: dict = field(default_factory=dict)  # stratum -> (chi_stab, chi_section)
+    euler: dict = MappingProxyType({})  # stratum -> (chi_stab, chi_section)
     hyperplanes: tuple = ()
     samples: tuple = ()  # tuples of (name, Fraction) pairs
     sample_lines: tuple = ()  # source line of each sample, for errors
-    supplied: dict = field(default_factory=dict)  # stratum -> {e_pair, polar}
+    supplied: dict = MappingProxyType({})  # stratum -> {e_pair, polar}
 
     def variable_set(self):
         return VariableSet(self.variables, self.parameters)

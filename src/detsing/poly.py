@@ -37,9 +37,10 @@ trip); integer-coefficient input is unaffected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     ParseError,
@@ -57,20 +58,29 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _MAX_NESTING = 200
 
 
-@dataclass(frozen=True)
-class VariableSet:
-    """Ordered, disjoint ambient coordinates and family parameters."""
+class VariableSet(namedtuple("VariableSet", ("ambient", "parameters"), defaults=((),))):
+    """Ordered, disjoint ambient coordinates and family parameters.
 
-    ambient: tuple
-    parameters: tuple = ()
+    A named tuple of its two fields; the position of each name is looked
+    up in a map built once, when the set is made."""
 
-    def __post_init__(self):
-        names = self.ambient + self.parameters
+    def __new__(cls, ambient, parameters=()):
+        names = ambient + parameters
         if not names:
             raise ValidationError("variable set must not be empty")
-        if len(set(names)) != len(names):
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) != len(names):
             raise ValidationError("variable names must be unique")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        self = super().__new__(cls, ambient, parameters)
+        self.__dict__["_index"] = index
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def names(self):
@@ -116,8 +126,7 @@ def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-@dataclass(frozen=True)
-class MonomialOrdering:
+class MonomialOrdering(NamedTuple):
     """A monomial order: grevlex, lex, or block elimination.
 
     ``block`` holds the indices of the first (eliminated) block; for the

@@ -20,7 +20,7 @@ for models whose interesting locus sits at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import Analysis
 from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors
@@ -34,8 +34,7 @@ from .groebner import (
 )
 
 
-@dataclass(frozen=True)
-class StratumCheck:
+class StratumCheck(NamedTuple):
     index: int
     expected_dim: int
     actual_dim: int
@@ -43,8 +42,7 @@ class StratumCheck:
     witness: Ideal | None = None
 
 
-@dataclass(frozen=True)
-class EidsVerdict:
+class EidsVerdict(NamedTuple):
     strata: tuple
     overall: bool
 
@@ -128,8 +126,7 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
     return EidsVerdict(tuple(records), overall)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     point: dict
     verdict: EidsVerdict | None
     error: str | None

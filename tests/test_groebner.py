@@ -586,6 +586,31 @@ class TestPackedMonomials:
 
         packing_property(check)
 
+    def test_runs_leave_their_generators_packed_maps_unchanged(self, monkeypatch):
+        # Generators born packed in a run's layout, the minors of one
+        # determinant call and the basis of an earlier grevlex run, enter
+        # the input phase as their own maps (no copy), so a basis run and
+        # an origin certificate must only read them.
+        seen = []
+        real = groebner._interreduce_input
+        monkeypatch.setattr(
+            groebner,
+            "_interreduce_input",
+            lambda polys, *rest: seen.extend(polys) or real(polys, *rest),
+        )
+        perm = ("x4", "x5", "y", "x3", "x2", "x1")
+        m = sheared_omega_model(3, perm, ((("x4", "x1"), 1), (("x1", "x2"), -2)))
+        minors_ = stratum(m, 2).ideal.generators
+        basis = Ideal(minors_, m.vars).groebner_basis().elements
+        for gens in (minors_, basis):
+            maps = [g._packed for g in gens]
+            before = [dict(p) for p in maps]
+            seen.clear()
+            Ideal(gens, m.vars).groebner_basis()
+            groebner._origin_certified(Ideal(gens, m.vars))
+            assert any(p is q for p in seen for q in maps)
+            assert maps == before
+
     @pytest.mark.parametrize("scale", [1, 3])
     def test_reduce_full_divides_out_content_on_the_way(self, scale):
         # Reducing y^41 + x^40 by 2x - 1 takes 40 steps, each multiplying
