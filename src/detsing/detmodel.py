@@ -10,11 +10,12 @@ ideals agree).
 Every determinant in the package comes from one routine,
 :func:`_all_minors`, which returns all minors of one size of a polynomial
 grid.  It works fraction-free on integer polynomials with monomials
-packed as the Groebner engine packs them for grevlex, and forms each
-smaller minor once, shared by every larger minor that expands into it;
-the results are exact polynomials in packed integer form (see ``poly``),
-equal term for term to a cofactor expansion, which the engine takes as
-they are.  The strata ideals
+packed as the Groebner engine packs them for grevlex, and builds the
+minors as wedge products of rows, each smaller nonzero minor formed once
+and shared by every larger minor that contains it, and no zero minor
+multiplied; the results are exact polynomials in packed integer form
+(see ``poly``), equal term for term to a cofactor expansion, which the
+engine takes as they are.  The strata ideals
 (:func:`minors`), the singular loci of ``strata.singular_locus_ideal``
 and the deformation generators (:func:`n_generators`) all use it.
 """
@@ -213,25 +214,37 @@ def _all_minors(grid, size, vars):
     minor keeps its packed map and that packing
     (``poly._PackedPolynomial``): a grevlex run in the same layout takes
     it with no monomial packed, and exponent tuples are formed only if a
-    caller reads them.  An entry born packed in this layout is read as
-    it is; the others are packed, each distinct monomial once.  The
-    fields never overflow: a minor on rows R is a sum of products of one
-    entry from each row, so its total degree is at most the sum over
+    caller reads them.  An entry born packed in this layout (a basis
+    element, or its derivative in ``strata.singular_locus_ideal``) is
+    read as it is; the others are packed, each distinct monomial once.
+    The fields never overflow: a minor on rows R is a sum of products of
+    one entry from each row, so its total degree is at most the sum over
     rows of max(0, the row's largest total degree) (an all-zero row has
     total degree -1 and adds nothing), and the packing holds that
     degree.
 
-    Each k x k minor is expanded along the first row of its row subset.
-    Its (k-1) x (k-1) sub-minors come from a memo keyed on (rows, cols),
-    so each smaller minor is formed once however many larger minors
-    share it.  The top-size minors are not memoized, and the memo lives
-    only for the call.  Every zero minor is one zero polynomial, shared
+    The minors are wedge (exterior) products of rows.  The nonzero
+    minors on a row subset R, keyed by column set, are R's first row
+    wedged with the nonzero minors on R[1:]: the entry in column c times
+    the minor on columns C, for each c not in C, adds to the minor on
+    C + {c} with sign (-1)^j, j the number of columns of C below c.  A
+    column set is an int with bit c set for column c.  The minors are
+    built level by level, from one row up, and a level holds only the
+    row subsets that are a row suffix of some top-size subset, the
+    subsets of size k of rows size-k onward; each level is dropped once
+    the next is built, and the top-size minors are not kept at all.  A
+    zero minor is never stored, so it is never multiplied.  Size 1
+    returns each entry's map as it is (scaled to its row's denominator).
+    Every zero minor is one zero polynomial, not packed and shared
     within the call, so the list still indexes minors by position.
+    Nothing here refers back to itself, so no garbage cycle outlives the
+    call.
     """
+    entries = [e for row in grid for e in row]
     bound = sum(max(0, max(e.total_degree() for e in row)) for row in grid)
-    packing = _Packing.for_degree(GREVLEX, len(vars), bound)
+    packing = _Packing.for_degree(GREVLEX, len(vars), bound, entries)
     one = packing.one
-    forms = iter(_packed_forms([e for row in grid for e in row], packing))
+    forms = iter(_packed_forms(entries, packing))
     scale = []
     packed = []
     for row in grid:
@@ -239,42 +252,59 @@ def _all_minors(grid, size, vars):
         scale.append(d)
         packed.append(
             [
-                {m: c * (d // e._den) for m, c in f.items()}
+                f if e._den == d else {m: c * (d // e._den) for m, c in f.items()}
                 for e, f in zip(row, forms)
             ]
         )
-    memo = {}
+    # Per row, its nonzero entries as (bit, terms with the monomial 1
+    # taken out).
+    tops = [
+        [(1 << c, [(m - one, v) for m, v in f.items()]) for c, f in enumerate(row) if f]
+        for row in (packed if size > 1 else ())
+    ]
 
-    def det(rows, cols):
-        if len(rows) == 1:
-            return packed[rows[0]][cols[0]]
-        top = packed[rows[0]]
-        rest = rows[1:]
+    def wedge(top, below):
+        # The first row's columns outermost, so each minor's terms arrive
+        # in the order of its cofactor expansion along that row.
         out = {}
-        for j, c in enumerate(cols):
-            entry = top[c]
-            if not entry:
-                continue
-            key = (rest, cols[:j] + cols[j + 1 :])
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = det(*key)
-            for me, ce in entry.items():
-                if j & 1:
-                    ce = -ce
-                me -= one
-                for ms, cs in sub.items():
-                    m = me + ms
-                    out[m] = out.get(m, 0) + ce * cs
-        return {m: c for m, c in out.items() if c}
+        for bit, terms in top:
+            for cols, minor in below.items():
+                if cols & bit:
+                    continue
+                key = cols | bit
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                odd = (cols & (bit - 1)).bit_count() & 1
+                for me, ce in terms:
+                    if odd:
+                        ce = -ce
+                    for ms, cs in minor.items():
+                        m = me + ms
+                        acc[m] = acc.get(m, 0) + ce * cs
+        out = {key: {m: c for m, c in acc.items() if c} for key, acc in out.items()}
+        return {key: acc for key, acc in out.items() if acc}
 
+    nrows = len(grid)
+    level = {
+        (r,): {1 << c: f for c, f in enumerate(packed[r]) if f}
+        for r in range(size - 1, nrows)
+    }
+    for k in range(2, size):
+        level = {
+            rows: wedge(tops[rows[0]], level[rows[1:]])
+            for rows in combinations(range(size - k, nrows), k)
+        }
     zero = Polynomial.zero(vars)
     result = []
-    col_sets = list(combinations(range(len(grid[0])), size))
-    for rows in combinations(range(len(grid)), size):
+    col_sets = [
+        sum(1 << c for c in cols) for cols in combinations(range(len(grid[0])), size)
+    ]
+    for rows in combinations(range(nrows), size):
+        found = level[rows] if size == 1 else wedge(tops[rows[0]], level[rows[1:]])
         denom = prod(scale[r] for r in rows)
         for cols in col_sets:
-            terms = det(rows, cols)
+            terms = found.get(cols)
             result.append(_PackedPolynomial(vars, terms, denom, packing) if terms else zero)
     return result
 

@@ -351,19 +351,17 @@ class _Packing:
         guard bit set.
         """
         limit = self.limit
+        degrees = self.degrees
+        if len(degrees) == 1:  # the degree field leads
+            return self.one | (max(monos) >> degrees[0] & limit) << degrees[0]
         out = self.one
-        for shift in self.degrees:
+        for shift in degrees:
             out |= max((m >> shift) & limit for m in monos) << shift
         return out
 
 
 def _content(terms):
-    g = 0
-    for c in terms.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
+    return gcd(*terms.values())
 
 
 def _primitive(terms):
@@ -484,14 +482,16 @@ def _interreduce_input(polys, packing, stop=None):
     generate the same ideal, and no term of a row is divisible by
     another row's leading term.
 
-    The polynomials are taken smallest leading term first.  Each is
-    reduced against the rows kept so far, and a kept row whose leading
-    term the new one divides goes back into the queue.  The kept leading
-    terms then divide none of each other, so a term of a row can only be
-    divisible by a smaller leading term, and one closing pass reduces
-    each row against the rows below it.  When every kept leading term
-    arrived above all earlier ones, each row was already reduced against
-    all the rows below it, and the pass is skipped.
+    The polynomials are taken smallest leading term first.  Each is made
+    primitive as it is taken (so a run stopped early divides out no
+    content of the rest) and reduced against the rows kept so far, and a
+    kept row whose leading term the new one divides goes back into the
+    queue.  The kept leading terms then divide none of each other, so a
+    term of a row can only be divisible by a smaller leading term, and
+    one closing pass reduces each row against the rows below it.  When
+    every kept leading term arrived above all earlier ones, each row was
+    already reduced against all the rows below it, and the pass is
+    skipped.
 
     ``stop(terms, packing)``, when given, sees each row's terms as the
     row is kept, and the run returns None as soon as it returns True.
@@ -500,7 +500,7 @@ def _interreduce_input(polys, packing, stop=None):
     the polynomials' own (:func:`_packed_forms`); they are read, never
     changed, so the queue holds them uncopied.
     """
-    queue = [(max(p), k, _primitive(p)) for k, p in enumerate(polys) if p]
+    queue = [(max(p), k, p) for k, p in enumerate(polys) if p]
     heapify(queue)
     count = len(queue)
     test, guards = packing.test, packing.guards
@@ -508,7 +508,7 @@ def _interreduce_input(polys, packing, stop=None):
     top = -1  # the largest leading term kept so far
     ascending = True
     while queue:
-        f = _reduce_full(heappop(queue)[2], kept, packing)
+        f = _reduce_full(_primitive(heappop(queue)[2]), kept, packing)
         if not f:
             continue
         row = _row(f, packing)

@@ -6,10 +6,12 @@ denominator.  Every operation reads and builds that form, so the
 determinant, the derivative, lifting and restriction, the ring operators,
 substitution and Buchberger's algorithm pass values between them without
 a Fraction.  The numerators are keyed by exponent tuples, except in a
-polynomial born packed: a minor from the determinant or a basis element
-from the Groebner engine keys them by the engine's packed monomials and
-keeps the packing they are in (see ``_PackedPolynomial``), so a minor
-enters the engine, and a basis leaves it, with no monomial converted.
+polynomial born packed: a minor from the determinant, a basis element
+from the Groebner engine, or a derivative of either, keys them by the
+engine's packed monomials and keeps the packing they are in (see
+``_PackedPolynomial``), so a minor enters the engine, a basis leaves it,
+and a basis's Jacobian reaches the determinant, with no monomial
+converted.
 The exponent-tuple map of such a polynomial, and the term map from
 exponent tuples to nonzero Fraction coefficients (``terms``) of every
 polynomial, are views derived on first read and kept; nothing is ever
@@ -469,15 +471,16 @@ class Polynomial:
 
 
 class _PackedPolynomial(Polynomial):
-    """A nonzero polynomial born packed, by the determinant or the basis
-    engine.  It stores its numerators keyed by packed monomials
-    (``_packed``), in the layout of ``_packing`` (a ``groebner._Packing``:
-    one int per monomial, and integer ``<`` its ordering), over the
-    positive denominator ``_den``.  The exponent-tuple map ``_ints`` is
-    derived from the packed map on first read and kept, as ``terms`` is
-    from ``_ints``.  Zero tests, degrees and leading monomials in the
-    packing's ordering read the packed map; everything else reads
-    ``_ints`` and builds polynomials that are not packed."""
+    """A nonzero polynomial born packed, by the determinant, the basis
+    engine, or the derivative of one born packed.  It stores its
+    numerators keyed by packed monomials (``_packed``), in the layout of
+    ``_packing`` (a ``groebner._Packing``: one int per monomial, and
+    integer ``<`` its ordering), over the positive denominator ``_den``.
+    The exponent-tuple map ``_ints`` is derived from the packed map on
+    first read and kept, as ``terms`` is from ``_ints``.  Zero tests,
+    degrees, leading monomials in the packing's ordering and derivatives
+    read the packed map; everything else reads ``_ints`` and builds
+    polynomials that are not packed."""
 
     __slots__ = ("_packed", "_packing", "_unpacked")
 
@@ -516,6 +519,24 @@ class _PackedPolynomial(Polynomial):
         if ordering != packing.ordering:
             return super().leading_monomial(ordering)
         return packing.unpack(max(self._packed))
+
+    def derivative(self, name):
+        """Formal partial derivative, read from and born in the packed
+        map: a term's exponent e of the variable is ``limit`` less its
+        complement field, and lowering it by one subtracts the variable's
+        ``coeffs`` entry.  The result keeps this packing and denominator,
+        and is the unpacked zero when no term has the variable."""
+        j = self.vars.index(name)
+        packing = self._packing
+        limit, shift, step = packing.limit, packing.slots[j], packing.coeffs[j]
+        out = {}
+        for m, c in self._packed.items():
+            e = limit - ((m >> shift) & limit)
+            if e:
+                out[m - step] = c * e
+        if not out:
+            return Polynomial.zero(self.vars)
+        return _PackedPolynomial(self.vars, out, self._den, packing)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ its non-smooth locus being built.  A non-smooth locus is tested from
 its generators, then from Buchberger's input phase, and only then from
 its reduced basis (``groebner._origin_certified``); the saturation by
 the deeper stratum runs only when none of them shows by itself that
-the locus lies in the origin.  The Jacobian minors stay in the engine's
-packed integer form (see ``poly``) from the determinant to the basis
-engine, and the reduced bases come back in it.
+the locus lies in the origin.  The stratum's reduced basis comes back
+from the engine in its packed integer form (see ``poly``), its Jacobian
+is differentiated in that form, and the Jacobian minors stay in it from
+the determinant to the basis engine: no monomial is unpacked or packed
+on the way.
 All checks are affine/global: supports and saturations are measured
 over the whole coordinate space, which matches germ-at-origin semantics
 for models whose interesting locus sits at the origin.
@@ -50,7 +52,12 @@ class EidsVerdict(NamedTuple):
 def singular_locus_ideal(a: Ideal, codim: int) -> Ideal:
     """The stratum ideal plus the codim x codim minors of its Jacobian;
     its zero set is where the variety fails to be smooth of that
-    codimension."""
+    codimension.
+
+    Generators born packed (a reduced basis) are differentiated in their
+    packed maps, so the Jacobian reaches ``detmodel._all_minors`` in the
+    basis's layout and, when that layout holds the minors' degree, no
+    monomial is packed; a zero derivative or minor is not packed."""
     if codim < 1:
         raise ValidationError("codimension must be at least 1")
     gens = a.generators

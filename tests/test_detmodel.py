@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +27,7 @@ from detsing.detmodel import _all_minors
 from detsing.groebner import Ideal
 from detsing.poly import GREVLEX, LEX, MonomialOrdering
 from detsing.modelfile import build_model, load_model_file
-from helpers import P, omega_model, random_matrix_model
+from helpers import P, generic_entry_model, omega_model, random_matrix_model
 from oracles import cofactor_det
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -270,6 +271,91 @@ class TestPackedBorn:
         assert {g._packing.bits for g in got} == {32}
         assert got.elements == Ideal([_tuple_born(g) for g in gens], vs).groebner_basis().elements
         assert set(got) == set(grid[0])
+
+
+def _generic_jacobian(n, k, t):
+    """The Jacobian of stratum t's reduced grevlex basis of the generic
+    (n, k, t) matrix, as ``strata.singular_locus_ideal`` builds it (its
+    entries born packed), with that stratum's expected codimension."""
+    m = generic_entry_model(n, k, t)
+    s = stratum(m, t)
+    basis = s.ideal.groebner_basis()
+    return [[g.derivative(z) for z in m.vars.names] for g in basis], s.expected_codim, m.vars
+
+
+class TestWedgeMinors:
+    """The row-wedge determinant on sparse and degenerate grids: every
+    position and sign equals the cofactor oracle, and every zero minor is
+    the call's one unpacked zero."""
+
+    def check(self, grid, size, vs):
+        got = _all_minors(grid, size, vs)
+        want = _oracle_minors(grid, size)
+        assert len(got) == len(want)
+        zeros = [g for g in got if g.is_zero()]
+        assert all(g is zeros[0] and g._packing is None for g in zeros)
+        for g, w in zip(got, want):
+            assert g == w
+            assert g.is_zero() or g._packing is not None
+        return got
+
+    def test_generic_jacobians(self):
+        for case, nonzero in [((2, 1, 2), 39), ((2, 2, 2), 704)]:
+            jac, codim, vs = _generic_jacobian(*case)
+            assert all(e._packing is not None for row in jac for e in row if e)
+            got = self.check(jac, codim, vs)
+            assert sum(1 for g in got if g) == nonzero
+            for size in (1, min(len(jac), len(jac[0]))):
+                self.check(jac, size, vs)
+
+    def test_zero_row_and_zero_column(self):
+        vs = VariableSet(("x", "y", "z"))
+        texts = [
+            ["x", "0", "y^2", "x*z - 1"],
+            ["0", "0", "0", "0"],
+            ["y", "0", "3*z", "x + y"],
+            ["x*y", "0", "z^2 - x", "2"],
+        ]
+        grid = [[P(t, vs) for t in row] for row in texts]
+        for size in range(1, 5):
+            got = self.check(grid, size, vs)
+        assert got == [Polynomial.zero(vs)]
+
+    def test_rows_with_different_denominators(self):
+        vs = VariableSet(("x", "y"))
+        texts = [
+            ["1/2*x", "1/3*y", "1/6"],
+            ["5*y", "1/7*x^2", "x - y"],
+            ["1/4*x*y", "2", "1/9*y^2"],
+        ]
+        grid = [[P(t, vs) for t in row] for row in texts]
+        for size in range(1, 4):
+            got = self.check(grid, size, vs)
+            if size == 1:
+                # Size 1 is each entry, over its row's common denominator.
+                assert [g._den for g in got] == [6] * 3 + [7] * 3 + [36] * 3
+        assert got[0]._den == 6 * 7 * 36
+
+    def test_sizes_one_and_largest_on_wide_and_tall_grids(self):
+        rng = random.Random(25)
+        for rows, cols in [(1, 4), (4, 1), (2, 5), (5, 3)]:
+            m = random_matrix_model(rng, rows, cols, 3, max_degree=2)
+            sparse = [
+                [e if (r + c) % 3 else Polynomial.zero(m.vars) for c, e in enumerate(row)]
+                for r, row in enumerate(m.entries)
+            ]
+            for grid in (m.entries, sparse):
+                self.check(grid, 1, m.vars)
+                self.check(grid, min(rows, cols), m.vars)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # The minors are built with no self-referring closure, so nothing
+        # of the call waits for the cyclic collector.
+        jac, codim, vs = _generic_jacobian(2, 2, 2)
+        gc.collect()
+        got = _all_minors(jac, codim, vs)
+        assert gc.collect() == 0
+        assert len(got) == 1120
 
 
 class TestStratum:

@@ -159,6 +159,60 @@ class TestCalculus:
         with pytest.raises(UnknownVariableError):
             P("x", XY).derivative("nope")
 
+    def test_packed_derivative_matches_the_tuple_born_one_property(self):
+        """The derivative of a polynomial born packed, by the determinant
+        (grevlex) or as a reduced basis element in grevlex, lex and an
+        elimination order, equals that of a tuple-born copy in every
+        variable.  A nonzero one is read and born in the packed map: it
+        keeps the packing and the denominator, and neither it nor its
+        source has unpacked a monomial.  A vanishing one is the unpacked
+        zero."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        xyu = VariableSet(("x", "y"), ("u",))
+        orders = [GREVLEX, LEX, MonomialOrdering.eliminating([0])]
+        entry = st.builds(
+            lambda ints, den: Polynomial._integral(xyu, ints, den),
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * len(xyu)),
+                st.integers(-9, 9).filter(bool),
+                max_size=3,
+            ),
+            st.integers(1, 6),
+        )
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(entry, min_size=4, max_size=4))
+        def run(entries):
+            grid = [entries[:2], entries[2:]]
+            born = _all_minors(grid, 1, xyu) + _all_minors(grid, 2, xyu)
+            gens = [e for e in entries[:2] if e]
+            for order in orders if gens else ():
+                born += Ideal(gens, xyu).groebner_basis(order).elements
+            for g in born:
+                if not g:
+                    continue
+                packing = g._packing
+                ints = {packing.unpack(m): c for m, c in g._packed.items()}
+                tuple_born = Polynomial._integral(xyu, ints, g._den)
+                for name in xyu.names:
+                    d = g.derivative(name)
+                    assert g._unpacked is None
+                    if d:
+                        assert d._packing is packing and d._den == g._den
+                        assert d._unpacked is None
+                    else:
+                        assert d.is_zero() and d._packing is None
+                    want = tuple_born.derivative(name)
+                    assert d == want and hash(d) == hash(want)
+                    assert d == reference_derivative(tuple_born, name)
+                checked.append(g)
+
+        checked = []
+        run()
+        orderings = {g._packing.ordering for g in checked}
+        assert orderings == set(orders)
+
 
 class TestSubstitute:
     def test_drop_variable(self):

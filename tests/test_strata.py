@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -28,7 +29,7 @@ from detsing import (
     stratum,
     support_is_origin_only,
 )
-from detsing.poly import Polynomial
+from detsing.poly import Polynomial, poly_to_str
 from helpers import (
     P,
     XY,
@@ -119,6 +120,64 @@ class TestSingularLocus:
             rows, cols = subsets[pos]
             grid = [[jac[r][c] for c in cols] for r in rows]
             assert every[pos] == cofactor_det(grid), (rows, cols)
+
+    def test_locus_of_a_packed_basis_packs_no_monomial(self, monkeypatch):
+        # The Jacobian of a packed grevlex basis is differentiated in its
+        # packed maps and the determinant reads them as they are, so
+        # building the locus packs no exponent tuple; the locus is packed.
+        from detsing.groebner import _Packing
+
+        models = [generic_entry_model(2, 2, 2), omega_model(1), omega_model(3)]
+        reduced = []
+        for m in models:
+            s = stratum(m, 2)
+            basis = s.ideal.groebner_basis()
+            reduced.append((Ideal.from_basis(basis, m.vars, None), s.expected_codim))
+        packs = []
+        pack = _Packing.pack
+        monkeypatch.setattr(_Packing, "pack", lambda self, exps: packs.append(exps) or pack(self, exps))
+        loci = [singular_locus_ideal(a, codim) for a, codim in reduced]
+        assert packs == []
+        assert all(g._packing is not None for locus in loci for g in locus.generators)
+        assert len(loci[0].generators) == 6 + 704
+
+
+# SHA-256 of the poly_to_str lines of the non-smooth loci that eids_check
+# would build on each generic-grid case (and (3,0,2)): for each present
+# stratum, singular_locus_ideal of its reduced grevlex basis at its
+# expected codimension, strata in order.  The CLI reference runs reach
+# none of these, so they pin the determinant and the Jacobian that the
+# verdicts rest on.
+LOCUS_DIGESTS = {
+    (1, 0, 1): (2, "1b6b2cc4a973d30f4a0bda763b695c8624656bdb329e3d67d59a71372bbec541"),
+    (1, 1, 1): (3, "ca015b4cb7f3a54aa83e15a0c27822a00c40e48221942771595ed4a4b82ca653"),
+    (1, 2, 1): (4, "6d425ac20e22fdec57c212f7744a183ff69dbd4eec323abc2c1cf111b1336d65"),
+    (2, 0, 1): (5, "d099314c63273fd8299c3cac5e49e0dd49c35e83b36313951d21c55065a036b3"),
+    (2, 0, 2): (10, "48b821ccacb6feed0f9ad9182c90adcd48f723f4d6d427901f9e676e9eef8f40"),
+    (2, 1, 1): (7, "608fb5cd7a990ce2b2a6e2624cb8242da8ed1c144f9c0b12be172e9a31cac568"),
+    (2, 1, 2): (49, "e100088dee778caeb972a5f53e05eb3134a2b7f2a9c0400f842a47124aa4d3b7"),
+    (2, 2, 1): (9, "42f09bc31f8a0b366d500737b3c4cb1a55fe1d7f5d2b1c30539300c5867944ac"),
+    (2, 2, 2): (719, "2270c0eb47752b6f52c68a4d5ace2f714d0fd4440d4a7a176096ecb44ade7abe"),
+    (3, 0, 1): (10, "7eb1d2329b574514161972443066e1a4e70484839d7091c925821fc3f6d60090"),
+    (3, 1, 1): (13, "4ef1a3027ff89b1178e0e17c1862e3b4f2a24e6760995efe968e77e5004b3b7d"),
+    (3, 2, 1): (16, "30e1cc73111c37205effebc730975df8d49ff543b5622af17d9441b25b4483a6"),
+    (3, 0, 2): (10477, "1cb0bff635dcc08762db0b4510a1ff8acdf241b6a02b3d414ec521662be292cd"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCUS_DIGESTS), ids=str)
+def test_generic_loci_match_their_digests(case):
+    m = generic_entry_model(*case)
+    lines = []
+    for i in range(1, case[2] + 1):
+        s = stratum(m, i)
+        if not s.present:
+            continue
+        reduced = Ideal.from_basis(s.ideal.groebner_basis(), m.vars, None)
+        locus = singular_locus_ideal(reduced, s.expected_codim)
+        lines += [poly_to_str(g) for g in locus.generators]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == LOCUS_DIGESTS[case]
 
 
 def _in_radical(J, f):
