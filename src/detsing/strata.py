@@ -13,8 +13,8 @@ the deeper stratum runs only when none of them shows by itself that
 the locus lies in the origin.  The stratum's reduced basis comes back
 from the engine in its packed integer form (see ``poly``), its Jacobian
 is differentiated in that form, and the Jacobian minors stay in it from
-the determinant to the basis engine: no monomial is unpacked or packed
-on the way.
+the determinant to the basis engine: when the basis's layout holds the
+minors' degree, no monomial is unpacked or packed on the way.
 All checks are affine/global: supports and saturations are measured
 over the whole coordinate space, which matches germ-at-origin semantics
 for models whose interesting locus sits at the origin.
