@@ -70,9 +70,13 @@ elements of a: its cached reduced grevlex basis, else its generators and
 the rows of Buchberger's input phase up to the first that completes the
 certificate (both only when no generator exceeds the degree cap), then
 its reduced basis.  A nonzero constant, or homogeneous elements with a
-pure-power leading term in every variable, settle it with no
-saturation.  Otherwise a of positive dimension fails, read from that
-basis, and only a zero-dimensional a is saturated by the maximal ideal.
+pure-power leading term in every variable, settle it.  Otherwise a of
+positive dimension fails, read from that basis.  A zero-dimensional a
+with d standard monomials passes when it equals its origin-primary
+component a + (x_1^d, ..., x_q^d), whose basis run is seeded by a's
+basis; ``colength_at_origin`` counts that component's standard
+monomials.  Neither saturates, so neither adds a variable that the
+degree cap would count.
 """
 
 from __future__ import annotations
@@ -1042,19 +1046,21 @@ def _origin_certified(a: Ideal) -> bool:
 
 
 def support_is_origin_only(a: Ideal) -> bool:
-    """True when V(a) lies in the origin, that is when a : m^inf is the
-    unit ideal, m the maximal ideal at the origin (so the unit ideal,
-    whose zero set is empty, passes).  Elements of a that
-    :func:`_origin_certified` accepts (a nonzero constant, or homogeneous
-    elements led by a pure power of every variable) certify this without
-    the saturation.  When they do not, a's reduced grevlex basis is
-    cached, and a of positive Krull dimension fails with no saturation:
-    V(a) within the origin would make it at most 0."""
-    if _origin_certified(a):
+    """True when V(a) lies in the origin (so the unit ideal, whose zero
+    set is empty, passes).  Elements of a that :func:`_origin_certified`
+    accepts (a nonzero constant, or homogeneous elements led by a pure
+    power of every variable) settle it at once.  When they do not, a's
+    reduced grevlex basis is cached, and a of positive Krull dimension
+    fails: V(a) within the origin would make it at most 0.  A
+    zero-dimensional a passes when it is its own origin-primary
+    component (:func:`_origin_component`): their reduced bases agree.
+    No saturation is run.  Counting a's standard monomials raises
+    LimitError past 200,000 of them."""
+    if _origin_certified(a) or is_unit_ideal(a):
         return True
     if dimension(a) > 0:
         return False
-    return is_unit_ideal(saturation(a, maximal_ideal(a.vars)))
+    return ideals_equal(_origin_component(a), a)
 
 
 def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
@@ -1092,8 +1098,9 @@ def colength(a: Ideal) -> int:
     """Vector-space dimension of the quotient ring for an ideal supported
     at the origin only (equals the local colength there): the number of
     standard monomials of the reduced grevlex basis.  The support is
-    checked by :func:`support_is_origin_only`, which reads the cached
-    basis first; a support off the origin raises PreconditionError."""
+    checked after the count by :func:`support_is_origin_only`, which
+    reads the cached basis; a support off the origin raises
+    PreconditionError."""
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("colength of the unit ideal is undefined")
@@ -1106,25 +1113,32 @@ def colength(a: Ideal) -> int:
     return count
 
 
-def maximal_ideal(vars: VariableSet) -> Ideal:
-    return Ideal([Polynomial.variable(vars, n) for n in vars.names], vars)
+def _origin_component(a: Ideal) -> Ideal:
+    """The origin-primary component of a zero-dimensional proper ideal
+    a: a + (x_1^d, ..., x_q^d), d the count of standard monomials of a's
+    reduced grevlex basis; the unit ideal when the origin is not in V(a).
+    The quotient by a is the product of its local rings at the points of
+    V(a) (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 4 §2).
+    The one at the origin has length at most d, so every x_i^d vanishes
+    there, while at every other point some x_i, hence x_i^d, is a unit.
+    The component's basis run starts from a's basis as its seed, so each
+    power is reduced by the packed reducer before it pairs with a."""
+    basis = a.groebner_basis(GREVLEX)
+    d = len(_standard_monomials(basis, len(a.vars)))
+    powers = [Polynomial.variable(a.vars, n) ** d for n in a.vars.names]
+    return Ideal.seeded(basis, powers, a.vars, a.max_degree)
 
 
 def colength_at_origin(a: Ideal) -> int:
     """Colength of the origin-primary component (0 when the origin is not
     in the zero set), counted as its standard monomials.  Needs a
-    zero-dimensional ideal.  That component is a itself when nothing lies
-    away from the origin (:func:`_origin_certified` accepts a, or a : m^inf
-    is the unit ideal), else a saturated by a : m^inf."""
+    zero-dimensional ideal.  The component is a itself when
+    :func:`_origin_certified` accepts a, else :func:`_origin_component`;
+    no saturation is run.  Counting standard monomials raises LimitError
+    past 200,000 of them."""
     if is_unit_ideal(a):
         return 0
     if dimension(a) != 0:
         raise PreconditionError("colength at the origin needs a zero-dimensional ideal")
-    origin_part = a
-    if not _origin_certified(a):
-        away = saturation(a, maximal_ideal(a.vars))
-        if not is_unit_ideal(away):
-            origin_part = saturation(a, away)
-            if is_unit_ideal(origin_part):
-                return 0
-    return len(_standard_monomials(origin_part.groebner_basis(GREVLEX), len(a.vars)))
+    basis = (a if _origin_certified(a) else _origin_component(a)).groebner_basis(GREVLEX)
+    return 0 if basis.is_unit() else len(_standard_monomials(basis, len(a.vars)))

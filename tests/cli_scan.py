@@ -4,8 +4,9 @@ this file).
 
 Every command variant of the gate's ``COMMANDS`` runs in both formats
 and both orderings, with no degree cap and under ``--max-degree`` 1-12,
-on the bundled models and on ``random_matrix_model(Random(s), 2, 2, 3)``
-for s = 1-8: 8,736 runs, in-process through ``cli.main``.  Each run's
+on the bundled models, on ``random_matrix_model(Random(s), 2, 2, 3)``
+for s = 1-8 and on the gate's ``TEXT_MODELS``: 11,648 runs, in-process
+through ``cli.main``.  Each run's
 exit code, stdout and stderr are hashed as the gate hashes them.
 
     PYTHONPATH=src python tests/cli_scan.py OUT.json
@@ -25,7 +26,7 @@ import sys
 import tempfile
 from collections import Counter
 
-from test_cli_reference import BUNDLED, COMMANDS, digest, run_captured, write_models
+from test_cli_reference import BUNDLED, COMMANDS, TEXT_MODELS, digest, run_captured, write_models
 
 SEEDS = range(1, 9)
 CAPS = (None, *range(1, 13))
@@ -33,7 +34,7 @@ CAPS = (None, *range(1, 13))
 
 def runs():
     """argv of every run, on models written by ``write_models``."""
-    models = BUNDLED + [f"random-{s}" for s in SEEDS]
+    models = BUNDLED + [f"random-{s}" for s in SEEDS] + list(TEXT_MODELS)
     for model in models:
         for command, *rest in COMMANDS:
             for fmt in ("text", "structured"):

@@ -8,6 +8,10 @@ agree before they count.
 ``quotient_chain_saturation`` is the exception: a reference saturation
 by chains of colon ideals, built from the engine's quotient and
 intersection, to compare the one-elimination saturation against.
+``saturated_support_is_origin_only`` and ``saturated_colength_at_origin``
+decide support and origin colength by saturating with the engine's
+``saturation`` by the ``maximal_ideal``, the reference for the
+origin-primary component that the library builds instead.
 ``cofactor_det`` is the plain cofactor expansion on rational
 polynomials, the reference for the fraction-free shared-sub-minor
 determinant.  ``reference_update_pairs`` is the Gebauer-Moeller pair
@@ -26,12 +30,16 @@ from heapq import heapify, heappush
 from math import gcd
 
 from detsing.groebner import (
+    Ideal,
     _Overflow,
     _content,
     _primitive,
+    dimension,
     ideal_intersection,
     ideal_quotient,
     ideals_equal,
+    is_unit_ideal,
+    saturation,
 )
 from detsing.poly import GREVLEX, Polynomial, monomial_lcm, monomial_mul
 
@@ -207,6 +215,32 @@ def quotient_chain_saturation(a, b, cap=50):
     for part in parts[1:]:
         result = ideal_intersection(result, part)
     return result
+
+
+def maximal_ideal(vars):
+    """The ideal of the origin: every variable of ``vars``."""
+    return Ideal([Polynomial.variable(vars, n) for n in vars.names], vars)
+
+
+def saturated_support_is_origin_only(a):
+    """V(a) lies in the origin iff a : m^inf is the unit ideal."""
+    return is_unit_ideal(saturation(a, maximal_ideal(a.vars)))
+
+
+def saturated_colength_at_origin(a):
+    """Colength of the origin-primary component of a zero-dimensional a
+    (0 when the origin is not in V(a)): a itself when a : m^inf is the
+    unit ideal, else a : (a : m^inf)^inf, its standard monomials
+    recounted by brute force.  None when a is not zero-dimensional."""
+    if is_unit_ideal(a):
+        return 0
+    if dimension(a) != 0:
+        return None
+    away = saturation(a, maximal_ideal(a.vars))
+    part = a if is_unit_ideal(away) else saturation(a, away)
+    if is_unit_ideal(part):
+        return 0
+    return standard_monomial_count(part.groebner_basis(GREVLEX), len(a.vars))
 
 
 def cofactor_det(grid):

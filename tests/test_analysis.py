@@ -12,6 +12,7 @@ from detsing import colength, colength_at_origin, eids_check, good_family_scan, 
 from detsing.cli import main
 from detsing.modelfile import build_model, load_model_file
 from helpers import XY, P, generic_entry_model, omega_vars
+from test_cli_reference import run_captured, write_models
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SRC = Path(__file__).resolve().parent.parent / "src" / "detsing"
@@ -173,6 +174,25 @@ def test_certified_loci_finish_under_the_cap(command, name, cap, capsys):
     uncapped = capsys.readouterr()
     assert main([command, path, "--max-degree", str(cap)]) == 0
     assert capsys.readouterr() == uncapped
+
+
+# Commands whose only cap trip was the saturation by the maximal ideal of
+# text-off-origin's stratum 1, (x1, ..., x5, y^2 - y^3): its degree counted
+# the saturation's tags.  The origin-primary component adds no variable,
+# so under a cap of 3 each prints its uncapped output.
+OFF_ORIGIN_UNDER_CAP = (
+    ("colength", "--stratum", "1"),
+    ("screen-hyperplanes", "--hyperplane", "y"),
+)
+
+
+@pytest.mark.parametrize("command", OFF_ORIGIN_UNDER_CAP)
+def test_off_origin_support_finishes_under_the_cap(command, tmp_path, monkeypatch):
+    write_models(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], "models/text-off-origin.model", *command[1:]]
+    uncapped = run_captured(argv)
+    assert run_captured([*argv, "--max-degree", "3"]) == uncapped
 
 
 def test_verdicts_never_reach_the_tuple_reducer(monkeypatch, capsys):

@@ -24,7 +24,7 @@ from detsing import (
     stratum,
 )
 from detsing.detmodel import _all_minors
-from detsing.groebner import Ideal
+from detsing.groebner import Ideal, dimension, is_unit_ideal
 from detsing.poly import GREVLEX, LEX, MonomialOrdering
 from detsing.modelfile import build_model, load_model_file
 from helpers import P, generic_entry_model, omega_model, random_matrix_model
@@ -387,6 +387,31 @@ class TestStratum:
                         assert d.expected_dim(t, q) == q - (n - t + 1) * (
                             n + k - t + 1
                         )
+
+    def test_proper_strata_reach_the_expected_dimension_property(self):
+        """Eagon-Northcott: every minimal prime of a proper ideal of i x i
+        minors of an (n+k) x n matrix has height at most expected_codim(i)
+        (Bruns & Vetter, Thm 2.1), so a proper, present stratum's
+        dimension is never below expected_dim.  The inputs are
+        random_matrix_model draws of five shapes (rows, columns,
+        variables, entry degree)."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        shapes = ((2, 2, 4, 2), (3, 2, 4, 1), (2, 3, 4, 1), (3, 3, 4, 1), (1, 3, 3, 2))
+        excess = []
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(st.sampled_from(shapes), st.integers(0, 2**32))
+        def run(shape, seed):
+            m = random_matrix_model(random.Random(seed), *shape)
+            for i in range(1, m.dtype.t + 1):
+                s = stratum(m, i)
+                if s.present and not is_unit_ideal(s.ideal):
+                    excess.append(dimension(s.ideal) - s.expected_dim)
+                    assert excess[-1] >= 0, f"stratum {i} of {m.entries}"
+
+        run()
+        assert 0 in excess and any(excess)
 
     def test_strata_nesting(self):
         # Each i-minor lies in the ideal of the (i-1)-minors.

@@ -55,10 +55,13 @@ from helpers import (
     sheared_omega_model,
 )
 from oracles import (
+    maximal_ideal,
     monomial_ideal_dimension,
     quotient_chain_saturation,
     reference_reduce_full,
     reference_update_pairs,
+    saturated_colength_at_origin,
+    saturated_support_is_origin_only,
     stable_corank,
     standard_monomial_count,
 )
@@ -93,6 +96,20 @@ def sheared_omega_locus():
     s = stratum(m, 2)
     reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
     return singular_locus_ideal(reduced, s.expected_codim)
+
+
+def bundled_members():
+    """The specialized bundled models and every sampled member of each."""
+    from detsing.modelfile import build_model, load_model_file
+
+    models = []
+    for path in sorted(MODELS.glob("*.model")):
+        mf = load_model_file(path)
+        m = build_model(mf)
+        if m.is_specialized():
+            models.append(m)
+        models += [m.specialize(dict(point)) for point in mf.samples]
+    return models
 
 
 def generator_order_cases():
@@ -736,7 +753,7 @@ class TestQuotientSaturation:
         # and J = (t_ - 1, t_1 + t_2^2) comaximal with it, so I : m^inf = J.
         vs = VariableSet(("t_", "t_1", "t_2"))
         J = ideal(vs, "t_ - 1", "t_1 + t_2^2")
-        m = groebner.maximal_ideal(vs)
+        m = maximal_ideal(vs)
         I = ideal_product(m, J)
         S = saturation(I, m)
         assert ideals_equal(S, J)
@@ -751,10 +768,10 @@ class TestQuotientSaturation:
             match=r"^saturation by 3 generators: basis computation exceeded "
             r"the degree cap 3: S-pair lcm reached degree 4$",
         ):
-            saturation(capped(I, 3), groebner.maximal_ideal(XYZ))
+            saturation(capped(I, 3), maximal_ideal(XYZ))
         with pytest.raises(LimitError, match=r"^saturation by 1 generator: .* cap 2: S-pair"):
             saturation(capped(I, 2), ideal(XYZ, "x"))
-        assert ideals_equal(saturation(capped(I, 4), groebner.maximal_ideal(XYZ)), I)
+        assert ideals_equal(saturation(capped(I, 4), maximal_ideal(XYZ)), I)
 
     def test_saturation_of_a_fresh_ideal_is_seeded(self, monkeypatch):
         # An ideal with no basis computed yet gets its reduced grevlex
@@ -1008,7 +1025,7 @@ class TestDimension:
 
     def test_maximal_ideal_many_variables(self):
         vs = VariableSet(tuple(f"v{i}" for i in range(24)))
-        assert dimension(groebner.maximal_ideal(vs)) == 0
+        assert dimension(maximal_ideal(vs)) == 0
 
     def test_not_zero_dimensional_names_variable(self):
         cases = (
@@ -1046,6 +1063,25 @@ class TestSupport:
         start = time.perf_counter()
         assert support_is_origin_only(Ideal([x**100000, y], XY))
         assert time.perf_counter() - start < 1.0
+
+    def test_far_point_decided_by_the_origin_component(self):
+        # (x^50 - x^51, y^50) has its zero set at the origin and at
+        # (1, 0), and no certificate covers it.  Its colength is 51 * 50,
+        # so its origin-primary component is I + (x^2550, y^2550), that
+        # is (x^50, y^50), of colength 2,500.
+        x, y = (Polynomial.variable(XY, n) for n in XY.names)
+        for measure, expected in ((support_is_origin_only, False), (colength_at_origin, 2500)):
+            start = time.perf_counter()
+            assert measure(Ideal([x**50 - x**51, y**50], XY)) == expected
+            assert time.perf_counter() - start < 1.0
+
+    def test_support_past_the_standard_monomial_cap_raises(self):
+        # (x^450 - x^451, y^450) has 451 * 450 = 202,950 standard
+        # monomials, past the enumeration's cap of 200,000, so its
+        # origin-primary component cannot be formed.
+        x, y = (Polynomial.variable(XY, n) for n in XY.names)
+        with pytest.raises(LimitError, match="^standard monomial enumeration exceeded cap$"):
+            support_is_origin_only(Ideal([x**450 - x**451, y**450], XY))
 
     def test_homogeneous_primary_ideal_certifies_without_saturation(self, monkeypatch):
         # (x + y)^2 and (x - y)^2, a linear change of (x^2, y^2): the
@@ -1193,7 +1229,7 @@ class TestSupport:
                 assert fresh or not groebner._origin_certified(a)
                 if fresh and not is_unit_ideal(a):
                     certified.append(a)
-                    assert is_unit_ideal(saturation(a, groebner.maximal_ideal(a.vars)))
+                    assert saturated_support_is_origin_only(a)
 
         run()
         assert certified
@@ -1246,11 +1282,15 @@ class TestColength:
 
     def test_colength_at_origin_when_nothing_lies_away(self):
         # The reduced basis {x*y, y^3 + x^2, x^3} holds no pure power of
-        # y, so the part away from the origin is computed: the unit ideal.
+        # y and is not homogeneous, so it is not certified: the
+        # origin-primary component I + (x^5, y^5) is built, and it is I.
         I = ideal(XY, "x*y", "x^2 + y^3")
         assert [len(g.terms) for g in I.groebner_basis()] == [1, 2, 1]
         assert not groebner._origin_certified(I)
-        assert is_unit_ideal(saturation(I, groebner.maximal_ideal(XY)))
+        component = groebner._origin_component(I)
+        assert component.generators[-2:] == (P("x^5", XY), P("y^5", XY))
+        assert component.groebner_basis().elements == I.groebner_basis().elements
+        assert saturated_support_is_origin_only(I)
         assert colength_at_origin(I) == colength(I) == 5
 
     def test_certificate_keeps_colengths_and_errors(self, monkeypatch):
@@ -1258,15 +1298,7 @@ class TestColength:
         # stratum give the same value or error with the saturation-free
         # certificate switched off, on the bundled models, their sampled
         # members and sheared omega1-3 models.
-        from detsing.modelfile import build_model, load_model_file
-
-        models = []
-        for path in sorted(MODELS.glob("*.model")):
-            mf = load_model_file(path)
-            m = build_model(mf)
-            if m.is_specialized():
-                models.append(m)
-            models += [m.specialize(dict(point)) for point in mf.samples]
+        models = bundled_members()
         perm = ("x3", "x1", "x4", "y", "x2", "x5")
         models += [
             sheared_omega_model(k, perm, ((("x1", "x5"), 2), (("y", "x2"), -1)))
@@ -1289,6 +1321,59 @@ class TestColength:
         assert outcomes() == certified
         assert any(isinstance(o, int) for o in certified)
         assert any(isinstance(o, str) for o in certified)
+
+    def test_origin_component_matches_the_saturation_property(self, monkeypatch):
+        """On every zero-dimensional ideal among I, J and I + J of the
+        test_saturation_certified_property cases, support_is_origin_only
+        and colength_at_origin equal the saturation reference, with the
+        certificate on and off."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        certificate = groebner._origin_certified
+        seen = []
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(saturation_cases(st))
+        def run(case):
+            for a in (*case, ideal_sum(*case)):
+                if dimension(a) != 0:
+                    continue
+                expected = (saturated_support_is_origin_only(a), saturated_colength_at_origin(a))
+                seen.append(expected)
+                for check in (certificate, lambda a: False):
+                    monkeypatch.setattr(groebner, "_origin_certified", check)
+                    fresh = Ideal(a.generators, a.vars)
+                    assert (support_is_origin_only(fresh), colength_at_origin(fresh)) == expected
+
+        run()
+        assert {support for support, _ in seen} == {True, False}
+        assert any(not support and colength for support, colength in seen)
+
+    def test_support_and_origin_colength_run_no_saturation(self, monkeypatch):
+        # Every stratum of the bundled models and their sampled members,
+        # with the certificate on and off: neither function saturates,
+        # and origin-primary components are built in both runs.
+        def refuse(a, b):
+            raise AssertionError("saturated")
+
+        components = []
+        real = groebner._origin_component
+        monkeypatch.setattr(groebner, "saturation", refuse)
+        monkeypatch.setattr(
+            groebner, "_origin_component", lambda a: components.append(a) or real(a)
+        )
+        models = bundled_members()
+        for check in (groebner._origin_certified, lambda a: False):
+            monkeypatch.setattr(groebner, "_origin_certified", check)
+            components.clear()
+            for m in models:
+                for i in range(1, m.dtype.t + 1):
+                    for measure in (support_is_origin_only, colength_at_origin):
+                        try:
+                            measure(stratum(m, i).ideal)
+                        except PreconditionError:
+                            pass
+            assert components
 
     def test_colength_at_origin_of_a_far_point(self):
         assert colength_at_origin(ideal(XY, "x - 1", "y")) == 0
