@@ -5,8 +5,8 @@ slice, screen-hyperplanes, family-scan, consistency.  Reports are
 human-readable text or a structured JSON tree (--format structured).
 
 Exit codes: 0 success, 1 validation error, 2 mathematical precondition
-failure, 3 internal limit (the basis degree cap or the standard-monomial
-cap).
+failure, 3 internal limit (the basis degree cap, the standard-monomial
+cap or the minor-count cap).
 """
 
 from __future__ import annotations

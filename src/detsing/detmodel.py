@@ -15,7 +15,8 @@ minors as wedge products of rows, each smaller nonzero minor formed once
 and shared by every larger minor that contains it, and no zero minor
 multiplied; the results are exact polynomials in packed integer form
 (see ``poly``), equal term for term to a cofactor expansion, which the
-engine takes as they are.  The strata ideals
+engine takes as they are.  It raises LimitError, before forming any
+minor, when asked for more than 10**7 of them.  The strata ideals
 (:func:`minors`), the singular loci of ``strata.singular_locus_ideal``
 and the deformation generators (:func:`n_generators`) all use it.
 """
@@ -25,10 +26,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import NamedTuple
 
-from .errors import PreconditionError, ValidationError, VariableSetMismatchError
+from .errors import LimitError, PreconditionError, ValidationError, VariableSetMismatchError
 from .groebner import Ideal, _Packing, _packed_forms
 from .poly import GREVLEX, Polynomial, VariableSet, _PackedPolynomial
 
@@ -196,9 +197,11 @@ class GeneratorMatrix:
         return GeneratorMatrix(out)
 
 
-def _all_minors(grid, size, vars):
+def _all_minors(grid, size, vars, cap=10**7):
     """Every size x size minor of a polynomial grid, ordered by (row
-    subset, column subset).
+    subset, column subset).  Before any minor is formed, their count
+    C(rows, size)·C(cols, size) is checked against ``cap``, and
+    LimitError is raised past it.
 
     Fraction-free: row r is multiplied by a common denominator d_r of
     its entries (the lcm of the entries' integer-form denominators), so
@@ -240,6 +243,13 @@ def _all_minors(grid, size, vars):
     Nothing here refers back to itself, so no garbage cycle outlives the
     call.
     """
+    nrows, ncols = len(grid), len(grid[0])
+    count = comb(nrows, size) * comb(ncols, size)
+    if count > cap:
+        raise LimitError(
+            f"minors exceeded the cap {cap}: {count} minors of size {size} "
+            f"of a {nrows} x {ncols} matrix"
+        )
     entries = [e for row in grid for e in row]
     bound = sum(max(0, max(e.total_degree() for e in row)) for row in grid)
     packing = _Packing.for_degree(GREVLEX, len(vars), bound, entries)
@@ -285,7 +295,6 @@ def _all_minors(grid, size, vars):
         out = {key: {m: c for m, c in acc.items() if c} for key, acc in out.items()}
         return {key: acc for key, acc in out.items() if acc}
 
-    nrows = len(grid)
     level = {
         (r,): {1 << c: f for c, f in enumerate(packed[r]) if f}
         for r in range(size - 1, nrows)
@@ -297,9 +306,7 @@ def _all_minors(grid, size, vars):
         }
     zero = Polynomial.zero(vars)
     result = []
-    col_sets = [
-        sum(1 << c for c in cols) for cols in combinations(range(len(grid[0])), size)
-    ]
+    col_sets = [sum(1 << c for c in cols) for cols in combinations(range(ncols), size)]
     for rows in combinations(range(nrows), size):
         found = level[rows] if size == 1 else wedge(tops[rows[0]], level[rows[1:]])
         denom = prod(scale[r] for r in rows)
@@ -318,11 +325,13 @@ def minors(m: PresentationMatrix, size: int):
 
 def stratum(m: PresentationMatrix, i: int, max_degree=None) -> StratumModel:
     """Preimage of the rank < i locus (ideal capped at ``max_degree``), with
-    expected dimensions."""
+    expected dimensions.  The ideal records the expected codimension as
+    its Eagon-Northcott height bound, which ``groebner.dimension`` reads."""
     if not 1 <= i <= m.dtype.t:
         raise ValidationError(f"stratum index {i} outside 1..{m.dtype.t}")
     codim = m.dtype.expected_codim(i)
     ideal = Ideal(minors(m, i), m.vars, max_degree)
+    ideal._height = codim
     return StratumModel(i, ideal, codim, m.q - codim)
 
 

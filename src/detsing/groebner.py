@@ -55,14 +55,19 @@ wide.  Order, S-pair sequence and basis do not depend on the width.
 
 On top of the basis engine: membership, sums, products, elimination,
 intersection, quotient, saturation, Krull dimension, and colength
-(standard-monomial count) for ideals supported at the origin.  A
-saturation a : b^inf is one elimination: a fresh tag t_i for each
-generator g_i of b, 1 - sum t_i*g_i adjoined to the lifted generators of
-a, and all the tags eliminated in one block order.  It needs no round
-limit: the degree cap bounds its one basis.  a's reduced grevlex basis,
-lifted, replaces a's generators and seeds the elimination: on tag-free
-polynomials the block order compares exactly as grevlex in a's
-variables, so that basis is reduced there too.
+(standard-monomial count) for ideals supported at the origin.  A Krull
+dimension is read from the leading terms of the reduced grevlex basis,
+except for a rank stratum whose generators certify it with no basis: the
+cover dimension of their leading terms, a ceiling, meets the floor q
+less the Eagon-Northcott height bound that ``detmodel.stratum`` records
+(see :func:`dimension`).  A saturation a : b^inf is one elimination: a
+fresh tag t_i for each generator g_i of b, 1 - sum t_i*g_i adjoined to
+the lifted generators of a, and all the tags eliminated in one block
+order.  It needs no round limit: the degree cap bounds its one basis.
+a's reduced grevlex basis, lifted, replaces a's generators and seeds
+the elimination: on tag-free polynomials the block order compares
+exactly as grevlex in a's variables, so that basis is reduced there
+too.
 
 The one support test ("does V(a) lie in the origin?") is
 ``support_is_origin_only``; it passes the unit ideal.  It first reads
@@ -137,9 +142,12 @@ class Ideal:
     of this ideal's basis computations; derived ideals carry it on.
     ``seed`` is a leading run of the generators that is already a reduced
     basis in its ordering (see :meth:`seeded`); it is empty unless set.
+    ``_height`` (None: unknown) bounds the height of every minimal prime
+    of the ideal when it is proper (see :func:`dimension`); only
+    ``detmodel.stratum`` sets it, and no derived ideal carries it.
     """
 
-    __slots__ = ("vars", "generators", "max_degree", "seed", "_cache")
+    __slots__ = ("vars", "generators", "max_degree", "seed", "_height", "_cache")
 
     def __init__(self, generators, vars=None, max_degree=None):
         gens = [g for g in generators if not g.is_zero()]
@@ -154,6 +162,7 @@ class Ideal:
         self.generators = tuple(gens)
         self.max_degree = max_degree
         self.seed = GroebnerBasis((), GREVLEX)
+        self._height = None
         self._cache = {}
 
     @classmethod
@@ -900,12 +909,12 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
 # Dimension, support, colength
 
 
-def _minimal_supports(basis: GroebnerBasis) -> list[int]:
-    """Inclusion-minimal variable supports of the leading terms, each a
-    bitmask (bit i set when variable i divides the leading term), sorted
-    by size and then by mask."""
+def _minimal_supports(lts) -> list[int]:
+    """Inclusion-minimal variable supports of leading monomials (exponent
+    tuples), each a bitmask (bit i set when variable i divides the
+    monomial), sorted by size and then by mask."""
     supports = sorted(
-        {sum(1 << i for i, e in enumerate(lt) if e) for lt in basis.leading_monomials()},
+        {sum(1 << i for i, e in enumerate(lt) if e) for lt in lts},
         key=lambda s: (s.bit_count(), s),
     )
     minimal = []
@@ -915,31 +924,25 @@ def _minimal_supports(basis: GroebnerBasis) -> list[int]:
     return minimal
 
 
-def dimension(a: Ideal) -> int:
-    """Krull dimension of the quotient ring; -1 for the unit ideal.
-
-    A variable subset is independent modulo the leading-term ideal of
-    the reduced grevlex basis when it contains no leading term's support
+def _cover_dimension(supports, q) -> int:
+    """Krull dimension of the quotient by a monomial ideal over q
+    variables whose minimal generators have these minimal supports
+    (:func:`_minimal_supports`): q minus the size of the smallest
+    variable set meeting every support.  A variable subset is
+    independent modulo the monomial ideal when it contains no support
     (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9
-    §3), so the dimension is q minus the size of the smallest variable
-    set meeting every minimal support.  That set is found by a
-    depth-first branch-and-bound on an explicit stack.  Each node fixes
-    some variables in the cover (``chosen``) and some out of it
-    (``excluded``).  It branches on the open support with the fewest
-    free variables v_1 < ... < v_k: branch k puts v_k in and keeps
-    v_1 ... v_(k-1) out, so no cover is visited twice and there are at
-    most 2^q nodes.  A node is pruned when an open support lies wholly
-    in ``excluded``, or when its chosen count plus a greedy count of
-    pairwise-disjoint open supports (a lower bound on what is still
-    needed) cannot beat the best cover found.
+    §1).  No support gives q.
+
+    The smallest cover is found by a depth-first branch-and-bound on an
+    explicit stack.  Each node fixes some variables in the cover
+    (``chosen``) and some out of it (``excluded``).  It branches on the
+    open support with the fewest free variables v_1 < ... < v_k: branch
+    k puts v_k in and keeps v_1 ... v_(k-1) out, so no cover is visited
+    twice and there are at most 2^q nodes.  A node is pruned when an open
+    support lies wholly in ``excluded``, or when its chosen count plus a
+    greedy count of pairwise-disjoint open supports (a lower bound on
+    what is still needed) cannot beat the best cover found.
     """
-    basis = a.groebner_basis(GREVLEX)
-    if basis.is_unit():
-        return -1
-    q = len(a.vars)
-    if not basis.elements:
-        return q
-    supports = _minimal_supports(basis)
     # One variable from each support is a cover, and so is every variable.
     best = min(q, len(supports))
     stack = [(0, 0, 0)]
@@ -967,6 +970,61 @@ def dimension(a: Ideal) -> int:
             branch ^= bit
         stack.extend(reversed(children))
     return q - best
+
+
+def _vanishes_at_origin(g) -> bool:
+    """True when the polynomial g has no constant term.  The monomial 1
+    is the smallest in every ordering, so a packed g has one exactly when
+    its smallest packed monomial is ``one``."""
+    packing = g._packing
+    if packing is not None:
+        return min(g._packed) != packing.one
+    return (0,) * len(g.vars) not in g._ints
+
+
+def dimension(a: Ideal) -> int:
+    """Krull dimension of the quotient ring; -1 for the unit ideal.
+
+    The dimension of a equals that of its leading-term ideal in grevlex,
+    so it is :func:`_cover_dimension` of the leading terms of a's reduced
+    grevlex basis (Cox, Little & O'Shea, ch. 9 §3).
+
+    A rank stratum is first tried without a basis.  The leading terms of
+    any elements of a generate a monomial ideal inside a's leading-term
+    ideal, so their cover dimension is a ceiling on dim a.  A floor comes
+    from ``a._height``, which ``detmodel.stratum`` sets to the expected
+    codimension of its ideal of i x i minors: every minimal prime of a
+    proper ideal of i x i minors of an r x s matrix has height at most
+    (r - i + 1)(s - i + 1) (Eagon & Northcott, "Ideals defined by
+    matrices and a certain complex associated with them", Proc. Roy. Soc.
+    A 1962; Bruns & Vetter, *Determinantal Rings*, Thm 2.1), so such an
+    ideal has dimension at least q - ``_height``.  The certificate runs
+    only when all four hold:
+
+    - ``a._height`` is set;
+    - a has no degree cap, so a capped basis trips its cap as before;
+    - no reduced grevlex basis is cached, which would be read instead;
+    - every generator vanishes at the origin, so a is proper.
+
+    It reads the grevlex leading terms of a's generators, and when their
+    cover dimension meets the floor q - ``_height``, that is the
+    dimension and no basis is built.  Otherwise the basis is.
+    """
+    q = len(a.vars)
+    if (
+        a._height is not None
+        and a.max_degree is None
+        and a.cached_basis() is None
+        and all(map(_vanishes_at_origin, a.generators))
+    ):
+        floor = q - a._height
+        lts = [g.leading_monomial(GREVLEX) for g in a.generators]
+        if _cover_dimension(_minimal_supports(lts), q) == floor:
+            return floor
+    basis = a.groebner_basis(GREVLEX)
+    if basis.is_unit():
+        return -1
+    return _cover_dimension(_minimal_supports(basis.leading_monomials()), q)
 
 
 def _certify_step(powers, p, packing):
@@ -1068,7 +1126,7 @@ def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
     lts = basis.leading_monomials()
     # Zero-dimensionality certificate: a pure power of every variable
     # leads, that is, every {j} is a leading-term support.
-    supports = set(_minimal_supports(basis))
+    supports = set(_minimal_supports(lts))
     for j in range(width):
         if 1 << j not in supports:
             raise PreconditionError(
@@ -1098,14 +1156,15 @@ def colength(a: Ideal) -> int:
     """Vector-space dimension of the quotient ring for an ideal supported
     at the origin only (equals the local colength there): the number of
     standard monomials of the reduced grevlex basis.  The support is
-    checked after the count by :func:`support_is_origin_only`, which
-    reads the cached basis; a support off the origin raises
-    PreconditionError."""
+    checked after the count, as :func:`support_is_origin_only` checks it
+    on a zero-dimensional proper ideal: :func:`_origin_certified`, which
+    reads the cached basis, else the origin-primary component built from
+    this count; a support off the origin raises PreconditionError."""
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("colength of the unit ideal is undefined")
     count = len(_standard_monomials(basis, len(a.vars)))
-    if not support_is_origin_only(a):
+    if not (_origin_certified(a) or ideals_equal(_origin_component(a, count), a)):
         raise PreconditionError(
             "support is not confined to the origin; colength here is a "
             "local invariant this operation cannot produce"
@@ -1113,10 +1172,11 @@ def colength(a: Ideal) -> int:
     return count
 
 
-def _origin_component(a: Ideal) -> Ideal:
+def _origin_component(a: Ideal, d=None) -> Ideal:
     """The origin-primary component of a zero-dimensional proper ideal
     a: a + (x_1^d, ..., x_q^d), d the count of standard monomials of a's
-    reduced grevlex basis; the unit ideal when the origin is not in V(a).
+    reduced grevlex basis (counted here unless given); the unit ideal
+    when the origin is not in V(a).
     The quotient by a is the product of its local rings at the points of
     V(a) (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 4 §2).
     The one at the origin has length at most d, so every x_i^d vanishes
@@ -1124,7 +1184,8 @@ def _origin_component(a: Ideal) -> Ideal:
     The component's basis run starts from a's basis as its seed, so each
     power is reduced by the packed reducer before it pairs with a."""
     basis = a.groebner_basis(GREVLEX)
-    d = len(_standard_monomials(basis, len(a.vars)))
+    if d is None:
+        d = len(_standard_monomials(basis, len(a.vars)))
     powers = [Polynomial.variable(a.vars, n) ** d for n in a.vars.names]
     return Ideal.seeded(basis, powers, a.vars, a.max_degree)
 

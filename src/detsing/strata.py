@@ -5,12 +5,12 @@ gap.
 Transversality is tested through the equivalent smooth-of-expected-
 codimension condition (Jacobian criterion) on each stratum away from the
 next deeper stratum; everything stays inside ideal arithmetic.  A
-stratum whose reduced basis shows it lies in the origin passes without
-its non-smooth locus being built.  A non-smooth locus is tested from
-its generators, then from Buchberger's input phase, and only then from
-its reduced basis (``groebner._origin_certified``); the saturation by
-the deeper stratum runs only when none of them shows by itself that
-the locus lies in the origin.  The stratum's reduced basis comes back
+zero-dimensional stratum whose elements show it lies in the origin
+passes without its non-smooth locus being built.  A non-smooth locus is
+tested from its generators, then from Buchberger's input phase, and only
+then from its reduced basis (``groebner._origin_certified``); the
+saturation by the deeper stratum runs only when none of them shows by
+itself that the locus lies in the origin.  The stratum's reduced basis comes back
 from the engine in its packed integer form (see ``poly``), its Jacobian
 is differentiated in that form, and the Jacobian minors stay in it from
 the determinant to the basis engine: when the basis's layout holds the
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .analysis import Analysis
 from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors
-from .errors import DimensionMismatchError, PreconditionError, ValidationError
+from .errors import DimensionMismatchError, LimitError, PreconditionError, ValidationError
 from .groebner import (
     Ideal,
     _origin_certified,
@@ -75,20 +75,25 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
 
     A present stratum passes when it has its expected dimension and the
     non-smooth locus, saturated by the next deeper stratum, is empty or
-    supported at the origin only.  When the stratum's own reduced grevlex
-    basis (already computed for its dimension) shows its zero set lies in
-    the origin (see ``groebner._origin_certified``), so does that of its
-    non-smooth locus, which contains the stratum's generators, and of
-    every saturation of the locus: the stratum passes, with no witness,
-    and no Jacobian, locus or saturation is built.  Otherwise the same
-    test runs on the locus: on its generators, then on the interreduced
+    supported at the origin only.  The dimension is ``groebner.dimension``,
+    which certifies most uncapped strata from their generators with no
+    basis.  When elements of a zero-dimensional stratum show its zero set
+    lies in the origin (see ``groebner._origin_certified``), so does that
+    of its non-smooth locus, which contains the stratum's generators, and
+    of every saturation of the locus: the stratum passes, with no
+    witness, and no Jacobian, locus or saturation is built.  A stratum of
+    positive dimension cannot lie in the origin, so it skips that test.
+    Otherwise the same test runs on the locus, built on the stratum's
+    reduced basis: on its generators, then on the interreduced
     generators of its Buchberger input phase, then on its reduced basis.
     A certified locus passes with no witness and no saturation, and one
     certified before its reduced basis has none built, so under a degree
-    cap no S-pair of it can trip the cap.  A wrong-dimensional top
-    stratum means the model is not determinantal of its declared type
-    and raises DimensionMismatchError.  The strata come from the
-    analysis given, or from a fresh one of a bare matrix.
+    cap no S-pair of it can trip the cap.  A locus with more Jacobian
+    minors than ``detmodel._all_minors`` allows raises LimitError
+    prefixed with the stratum index.  A wrong-dimensional top stratum
+    means the model is not determinantal of its declared type and raises
+    DimensionMismatchError.  The strata come from the analysis given, or
+    from a fresh one of a bare matrix.
     """
     a = Analysis.of(m)
     if not a.model.is_specialized():
@@ -111,13 +116,17 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
             )
             continue
         # The locus contains the stratum: V(locus) lies in V(stratum), so
-        # a stratum certified at the origin certifies its locus.
-        if _origin_certified(s.ideal):
+        # a stratum certified at the origin certifies its locus.  Only a
+        # zero-dimensional stratum can lie in the origin.
+        if actual == 0 and _origin_certified(s.ideal):
             records.append(StratumCheck(i, s.expected_dim, actual, True))
             continue
         # Reduced bases as generators keep the Jacobian and the saturation lean.
         reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
-        locus = off_deeper = singular_locus_ideal(reduced, s.expected_codim)
+        try:
+            locus = off_deeper = singular_locus_ideal(reduced, s.expected_codim)
+        except LimitError as exc:
+            raise LimitError(f"stratum {i}: {exc}") from exc
         if _origin_certified(locus):
             records.append(StratumCheck(i, s.expected_dim, actual, True))
             continue

@@ -10,6 +10,7 @@ import pytest
 from detsing import (
     DeterminantalType,
     GeneratorMatrix,
+    LimitError,
     Polynomial,
     PresentationMatrix,
     ValidationError,
@@ -27,8 +28,9 @@ from detsing.detmodel import _all_minors
 from detsing.groebner import Ideal, dimension, is_unit_ideal
 from detsing.poly import GREVLEX, LEX, MonomialOrdering
 from detsing.modelfile import build_model, load_model_file
-from helpers import P, generic_entry_model, omega_model, random_matrix_model
+from helpers import P, generic_entry_model, omega_model, random_matrix_model, sheared_omega_model
 from oracles import cofactor_det
+from test_strata import GENERIC_GRID
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -85,6 +87,14 @@ class TestMinors:
             m = random_matrix_model(rng, rows, cols, 3, max_degree=1)
             for size in range(1, min(rows, cols) + 1):
                 assert len(minors(m, size)) == comb(rows, size) * comb(cols, size)
+
+    def test_minor_count_cap(self):
+        # 3 x 3 entries: C(3, 2)^2 = 9 minors of size 2.
+        m = generic_entry_model(3, 0, 3)
+        assert len(_all_minors(m.entries, 2, m.vars, cap=9)) == 9
+        with pytest.raises(LimitError) as trip:
+            _all_minors(m.entries, 2, m.vars, cap=8)
+        assert str(trip.value) == "minors exceeded the cap 8: 9 minors of size 2 of a 3 x 3 matrix"
 
     def test_size_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -412,6 +422,49 @@ class TestStratum:
 
         run()
         assert 0 in excess and any(excess)
+
+    def test_certified_dimension_matches_the_basis_property(self):
+        """dimension() of a fresh stratum, certified without a basis when
+        its generators' leading terms meet the Eagon-Northcott floor,
+        equals dimension() of an ideal with the same generators and no
+        height bound, which reads the reduced basis.  The inputs are the
+        generic grid, the bundled models and their samples, omega models
+        in sheared coordinates, and random_matrix_model draws of the five
+        shapes above.  A certified stratum has no basis cached: the
+        certificate fires on every generic stratum and falls through on
+        some other strata."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        shapes = ((2, 2, 4, 2), (3, 2, 4, 1), (2, 3, 4, 1), (3, 3, 4, 1), (1, 3, 3, 2))
+        certified = []
+
+        def check(m):
+            for i in range(1, m.dtype.t + 1):
+                s = stratum(m, i)
+                got = dimension(s.ideal)
+                assert got == dimension(Ideal(s.ideal.generators, s.ideal.vars)), (i, m.entries)
+                certified.append(s.ideal.cached_basis() is None)
+
+        for case in GENERIC_GRID:
+            check(generic_entry_model(*case))
+        assert all(certified)
+        for path in sorted(MODELS.glob("*.model")):
+            mf = load_model_file(path)
+            m = build_model(mf)
+            for model in [m] + [m.specialize(dict(point)) for point in mf.samples]:
+                check(model)
+        perm = ("x3", "y", "x1", "x5", "x2", "x4")
+        for k in (1, 2, 3):
+            for shears in (((("x1", "y"), 2), (("x4", "x2"), -1)), ((("y", "x3"), -2),)):
+                check(sheared_omega_model(k, perm, shears))
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(st.sampled_from(shapes), st.integers(0, 2**32))
+        def run(shape, seed):
+            check(random_matrix_model(random.Random(seed), *shape))
+
+        run()
+        assert not all(certified)
 
     def test_strata_nesting(self):
         # Each i-minor lies in the ideal of the (i-1)-minors.

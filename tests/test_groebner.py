@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from detsing import (
+    DeterminantalType,
     DetsingError,
     GREVLEX,
     LEX,
@@ -13,6 +14,7 @@ from detsing import (
     LimitError,
     Polynomial,
     PreconditionError,
+    PresentationMatrix,
     VariableSet,
     buchberger,
     colength,
@@ -1027,6 +1029,71 @@ class TestDimension:
         vs = VariableSet(tuple(f"v{i}" for i in range(24)))
         assert dimension(maximal_ideal(vs)) == 0
 
+    def test_wide_strata_certified_without_a_basis(self, monkeypatch):
+        # The generators' leading terms meet the Eagon-Northcott floor:
+        # the maximal ideal and the 60 quadrics of the generic 5x4 matrix.
+        def no_basis(*args):
+            raise AssertionError("basis built")
+
+        monkeypatch.setattr(groebner, "buchberger", no_basis)
+        m = generic_entry_model(4, 1, 2)
+        assert [dimension(stratum(m, i).ideal) for i in (1, 2)] == [0, 8]
+
+    def test_stratum_with_a_constant_term_takes_the_basis_path(self):
+        # The minors -y^2, -x - 1 and -x generate the unit ideal.  Their
+        # leading terms y^2, x and x meet the floor q - 2 = 0, but a
+        # constant term leaves the ideal possibly not proper, and a unit
+        # ideal has no minimal prime to bound.
+        rows = [["y^2", "y^2", "1"], ["x + 1", "x", "0"]]
+        entries = [[P(e, XY) for e in row] for row in rows]
+        m = PresentationMatrix(DeterminantalType(2, 1, 2), entries, XY)
+        s = stratum(m, 2)
+        assert s.expected_dim == 0
+        assert dimension(s.ideal) == -1
+        assert s.ideal.cached_basis() is not None
+
+    def test_vanishes_at_origin_reads_either_form(self):
+        entries = [[P("x*y + y", XY), P("x + 1", XY)]]
+        m = PresentationMatrix(DeterminantalType(1, 1, 1), entries, XY)
+        packed = stratum(m, 1).ideal.generators
+        assert all(g._packing is not None for g in packed)
+        assert [groebner._vanishes_at_origin(g) for g in packed] == [True, False]
+        assert groebner._vanishes_at_origin(P("x*y + y", XY))
+        assert not groebner._vanishes_at_origin(P("x + 1", XY))
+
+    def test_capped_stratum_takes_the_basis_path(self):
+        m = generic_entry_model(4, 1, 2)
+        with pytest.raises(LimitError) as trip:
+            dimension(stratum(m, 2, max_degree=1).ideal)
+        assert str(trip.value) == (
+            "basis computation exceeded the degree cap 1: input leading term reached degree 2"
+        )
+        s = stratum(m, 2, max_degree=4)
+        assert dimension(s.ideal) == 8
+        assert s.ideal.cached_basis() is not None
+
+    def test_a_cached_basis_is_read_instead(self, monkeypatch):
+        s = stratum(generic_entry_model(2, 1, 2), 2)
+        s.ideal.groebner_basis()
+        supports = []
+        real = groebner._minimal_supports
+        monkeypatch.setattr(
+            groebner, "_minimal_supports", lambda lts: supports.append(lts) or real(lts)
+        )
+        assert dimension(s.ideal) == 4
+        assert supports == [s.ideal.cached_basis().leading_monomials()]
+
+    def test_height_is_not_carried_to_derived_ideals(self):
+        s = stratum(generic_entry_model(2, 1, 2), 2)
+        assert s.ideal._height == 2
+        derived = [
+            Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, None),
+            ideal_sum(s.ideal, s.ideal),
+            singular_locus_ideal(s.ideal, 2),
+            saturation(s.ideal, Ideal([s.ideal.generators[0]], s.ideal.vars)),
+        ]
+        assert [d._height for d in derived] == [None] * 4
+
     def test_not_zero_dimensional_names_variable(self):
         cases = (
             (("y", "z^2", "x*y"), 0),
@@ -1255,6 +1322,17 @@ class TestColength:
     def test_rejects_support_off_origin(self):
         with pytest.raises(PreconditionError):
             colength(ideal(XY, "x - 1", "y"))
+
+    def test_standard_monomials_counted_once(self, monkeypatch):
+        # Not certified at the origin, so the support test builds the
+        # origin-primary component from the colength's own count.
+        calls = []
+        real = groebner._standard_monomials
+        monkeypatch.setattr(
+            groebner, "_standard_monomials", lambda *args: calls.append(args) or real(*args)
+        )
+        assert colength(ideal(XY, "x*y", "x^2 + y^3")) == 5
+        assert len(calls) == 1
 
     def test_standard_monomial_recount(self):
         I = ideal(XY, "x^3 - y", "y^2")

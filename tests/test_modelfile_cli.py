@@ -426,6 +426,18 @@ class TestCli:
             == 3
         )
 
+    def test_exit_code_minor_count_cap(self, capsys, tmp_path):
+        # The generic 5x4 matrix: stratum 2's locus has too many minors.
+        names = [f"z{i}" for i in range(1, 21)]
+        rows = [", ".join(names[4 * r : 4 * r + 4]) for r in range(5)]
+        model = tmp_path / "generic54.model"
+        model.write_text(
+            "[variables]\n" + " ".join(names) + "\n\n[type]\nrows = 5\ncols = 4\nt = 2\n\n"
+            "[matrix]\n" + "\n".join(rows) + "\n"
+        )
+        assert main(["eids-check", str(model)]) == 3
+        assert "error: stratum 2: minors exceeded the cap" in capsys.readouterr().err
+
     def test_negative_max_degree_rejected(self, capsys):
         code = main(
             ["dim", str(MODELS / "omega1.model"), "--stratum", "2", "--max-degree", "-1"]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -12,6 +13,7 @@ from detsing import (
     DetsingError,
     DimensionMismatchError,
     Ideal,
+    LimitError,
     PreconditionError,
     PresentationMatrix,
     ValidationError,
@@ -220,6 +222,32 @@ class TestEidsCheck:
         assert [(r.index, r.expected_dim) for r in verdict.strata] == [(1, 0), (2, 5)]
         assert all(r.actual_dim == r.expected_dim for r in verdict.strata)
         assert len(loci) == 1 and loci[0].cached_basis() is None
+
+    def test_minor_count_cap_names_the_stratum(self):
+        # Generic 5x4, t = 2: stratum 2's dimension is certified and its
+        # 60-quadric basis is quick, but its locus would need
+        # C(60, 12)*C(20, 12) Jacobian minors of size 12.
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="^stratum 2: minors exceeded the cap 10000000: "):
+            eids_check(generic_entry_model(4, 1, 2))
+        assert time.perf_counter() - start < 1
+
+    def test_origin_certificate_only_on_zero_dimensional_strata(self, monkeypatch):
+        # Generic 3x3, t = 3: strata of dimensions 0, 5 and 8.  Only
+        # stratum 1 can lie in the origin; the loci of strata 2 and 3 are
+        # still tested.
+        from detsing import strata
+
+        seen = []
+        real = strata._origin_certified
+        monkeypatch.setattr(strata, "_origin_certified", lambda a: seen.append(a) or real(a))
+        a = Analysis(generic_entry_model(3, 0, 3))
+        verdict = eids_check(a)
+        assert verdict.overall
+        assert [r.actual_dim for r in verdict.strata] == [0, 5, 8]
+        ideals = [a.stratum(i).ideal for i in (1, 2, 3)]
+        assert [i for i, x in enumerate(ideals, 1) for y in seen if x is y] == [1]
+        assert len(seen) == 3
 
     def test_dimension_mismatch_is_an_error(self):
         vs = XY
