@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .detmodel import PresentationMatrix, StratumModel, stratum
 from .errors import DetsingError
-from .groebner import colength, colength_at_origin
+from .groebner import colength, colength_at_origin, dimension
 
 
 class Analysis:
@@ -23,10 +23,12 @@ class Analysis:
     on the same model recomputes everything.  A computation that raises a
     ``DetsingError`` keeps the error and raises it again when asked for.
     A stratum keeps its ``Ideal``, capped at ``max_degree``, and so that
-    ideal's basis cache.  Each sample point is specialized once; members
-    are keyed on their entries, so samples giving equal matrices share
-    one member, and sections on the normalized hyperplane.  Members and
-    sections are analyses themselves, with the same cap.
+    ideal's basis cache.  A stratum's dimension and colengths are
+    computed here, once each, for every section and verdict that reports
+    them.  Each sample point is specialized once; members are keyed on
+    their entries, so samples giving equal matrices share one member,
+    and sections on the normalized hyperplane.  Members and sections are
+    analyses themselves, with the same cap.
     """
 
     __slots__ = ("model", "max_degree", "_memo")
@@ -54,6 +56,9 @@ class Analysis:
 
     def stratum(self, i) -> StratumModel:
         return self._once(("stratum", i), lambda: stratum(self.model, i, self.max_degree))
+
+    def dimension(self, i) -> int:
+        return self._once(("dimension", i), lambda: dimension(self.stratum(i).ideal))
 
     def colength(self, i) -> int:
         return self._once(("colength", i), lambda: colength(self.stratum(i).ideal))

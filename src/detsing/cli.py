@@ -24,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .genericity import Hyperplane
-from .groebner import dimension
 from .invariants import m0_colength
 from .modelfile import build_model, format_model, load_model_file
 from .poly import GREVLEX, LEX, parse_polynomial, poly_to_str
@@ -123,11 +122,10 @@ def _minors(a, mf, args, warnings):
 
 
 def _dim(a, mf, args, warnings):
-    s = a.stratum(args.stratum)
     return {
         "stratum": args.stratum,
-        "expected_dim": s.expected_dim,
-        "dimension": computed(dimension(s.ideal)),
+        "expected_dim": a.stratum(args.stratum).expected_dim,
+        "dimension": computed(a.dimension(args.stratum)),
     }
 
 
@@ -141,8 +139,10 @@ def _eids_check(a, mf, args, warnings):
 
 def _euler_solve(a, mf, args, warnings):
     sys_ = a.euler_system()
-    mvec = a.mvector(mf.chi_data())
-    warnings.append("multiplicity vector uses user-supplied Euler characteristics")
+    chi = mf.chi_data()
+    mvec = a.mvector(chi)
+    if chi:
+        warnings.append("multiplicity vector uses user-supplied Euler characteristics")
     return {"euler_system": euler_system_echo(sys_), **mvector_echo(sys_, mvec)}
 
 

@@ -386,20 +386,14 @@ def dm_matrix(m: PresentationMatrix) -> GeneratorMatrix:
     return GeneratorMatrix(out)
 
 
-class ChainRuleResult:
+class ChainRuleResult(NamedTuple):
     """Outcome of the chain-rule identity check; falsy on mismatch."""
 
-    __slots__ = ("ok", "mismatch")
-
-    def __init__(self, ok, mismatch=None):
-        self.ok = ok
-        self.mismatch = mismatch
+    ok: bool
+    mismatch: tuple | None = None
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        return f"ChainRuleResult(ok={self.ok}, mismatch={self.mismatch})"
 
 
 def chain_rule_check(m: PresentationMatrix, i: int) -> ChainRuleResult:

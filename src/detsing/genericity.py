@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .groebner import dimension, is_unit_ideal
+from .groebner import is_unit_ideal
 from .invariants import solve_for_m
 from .poly import Polynomial, VariableSet, poly_to_str
 
@@ -194,7 +194,7 @@ def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes, eul
         cols = {}
         if sys is not None:
             for j, d in zip(sys.strata, sys.dims):
-                dims.append(dimension(section.stratum(j).ideal))
+                dims.append(section.dimension(j))
                 if d == 0:
                     try:
                         cols[j] = section.colength(j)

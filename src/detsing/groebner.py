@@ -55,7 +55,10 @@ wide.  Order, S-pair sequence and basis do not depend on the width.
 
 On top of the basis engine: membership, sums, products, elimination,
 intersection, quotient, saturation, Krull dimension, and colength
-(standard-monomial count) for ideals supported at the origin.  A Krull
+(standard-monomial count) for ideals supported at the origin.  The
+standard monomials are counted slice by slice in the last variable's
+exponent, with no monomial formed, and the count stops as soon as it
+passes its cap (see :func:`_staircase_count`).  A Krull
 dimension is read from the leading terms of the reduced grevlex basis,
 except for a rank stratum whose generators certify it with no basis: the
 cover dimension of their leading terms, a ceiling, meets the floor q
@@ -1121,8 +1124,11 @@ def support_is_origin_only(a: Ideal) -> bool:
     return ideals_equal(_origin_component(a), a)
 
 
-def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
-    """Monomials outside the leading-term ideal (finitely many required)."""
+def _standard_monomials(basis: GroebnerBasis, width, cap=200000) -> int:
+    """Number of monomials outside the leading-term ideal (finitely many
+    required), counted slice by slice (:func:`_staircase_count`) with no
+    monomial formed.  Raises LimitError as soon as the count passes
+    ``cap``."""
     lts = basis.leading_monomials()
     # Zero-dimensionality certificate: a pure power of every variable
     # leads, that is, every {j} is a leading-term support.
@@ -1133,23 +1139,28 @@ def _standard_monomials(basis: GroebnerBasis, width, cap=200000):
                 "ideal is not zero-dimensional: no pure-power leading term "
                 f"in variable index {j}"
             )
-    seen = {(0,) * width}
-    queue = [(0,) * width]
-    while queue:
-        m = queue.pop()
-        for j in range(width):
-            mm = list(m)
-            mm[j] += 1
-            mm = tuple(mm)
-            if mm in seen:
-                continue
-            if any(monomial_divides(lt, mm) for lt in lts):
-                continue
-            seen.add(mm)
-            queue.append(mm)
-            if len(seen) > cap:
-                raise LimitError("standard monomial enumeration exceeded cap")
-    return seen
+    return _staircase_count(lts, cap)
+
+
+def _staircase_count(lts, cap) -> int:
+    """Number of monomials that no exponent tuple in ``lts`` divides,
+    given a pure power of every variable among them.  In one variable it
+    is the smallest such power p.  Otherwise, with p the smallest power
+    of the last variable, it is the sum over e < p of the counts of the
+    slices at x^e: m * x^e, m free of the last variable, is divisible by
+    no lt exactly when m is divisible by no ``lt[:-1]`` with ``lt[-1] <=
+    e``, and x^p divides every monomial past those slices.  Each slice
+    is counted against what is left of ``cap``, so the count raises
+    LimitError as soon as it passes the cap."""
+    top = min(lt[-1] for lt in lts if not any(lt[:-1]))
+    if len(lts[0]) == 1:
+        if top > cap:
+            raise LimitError("standard monomial enumeration exceeded cap")
+        return top
+    count = 0
+    for e in range(top):
+        count += _staircase_count([lt[:-1] for lt in lts if lt[-1] <= e], cap - count)
+    return count
 
 
 def colength(a: Ideal) -> int:
@@ -1163,7 +1174,7 @@ def colength(a: Ideal) -> int:
     basis = a.groebner_basis(GREVLEX)
     if basis.is_unit():
         raise PreconditionError("colength of the unit ideal is undefined")
-    count = len(_standard_monomials(basis, len(a.vars)))
+    count = _standard_monomials(basis, len(a.vars))
     if not (_origin_certified(a) or ideals_equal(_origin_component(a, count), a)):
         raise PreconditionError(
             "support is not confined to the origin; colength here is a "
@@ -1185,7 +1196,7 @@ def _origin_component(a: Ideal, d=None) -> Ideal:
     power is reduced by the packed reducer before it pairs with a."""
     basis = a.groebner_basis(GREVLEX)
     if d is None:
-        d = len(_standard_monomials(basis, len(a.vars)))
+        d = _standard_monomials(basis, len(a.vars))
     powers = [Polynomial.variable(a.vars, n) ** d for n in a.vars.names]
     return Ideal.seeded(basis, powers, a.vars, a.max_degree)
 
@@ -1202,4 +1213,4 @@ def colength_at_origin(a: Ideal) -> int:
     if dimension(a) != 0:
         raise PreconditionError("colength at the origin needs a zero-dimensional ideal")
     basis = (a if _origin_certified(a) else _origin_component(a)).groebner_basis(GREVLEX)
-    return 0 if basis.is_unit() else len(_standard_monomials(basis, len(a.vars)))
+    return 0 if basis.is_unit() else _standard_monomials(basis, len(a.vars))

@@ -20,7 +20,6 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .groebner import dimension
 from .strata import good_family_scan
 
 
@@ -235,7 +234,7 @@ def whitney_report(
         dims = []
         cols = {}
         for j, d in zip(sys.strata, sys.dims):
-            dims.append(dimension(member.stratum(j).ideal))
+            dims.append(member.dimension(j))
             if d == 0:
                 cols[j] = member.origin_colength(j)
         mvec = None

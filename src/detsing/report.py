@@ -21,7 +21,6 @@ from .errors import (
     ValidationError,
 )
 from .genericity import section_invariant_compare
-from .groebner import dimension
 from .invariants import (
     m0_colength,
     md_consistency,
@@ -96,7 +95,7 @@ def strata_section(a: Analysis, ordering=GREVLEX):
             "present": s.present,
         }
         if a.model.is_specialized():
-            row["actual_dim"] = computed(dimension(s.ideal))
+            row["actual_dim"] = computed(a.dimension(i))
             row["basis_size"] = computed(len(s.ideal.groebner_basis(ordering)))
         else:
             row["actual_dim"] = dict(NOT_COMPUTABLE)

@@ -30,7 +30,6 @@ from .errors import DimensionMismatchError, LimitError, PreconditionError, Valid
 from .groebner import (
     Ideal,
     _origin_certified,
-    dimension,
     saturation,
     support_is_origin_only,
 )
@@ -75,7 +74,8 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
 
     A present stratum passes when it has its expected dimension and the
     non-smooth locus, saturated by the next deeper stratum, is empty or
-    supported at the origin only.  The dimension is ``groebner.dimension``,
+    supported at the origin only.  The dimension is the analysis's
+    (``Analysis.dimension``, one ``groebner.dimension`` per stratum),
     which certifies most uncapped strata from their generators with no
     basis.  When elements of a zero-dimensional stratum show its zero set
     lies in the origin (see ``groebner._origin_certified``), so does that
@@ -104,7 +104,7 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
         s = a.stratum(i)
         if not s.present:
             continue
-        actual = dimension(s.ideal)
+        actual = a.dimension(i)
         if actual != s.expected_dim:
             if i == t:
                 raise DimensionMismatchError(

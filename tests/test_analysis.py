@@ -147,6 +147,20 @@ def test_analyze_computes_each_basis_once(name, monkeypatch, capsys):
     assert len(calls) == len(inputs) <= ANALYZE_BASES[name]
 
 
+# Upper bounds on groebner.dimension calls in one analyze.  Each stratum's
+# dimension is read once, through Analysis.dimension, by the strata
+# section, the eids check and the family rows alike; the rest come from
+# inside support_is_origin_only and colength_at_origin.
+ANALYZE_DIMENSIONS = {"omega1": 6, "omega1_family": 6, "omega2_family": 3, "omega3": 2}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_DIMENSIONS))
+def test_analyze_reads_each_stratum_dimension_once(name, monkeypatch, capsys):
+    counts = count_calls(monkeypatch, (groebner, "dimension"))
+    analyze(name, capsys)
+    assert 0 < counts["dimension"] <= ANALYZE_DIMENSIONS[name]
+
+
 @pytest.mark.parametrize("name", sorted(ANALYZE_BASES))
 def test_degree_cap_reaches_every_basis(name, monkeypatch, capsys):
     uncapped = analyze(name, capsys)

@@ -1334,6 +1334,50 @@ class TestColength:
         assert colength(ideal(XY, "x*y", "x^2 + y^3")) == 5
         assert len(calls) == 1
 
+    def test_standard_monomial_count_matches_the_oracle(self):
+        # Random zero-dimensional monomial ideals in 1-5 variables: a pure
+        # power of every variable and up to four more monomials.  The
+        # slice count equals a brute-force recount, and the cap trips
+        # exactly when the count passes it.
+        rng = random.Random(28)
+        top = {1: 12, 2: 8, 3: 5, 4: 4, 5: 3}
+        for _ in range(150):
+            width = rng.randint(1, 5)
+            vs = VariableSet(tuple(f"x{i}" for i in range(width)))
+            exps = [
+                tuple(rng.randint(1, top[width]) if k == j else 0 for k in range(width))
+                for j in range(width)
+            ]
+            for _ in range(rng.randint(0, 4)):
+                m = tuple(rng.randint(0, top[width]) for _ in range(width))
+                if any(m):
+                    exps.append(m)
+            basis = Ideal([Polynomial(vs, {m: 1}) for m in exps], vs).groebner_basis()
+            count = standard_monomial_count(basis, width)
+            assert groebner._standard_monomials(basis, width) == count
+            assert groebner._standard_monomials(basis, width, cap=count) == count
+            with pytest.raises(LimitError, match="^standard monomial enumeration exceeded cap$"):
+                groebner._standard_monomials(basis, width, cap=count - 1)
+
+    def test_large_colength_counted_in_slices(self):
+        # The origin-primary component of (x^440 - x^441, y^440) is
+        # (x^440, y^440), with 193,600 standard monomials, just under the
+        # cap; none of them is formed.
+        x, y = (Polynomial.variable(XY, n) for n in XY.names)
+        start = time.perf_counter()
+        assert colength_at_origin(Ideal([x**440 - x**441, y**440], XY)) == 193600
+        assert time.perf_counter() - start < 1.0
+
+    def test_count_stops_at_the_cap(self):
+        # (x^60, y^60, z^60, w^60) has 60^4 standard monomials; the count
+        # raises once it passes 200,000, after a few thousand slices.
+        vs = VariableSet(("x", "y", "z", "w"))
+        I = Ideal([Polynomial.variable(vs, n) ** 60 for n in vs.names], vs)
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="^standard monomial enumeration exceeded cap$"):
+            colength(I)
+        assert time.perf_counter() - start < 0.1
+
     def test_standard_monomial_recount(self):
         I = ideal(XY, "x^3 - y", "y^2")
         c = colength(I)

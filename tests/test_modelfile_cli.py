@@ -156,6 +156,23 @@ class TestCli:
         assert code == 0
         assert report["mvector"]["2"]["value"] == 0
         assert report["mvector"]["1"]["value"] == 4
+        assert report["warnings"] == [
+            "multiplicity vector uses user-supplied Euler characteristics"
+        ]
+
+    def test_euler_solve_without_chi_claims_none(self, capsys, tmp_path):
+        # q = 2: the only present stratum of [[x, y, 0], [0, x, y]] is the
+        # zero-dimensional stratum 2, whose colength 3 is m[2].  The file
+        # has no [euler] section, so no user-supplied chi is used or named.
+        path = tmp_path / "stably_isolated.model"
+        path.write_text(
+            "[variables]\nx y\n\n[type]\nrows = 2\ncols = 3\nt = 2\n\n"
+            "[matrix]\nx, y, 0\n0, x, y\n"
+        )
+        code, report = self.structured(capsys, "euler-solve", str(path))
+        assert code == 0
+        assert report["mvector"] == {"2": {"value": 3, "provenance": "computed"}}
+        assert report["warnings"] == []
 
     def test_eids_check(self, capsys):
         code, report = self.structured(

@@ -2,7 +2,8 @@
 that the earlier frozen dataclasses had, and an import that builds no
 class through generated code.
 
-The expected ``repr`` texts were recorded from the dataclass records.
+The expected ``repr`` texts were recorded from the dataclass records, and
+that of ``ChainRuleResult`` from its earlier hand-written ``repr``.
 """
 
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from detsing import (
+    ChainRuleResult,
     DeterminantalType,
     Hyperplane,
     Ideal,
@@ -91,6 +93,7 @@ EXPECTED = {
         ("point", "verdict", "error"),
         f"ScanRecord(point={{'u': Fraction(0, 1)}}, verdict={VERDICT}, error=None)",
     ),
+    "ChainRuleResult": (("ok", "mismatch"), "ChainRuleResult(ok=False, mismatch=(1, 2))"),
     "ModelFile": (
         (
             "variables", "parameters", "rows", "cols", "t", "matrix", "matrix_lines",
@@ -133,6 +136,7 @@ def build(name):
         "StratumCheck": lambda: check,
         "EidsVerdict": lambda: verdict,
         "ScanRecord": lambda: ScanRecord({"u": Fraction(0)}, verdict, None),
+        "ChainRuleResult": lambda: ChainRuleResult(False, (1, 2)),
         "ModelFile": lambda: parse_model_file(MODEL_TEXT),
     }
     return makers[name](), ideal
@@ -166,6 +170,12 @@ def test_records_differ_when_a_field_does():
     assert Hyperplane((1, 2)) != Hyperplane((2, 1))
     assert ChiData(0, 2) != ChiData(2, 0)
     assert StratumCheck(1, 0, 0, True) != StratumCheck(1, 0, 0, False)
+
+
+def test_chain_rule_result_is_true_only_when_ok():
+    # A non-empty tuple is truthy; the record answers with its ``ok`` field.
+    assert not ChainRuleResult(False, (1, 2))
+    assert ChainRuleResult(True) and ChainRuleResult(True).mismatch is None
 
 
 def test_validation_messages():
