@@ -153,11 +153,11 @@ def _slice(a, mf, args, warnings):
 
 
 def _screen_hyperplanes(a, mf, args, warnings):
-    forms = args.hyperplane or mf.hyperplanes
-    if not forms:
+    if args.hyperplane:  # forms from arguments have no line in the file
+        mf = mf._replace(hyperplanes=tuple(args.hyperplane), hyperplane_lines=())
+    if not mf.hyperplanes:
         raise ValidationError("no hyperplanes: add a [hyperplanes] section or --hyperplane")
-    screened = mf._replace(hyperplanes=tuple(forms))
-    return {"genericity": genericity_section(a, screened, warnings)}
+    return {"genericity": genericity_section(a, mf, warnings)}
 
 
 def _family_scan(a, mf, args, warnings):

@@ -5,6 +5,12 @@ Sections are headed by ``[variables]``, ``[parameters]``, ``[type]``,
 ``[supplied]``.  Matrix rows are comma-separated expressions, one row
 per line.  ``#`` starts a comment.  The format is hand-writable,
 diff-friendly and round-trips through :func:`format_model`.
+
+Input is checked here, where it enters: a keyed line of ``[type]``, of
+``[euler]`` or of ``[supplied]`` takes only its section's keys, each
+once, with integer values.  Every error in a file names its line; the
+matrix entries, samples and hyperplane forms, which are read later,
+name theirs too.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ class ModelFile(NamedTuple):
     euler_reduced: bool = False
     euler: dict = MappingProxyType({})  # stratum -> (chi_stab, chi_section)
     hyperplanes: tuple = ()
+    hyperplane_lines: tuple = ()  # source line of each form, for errors
     samples: tuple = ()  # tuples of (name, Fraction) pairs
     sample_lines: tuple = ()  # source line of each sample, for errors
     supplied: dict = MappingProxyType({})  # stratum -> {e_pair, polar}
@@ -84,7 +91,7 @@ def _parse_int(text, line_no):
 
 
 def _parse_assignments(text, line_no, given=()):
-    """name -> (value, line) for each ``name = value`` on a line.  A name
+    """name -> value text for each ``name = value`` on a line.  A name
     repeated on the line, or already in ``given`` (the names of earlier
     lines that set the same keys), is a ParseError at this line."""
     out = {}
@@ -98,7 +105,20 @@ def _parse_assignments(text, line_no, given=()):
         name = name.strip()
         if name in out or name in given:
             raise ParseError(f"key {name!r} repeats", line=line_no)
-        out[name] = (value.strip(), line_no)
+        out[name] = value.strip()
+    return out
+
+
+def _int_fields(text, line_no, keys, section, given=()):
+    """name -> int for each ``name = value`` on a line of a keyed section.
+    A name outside ``keys``, a repeat (as :func:`_parse_assignments`
+    finds it) or a value that is not an integer is a ParseError at this
+    line."""
+    out = {}
+    for name, value in _parse_assignments(text, line_no, given).items():
+        if name not in keys:
+            raise ParseError(f"unknown {section} field {name!r}", line=line_no)
+        out[name] = _parse_int(value, line_no)
     return out
 
 
@@ -145,8 +165,7 @@ def parse_model_file(text) -> ModelFile:
 
     type_fields = {}
     for line_no, line in sections["type"]:
-        for name, (value, ln) in _parse_assignments(line, line_no, type_fields).items():
-            type_fields[name] = _parse_int(value, ln)
+        type_fields |= _int_fields(line, line_no, ("rows", "cols", "t"), "[type]", type_fields)
     for needed in ("rows", "cols", "t"):
         if needed not in type_fields:
             raise ParseError(f"[type] is missing {needed!r}", line=headers["type"])
@@ -176,9 +195,7 @@ def parse_model_file(text) -> ModelFile:
             idx = int(m.group(1))
             if idx in euler:
                 raise ParseError(f"euler stratum {idx} repeats", line=line_no)
-            fields = {}
-            for name, (value, ln) in _parse_assignments(m.group(2), line_no).items():
-                fields[name] = _parse_int(value, ln)
+            fields = _int_fields(m.group(2), line_no, ("chi_stab", "chi_section"), "euler")
             for needed in ("chi_stab", "chi_section"):
                 if needed not in fields:
                     raise ParseError(
@@ -195,19 +212,19 @@ def parse_model_file(text) -> ModelFile:
                     "'stratum N: chi_stab = .., chi_section = ..'",
                     line=line_no,
                 )
-            value = fields["reduced"][0].lower()
+            value = fields["reduced"].lower()
             if value not in ("true", "false"):
                 raise ParseError("reduced must be true or false", line=line_no)
             euler_reduced = value == "true"
 
-    hyperplanes = tuple(line for _, line in sections.get("hyperplanes", []))
+    forms = sections.get("hyperplanes", [])
 
     samples = []
     sample_lines = []
     for line_no, line in sections.get("samples", []):
         point = {}
-        for name, (value, ln) in _parse_assignments(line, line_no).items():
-            point[name] = _parse_fraction(value, ln)
+        for name, value in _parse_assignments(line, line_no).items():
+            point[name] = _parse_fraction(value, line_no)
         samples.append(tuple(sorted(point.items())))
         sample_lines.append(line_no)
 
@@ -222,12 +239,7 @@ def parse_model_file(text) -> ModelFile:
         idx = int(m.group(1))
         if idx in supplied:
             raise ParseError(f"supplied stratum {idx} repeats", line=line_no)
-        fields = {}
-        for name, (value, ln) in _parse_assignments(m.group(2), line_no).items():
-            if name not in ("e_pair", "polar"):
-                raise ParseError(f"unknown supplied field {name!r}", line=ln)
-            fields[name] = _parse_int(value, ln)
-        supplied[idx] = fields
+        supplied[idx] = _int_fields(m.group(2), line_no, ("e_pair", "polar"), "supplied")
 
     return ModelFile(
         variables=tuple(variables),
@@ -239,7 +251,8 @@ def parse_model_file(text) -> ModelFile:
         matrix_lines=tuple(matrix_lines),
         euler_reduced=euler_reduced,
         euler=euler,
-        hyperplanes=hyperplanes,
+        hyperplanes=tuple(form for _, form in forms),
+        hyperplane_lines=tuple(line_no for line_no, _ in forms),
         samples=tuple(samples),
         sample_lines=tuple(sample_lines),
         supplied=supplied,
@@ -278,10 +291,17 @@ def build_model(mf: ModelFile) -> PresentationMatrix:
 
 
 def build_hyperplanes(mf: ModelFile, vars: VariableSet):
+    """The hyperplanes of the forms in ``mf``.  A bad form raises its
+    error with its line when ``hyperplane_lines`` holds one."""
     out = []
-    for text in mf.hyperplanes:
-        p = parse_polynomial(text, vars)
-        out.append(Hyperplane.from_linear_form(p, vars))
+    lines = mf.hyperplane_lines or (None,) * len(mf.hyperplanes)
+    for text, line in zip(mf.hyperplanes, lines):
+        try:
+            out.append(Hyperplane.from_linear_form(parse_polynomial(text, vars), vars))
+        except ValidationError as exc:
+            if line is None:
+                raise
+            raise type(exc)(f"{exc} (line {line})") from None
     return out
 
 

@@ -220,18 +220,15 @@ class Polynomial:
     @classmethod
     def _integral(cls, vars, ints, den):
         """The polynomial sum(ints[m] * x^m) / den from its integer form:
-        a map from exponent tuples to integers and a positive integer
-        denominator.  Exponent tuples are checked as the constructor
-        checks them.  The map is kept as it is unless it holds a zero
-        coefficient, which is dropped."""
-        if ints and ({*map(len, ints)} != {len(vars)} or min(map(min, ints)) < 0):
-            width = len(vars)
-            bad = next(m for m in ints if len(m) != width or min(m) < 0)
-            raise ValidationError(f"bad exponent vector {bad!r}")
+        a map from exponent tuples of the set's width with no negative
+        entry to integers, and a positive ``int`` denominator.  Nothing
+        is checked: the only callers are ``zero``, ``constant``,
+        ``variable``, ``+``, ``-``, ``*``, ``scale``, ``derivative`` and
+        ``_reindex``, which build the form from polynomials already
+        made; outside terms go through the constructor.  The map is kept
+        as it is unless it holds a zero coefficient, which is dropped."""
         if 0 in ints.values():
             ints = {m: c for m, c in ints.items() if c}
-        if type(den) is not int or den < 1:
-            raise ValidationError(f"bad common denominator {den!r}")
         self = cls.__new__(cls)
         self.vars = vars
         self._terms = None

@@ -175,7 +175,8 @@ def stably_isolated_check(m: PresentationMatrix | Analysis, i: int) -> bool:
     """Stabilization has only isolated singularities on stratum i: the
     ambient dimension must equal the codimension of the next deeper rank
     locus and that locus must be confined to the origin.  The deeper
-    locus has the analysis's degree cap."""
+    locus has the analysis's degree cap, and is the analysis's stratum
+    i + 1 when the type has one."""
     a = Analysis.of(m)
     m = a.model
     if not m.is_specialized():
@@ -188,6 +189,8 @@ def stably_isolated_check(m: PresentationMatrix | Analysis, i: int) -> bool:
     deeper_codim = (n - i) * (n + m.dtype.k - i)
     if m.q != deeper_codim:
         return False
+    if i + 1 <= m.dtype.t:
+        return support_is_origin_only(a.stratum(i + 1).ideal)
     return support_is_origin_only(Ideal(minors(m, i + 1), m.vars, a.max_degree))
 
 

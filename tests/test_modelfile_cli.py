@@ -76,6 +76,8 @@ class TestModelFile:
             ("x4, x5, x1 + y^3\n", "", "matrix has 1 rows, expected 2 (line 10)"),
             ("[type]", "[parameters]\nu\nx2\n\n[type]", "variable name 'x2' repeats (line 7)"),
             ("t = 2\n", "t = 2\nrows = 5\n", "key 'rows' repeats (line 9)"),
+            ("rows = 2\n", "rows = 2\nrowz = 4\n", "unknown [type] field 'rowz' (line 7)"),
+            ("chi_section = 2", "chi_sectoin = 5", "unknown euler field 'chi_sectoin' (line 16)"),
             ("= false\n", "= false\nreduced = true\n", "key 'reduced' repeats (line 16)"),
             (
                 LAST_LINE,
@@ -88,12 +90,17 @@ class TestModelFile:
                 LAST_LINE + "[supplied]\nstratum 1: e_pair = 1\nstratum 1: polar = 2\n",
                 "supplied stratum 1 repeats (line 19)",
             ),
+            (
+                LAST_LINE,
+                LAST_LINE + "[supplied]\nstratum 1: e_pair = 1, bogus = 2\n",
+                "unknown supplied field 'bogus' (line 18)",
+            ),
         ],
     )
     def test_errors_name_the_line_at_fault(self, old, new, message):
         # The line of the offending name, of the [type] header, of the
-        # [matrix] header, of the name where it repeats, and of the key
-        # or stratum where it repeats.
+        # [matrix] header, of the name where it repeats, of the key or
+        # stratum where it repeats, and of a key its section does not take.
         bad = OMEGA2.replace(old, new)
         with pytest.raises(ParseError) as err:
             parse_model_file(bad)
@@ -331,6 +338,27 @@ class TestCli:
         path = tmp_path / "bad_sample.model"
         path.write_text(text.replace("u = 1\n", sample + "\n"))
         assert main([command, str(path)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "form, message",
+        [
+            ("x1^2", "hyperplane form must be homogeneous linear"),
+            ("x3 +", "unexpected end of expression (at position 4)"),
+        ],
+    )
+    def test_hyperplane_errors_name_the_line(self, capsys, tmp_path, form, message):
+        # A bad [hyperplanes] form names its line, in each command that
+        # reads the section; the same form given by --hyperplane has no
+        # line to name.
+        text = (MODELS / "omega1.model").read_text()
+        path = tmp_path / "bad_hyperplane.model"
+        path.write_text(text.replace("\ny\n", f"\n{form}\n"))
+        for command in ("analyze", "screen-hyperplanes"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message} (line 21)\n"
+        flag = ["screen-hyperplanes", str(MODELS / "omega1.model"), "--hyperplane", form]
+        assert main(flag) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_exit_code_non_utf8_model(self, capsys, tmp_path):

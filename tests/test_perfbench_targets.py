@@ -4,6 +4,9 @@
 ``getattr``, so deleting or renaming one of them would break every traced
 run; this checks them all from the suite, and checks that a traced
 ``analyze`` still passes through every layer the per-layer metrics name.
+It also runs the benchmark's own self-check, so a change that breaks a
+workload's checks, or the match between ``BENCHMARK.json`` and the
+reported metrics, fails here.
 """
 
 import importlib
@@ -73,3 +76,16 @@ print(json.dumps(collections.Counter(span[0] for span in tracer.spans)))
         for name in names
     } - {"groebner.ideal_quotient"}
     assert sorted(expected - set(spans)) == []
+
+
+def test_benchmark_self_check_passes():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--self-check"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "self-check passed"

@@ -279,7 +279,9 @@ class TestIntegerForm:
         integer form gives the polynomial back.  Lift, restriction and
         substitution agree with the oracle on packed-born inputs too: the
         minors of a grid from ``_all_minors`` and reduced grevlex basis
-        elements."""
+        elements.  Every result holds the form ``_integral`` takes on
+        trust: exponent tuples of its set's width with no negative entry,
+        over a positive ``int`` denominator."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         xyu = VariableSet(("x", "y"), ("u",))
@@ -361,6 +363,10 @@ class TestIntegerForm:
                 over_wide = Ideal([lifted], wide).groebner_basis(GREVLEX).elements[0]
                 assert over_wide._packing is not None
                 assert over_wide.restrict(xyu) == reference_restrict(over_wide, xyu)
+            results = [fresh + q, fresh - q, -fresh, fresh * q, fresh**e, fresh.scale(c)]
+            results += [fresh.derivative(name) for name in xyu.names]
+            results += [fresh.lift(wide), lifted.restrict(xyu)]
+            results += [fresh.substitute({"x": q, "u": r}), fresh.substitute(at_c, target=xy)]
             for g in born:
                 if not g:
                     continue
@@ -373,16 +379,22 @@ class TestIntegerForm:
                 assert g.substitute(at_c, target=xy) == reference_substitute(
                     g, {"u": Polynomial(xy, {(0, 0): c})}, xy
                 )
+                results += [g.lift(wide), g.lift(wide).restrict(xyu)]
+                results += [g.substitute({"x": q, "u": r}), g.substitute(at_c, target=xy)]
+            for p in results:
+                ints, den = p._integer_form()
+                assert type(den) is int and den > 0
+                assert all(len(m) == len(p.vars) and min(m) >= 0 for m in ints)
 
         run()
 
-    def test_integral_validates_like_the_constructor(self):
+    def test_constructor_rejects_bad_exponent_vectors(self):
         with pytest.raises(ValidationError, match="bad exponent vector"):
-            Polynomial._integral(XY, {(1,): 1}, 1)
+            Polynomial(XY, {(1,): 1})
         with pytest.raises(ValidationError, match="bad exponent vector"):
-            Polynomial._integral(XY, {(1, -1): 1}, 1)
-        with pytest.raises(ValidationError, match="denominator"):
-            Polynomial._integral(XY, {(1, 0): 1}, 0)
+            Polynomial(XY, {(1, -1): 1})
+
+    def test_integral_drops_zero_coefficients(self):
         zero = Polynomial._integral(XY, {(1, 0): 0, (0, 1): 0}, 5)
         assert zero.is_zero() and zero == Polynomial.zero(XY)
         assert Polynomial._integral(XY, {(1, 0): 2, (0, 0): 0}, 4) == P("1/2*x", XY)

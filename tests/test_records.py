@@ -97,11 +97,13 @@ EXPECTED = {
     "ModelFile": (
         (
             "variables", "parameters", "rows", "cols", "t", "matrix", "matrix_lines",
-            "euler_reduced", "euler", "hyperplanes", "samples", "sample_lines", "supplied",
+            "euler_reduced", "euler", "hyperplanes", "hyperplane_lines", "samples",
+            "sample_lines", "supplied",
         ),
         "ModelFile(variables=('x', 'y'), parameters=(), rows=1, cols=2, t=1, "
         "matrix=(('x', 'y'),), matrix_lines=(8,), euler_reduced=False, "
-        "euler={1: (1, 0)}, hyperplanes=(), samples=(), sample_lines=(), supplied={})",
+        "euler={1: (1, 0)}, hyperplanes=(), hyperplane_lines=(), samples=(), "
+        "sample_lines=(), supplied={})",
     ),
 }
 
@@ -208,7 +210,7 @@ def test_keyword_construction_and_defaults():
     assert StratumCheck(1, 0, 0, True).witness is None
     mf = ModelFile(("x",), (), 1, 1, 1, (("x",),))
     assert (mf.matrix_lines, mf.euler_reduced, mf.hyperplanes) == ((), False, ())
-    assert (mf.samples, mf.sample_lines) == ((), ())
+    assert (mf.hyperplane_lines, mf.samples, mf.sample_lines) == ((), (), ())
     # The dict fields default to an empty mapping that no record can change.
     assert mf.euler == {} and mf.supplied == {}
     with pytest.raises(TypeError):

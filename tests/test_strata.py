@@ -570,6 +570,29 @@ class TestStablyIsolated:
         with pytest.raises(PreconditionError):
             stably_isolated_check(omega_model(1), 2)
 
+    def test_deeper_locus_is_the_analysis_stratum(self, monkeypatch, tmp_path, capsys):
+        # The deeper locus of stratum 1 of [[x, y, 0], [0, x, y]] is its
+        # stratum 2, so analyze forms the 2x2 minors once, for both.
+        from detsing import detmodel
+        from detsing.cli import main
+
+        sizes = []
+        real = detmodel._all_minors
+
+        def counted(grid, size, vars, *rest):
+            sizes.append(size)
+            return real(grid, size, vars, *rest)
+
+        monkeypatch.setattr(detmodel, "_all_minors", counted)
+        path = tmp_path / "stably_isolated.model"
+        path.write_text(
+            "[variables]\nx y\n\n[type]\nrows = 2\ncols = 3\nt = 2\n\n"
+            "[matrix]\nx, y, 0\n0, x, y\n"
+        )
+        assert main(["analyze", str(path), "--format", "structured"]) == 0
+        assert '"stably_isolated_verified": true' in capsys.readouterr().out
+        assert sizes.count(2) == 1
+
 
 class TestConormalGap:
     @pytest.mark.parametrize("k,expected", [(0, 1), (1, 2), (4, 5)])
