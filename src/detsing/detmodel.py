@@ -332,7 +332,7 @@ def stratum(m: PresentationMatrix, i: int, max_degree=None) -> StratumModel:
     codim = m.dtype.expected_codim(i)
     ideal = Ideal(minors(m, i), m.vars, max_degree)
     ideal._height = codim
-    return StratumModel(i, ideal, codim, m.q - codim)
+    return StratumModel(i, ideal, codim, m.dtype.expected_dim(i, m.q))
 
 
 def jacobian_generators(polys, vars: VariableSet) -> GeneratorMatrix:

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .groebner import is_unit_ideal
-from .invariants import solve_for_m
+from .invariants import invariant_vector, solve_for_m
 from .poly import Polynomial, VariableSet, poly_to_str
 
 
@@ -160,9 +160,7 @@ class SectionInvariants(NamedTuple):
     mvector: dict | None
     minimal: bool = False
 
-    def vector(self):
-        mv = tuple(sorted(self.mvector.items())) if self.mvector is not None else None
-        return (self.dims, tuple(sorted(self.colengths.items())), mv)
+    vector = invariant_vector
 
 
 def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes, euler_data=None):

@@ -172,7 +172,7 @@ class Ideal:
     def from_basis(cls, basis: GroebnerBasis, vars, max_degree) -> Ideal:
         """The ideal a reduced basis generates, carrying that basis."""
         ideal = cls(basis.elements, vars, max_degree)
-        ideal._cache[(basis.ordering.kind, basis.ordering.block)] = basis
+        ideal._cache[basis.ordering] = basis
         return ideal
 
     @classmethod
@@ -186,14 +186,13 @@ class Ideal:
 
     def cached_basis(self, ordering=GREVLEX):
         """The reduced basis in ``ordering`` if already known, else None."""
-        return self._cache.get((ordering.kind, ordering.block))
+        return self._cache.get(ordering)
 
     def groebner_basis(self, ordering=GREVLEX):
-        key = (ordering.kind, ordering.block)
-        basis = self._cache.get(key)
+        basis = self._cache.get(ordering)
         if basis is None:
             basis = buchberger(self, ordering)
-            self._cache.setdefault(key, basis)
+            self._cache.setdefault(ordering, basis)
         return basis
 
     def __repr__(self):

@@ -182,15 +182,19 @@ def md_consistency(e_pair: int, polar_term: int, m_d: int) -> bool:
     return e_pair + polar_term == m_d
 
 
+def invariant_vector(record):
+    """Dims, colengths and m-vector of a sample or a section, in order."""
+    mv = tuple(sorted(record.mvector.items())) if record.mvector is not None else None
+    return (record.dims, tuple(sorted(record.colengths.items())), mv)
+
+
 class SampleInvariants(NamedTuple):
     point: dict
     dims: tuple
     colengths: dict  # stratum -> colength of the origin component
     mvector: dict | None
 
-    def vector(self):
-        mv = tuple(sorted(self.mvector.items())) if self.mvector is not None else None
-        return (self.dims, tuple(sorted(self.colengths.items())), mv)
+    vector = invariant_vector
 
 
 class WhitneyReport(NamedTuple):

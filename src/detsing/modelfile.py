@@ -8,15 +8,16 @@ diff-friendly and round-trips through :func:`format_model`.
 
 Input is checked here, where it enters: a keyed line of ``[type]``, of
 ``[euler]`` or of ``[supplied]`` takes only its section's keys, each
-once, with integer values.  Every error in a file names its line; the
-matrix entries, samples and hyperplane forms, which are read later,
-name theirs too.
+once, with integer values.  Every error in a file names its line.  A
+record built in code gets the same checks of its matrix, samples and
+forms, and its errors name a line only where the record carries one.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -259,19 +260,28 @@ def parse_model_file(text) -> ModelFile:
     )
 
 
+def _lined(values, lines):
+    """Each value with its line; None past the lines the record carries."""
+    return zip(values, chain(lines, repeat(None)))
+
+
+def _at_line(exc, line):
+    """``exc``, naming ``line`` when it is known."""
+    return exc if line is None else type(exc)(f"{exc} (line {line})")
+
+
 def build_model(mf: ModelFile) -> PresentationMatrix:
     """The model's matrix.  Each sample must name every parameter and
     nothing else; one that does not raises the error ``specialize`` would
     (PreconditionError for a parameter left out, ValidationError for an
-    unknown name), with its line, whether or not the command reads
-    samples."""
+    unknown name), with its line if known, whether or not the command
+    reads samples."""
     vars = mf.variable_set()
     n = min(mf.rows, mf.cols)
     k = abs(mf.rows - mf.cols)
     dtype = DeterminantalType(n, k, mf.t)
     entries = []
-    for r, row in enumerate(mf.matrix):
-        line = mf.matrix_lines[r] if r < len(mf.matrix_lines) else None
+    for row, line in _lined(mf.matrix, mf.matrix_lines):
         parsed = []
         for cell in row:
             try:
@@ -282,11 +292,11 @@ def build_model(mf: ModelFile) -> PresentationMatrix:
                 ) from None
         entries.append(parsed)
     model = PresentationMatrix(dtype, entries, vars)
-    for point, line in zip(mf.samples, mf.sample_lines):
+    for point, line in _lined(mf.samples, mf.sample_lines):
         try:
             model._check_sample(dict(point))
         except (PreconditionError, ValidationError) as exc:
-            raise type(exc)(f"{exc} (line {line})") from None
+            raise _at_line(exc, line) from None
     return model
 
 
@@ -294,14 +304,11 @@ def build_hyperplanes(mf: ModelFile, vars: VariableSet):
     """The hyperplanes of the forms in ``mf``.  A bad form raises its
     error with its line when ``hyperplane_lines`` holds one."""
     out = []
-    lines = mf.hyperplane_lines or (None,) * len(mf.hyperplanes)
-    for text, line in zip(mf.hyperplanes, lines):
+    for text, line in _lined(mf.hyperplanes, mf.hyperplane_lines):
         try:
             out.append(Hyperplane.from_linear_form(parse_polynomial(text, vars), vars))
         except ValidationError as exc:
-            if line is None:
-                raise
-            raise type(exc)(f"{exc} (line {line})") from None
+            raise _at_line(exc, line) from None
     return out
 
 

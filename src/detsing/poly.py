@@ -661,7 +661,7 @@ def _parse_base(toks, vars):
 # Printing
 
 
-def _coeff_str(c: Fraction):
+def rational_str(c: Fraction):
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -689,11 +689,11 @@ def poly_to_str(p: Polynomial) -> str:
         mono = _monomial_str(m, names)
         mag = abs(c)
         if not mono:
-            body = _coeff_str(mag)
+            body = rational_str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_coeff_str(mag)}*{mono}"
+            body = f"{rational_str(mag)}*{mono}"
         pieces.append(("-" if c < 0 else "+", body))
     sign, body = pieces[0]
     out = body if sign == "+" else "-" + body

@@ -11,7 +11,6 @@ byte-identical across runs on the same input.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .analysis import Analysis
 from .detmodel import PresentationMatrix
@@ -30,7 +29,7 @@ from .invariants import (
     whitney_report,
 )
 from .modelfile import ModelFile, build_hyperplanes
-from .poly import GREVLEX, poly_to_str
+from .poly import GREVLEX, poly_to_str, rational_str
 from .strata import conormal_fiber_gap, stably_isolated_check
 
 SCHEMA = "detsing-report/1"
@@ -47,15 +46,8 @@ def user_supplied(value):
 NOT_COMPUTABLE = {"value": None, "provenance": "not-computable"}
 
 
-def frac_str(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def point_dict(point):
-    return {name: frac_str(value) for name, value in sorted(dict(point).items())}
+    return {name: rational_str(value) for name, value in sorted(dict(point).items())}
 
 
 def model_echo(m: PresentationMatrix):

@@ -186,8 +186,7 @@ def stably_isolated_check(m: PresentationMatrix | Analysis, i: int) -> bool:
     n = m.dtype.n
     if i >= n:
         raise PreconditionError(f"no deeper stratum beyond i={i} for n={n}")
-    deeper_codim = (n - i) * (n + m.dtype.k - i)
-    if m.q != deeper_codim:
+    if m.q != m.dtype.expected_codim(i + 1):
         return False
     if i + 1 <= m.dtype.t:
         return support_is_origin_only(a.stratum(i + 1).ideal)

@@ -175,6 +175,26 @@ def test_cli_output_matches_reference(model, monkeypatch, tmp_path):
     assert [name for name in got if got[name] != expected[name]] == []
 
 
+def test_cli_scan_counts_its_runs_and_compares(tmp_path, capsys):
+    # cli_scan imports this module, so it is imported here, not at the top.
+    import cli_scan
+
+    assert len(list(cli_scan.runs())) == 11648
+    scan = {"analyze models/a.model": "00:0", "eids-check models/a.model": "11:2"}
+    files = {
+        "a": scan,
+        "same": dict(scan),
+        "differs": dict(scan, **{"analyze models/a.model": "00:1"}),
+        "lacks": {"analyze models/a.model": "00:0"},
+    }
+    for name, entries in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(entries))
+    a = str(tmp_path / "a.json")
+    codes = {name: cli_scan.main(["--compare", a, str(tmp_path / f"{name}.json")]) for name in files}
+    assert codes == {"a": 0, "same": 0, "differs": 1, "lacks": 1}
+    assert capsys.readouterr().out.splitlines()[-1] == "1 of 2 runs differ"
+
+
 if __name__ == "__main__":
     reference = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
     changed = []

@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from detsing import ParseError
+from detsing import ParseError, PreconditionError, ValidationError
 from detsing.cli import main
-from detsing.modelfile import build_model, format_model, parse_model_file
+from detsing.modelfile import ModelFile, build_model, format_model, parse_model_file
 from detsing.report import validate_report
 from helpers import random_matrix_model
 
@@ -341,6 +342,27 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "sample, error, message",
+        [
+            ((("w", Fraction(1)),), PreconditionError, "sample leaves parameters ['u'] unspecialized"),
+            ((("u", Fraction(0)), ("w", Fraction(1))), ValidationError, "unknown parameters ['w'] in sample"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_sample_errors_of_a_record_built_in_code(self, sample, error, message):
+        # A ModelFile built by keyword gets the sample check a parsed file
+        # gets; its error names a line only when the record carries one.
+        mf = ModelFile(
+            variables=("x", "y"), parameters=("u",), rows=1, cols=2, t=1,
+            matrix=(("x", "u*y"),), samples=(sample,),
+        )
+        for record, suffix in ((mf, ""), (mf._replace(sample_lines=(9,)), " (line 9)")):
+            with pytest.raises(error) as err:
+                build_model(record)
+            assert type(err.value) is error
+            assert str(err.value) == message + suffix
+
+    @pytest.mark.parametrize(
         "form, message",
         [
             ("x1^2", "hyperplane form must be homogeneous linear"),
@@ -543,14 +565,20 @@ FUZZ_FLAGS = [
 def test_cli_fuzz_never_raises(tmp_path, capsys):
     """Malformed model files and argument lists through ``main``: every
     run ends in an exit code 0-3, never an exception.  A model file is a
-    bundled one with a few pieces deleted, inserted or swapped in; each
-    run ends with a small ``--max-degree`` so that every basis is
-    bounded."""
+    bundled one, or the text of a random model of each shape up to 5 x 4
+    in 1-4 variables with entries of degree at most 1 or at most 2, with
+    a few pieces deleted, inserted or swapped in; each run ends with a
+    small ``--max-degree`` so that every basis is bounded."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from detsing.cli import VIEWS
 
     texts = [p.read_text(encoding="utf-8") for p in sorted(MODELS.glob("*.model"))]
+    shapes = product(range(1, 6), range(1, 5), range(1, 5), (1, 2))
+    texts += [
+        format_model(random_matrix_model(random.Random(seed), *shape))
+        for seed, shape in enumerate(shapes)
+    ]
     path = tmp_path / "fuzz.model"
     edit = st.tuples(
         st.sampled_from(["delete", "insert", "replace"]),

@@ -191,6 +191,14 @@ def _in_radical(J, f):
     return is_unit_ideal(Ideal(lifted + [one - t * f.lift(ext)], ext))
 
 
+# Seeds among 0-63 whose random_matrix_model(Random(seed), 3, 2, 3)
+# takes over 0.25 s in its uncapped verdicts, six of them over 3 s:
+# coefficient swell in the input phase of a non-smooth locus (ROADMAP
+# item 12), which no degree cap bounds.  They wait for that item; the
+# G-equivalence property below does not draw them.
+SWELL_3X2 = {0, 6, 18, 23, 24, 37, 38, 39, 49, 55, 58, 61}
+
+
 class TestEidsCheck:
     def test_omega_passes(self):
         verdict = eids_check(omega_model(1))
@@ -526,6 +534,96 @@ class TestEidsCheck:
                 assert verdicts(scaled_member, chi) == expected, (m, point)
                 compared += 1
         assert compared == 8
+
+    def test_verdicts_invariant_under_g_equivalence(self):
+        # M and P*(M o phi)*Q, with P, Q unimodular integer matrices and
+        # phi an invertible integer linear change of coordinates (each a
+        # product of 1-3 steps x_i += +-x_j), are G-equivalent: present
+        # strata keep their dimension, zero-dimensional strata their
+        # origin colength (or both raise), and the eids verdict its
+        # overall value (or both raise).  With phi the identity,
+        # Cauchy-Binet makes the minor ideals of P*M*Q and M equal, so
+        # each stratum's reduced grevlex basis is the same.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def identity(size):
+            return [[int(r == c) for c in range(size)] for r in range(size)]
+
+        def unimodular(size):
+            # The identity with row i += sign * row j, for each step.
+            pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+            if not pairs:
+                return st.just(identity(size))
+            step = st.tuples(st.sampled_from(pairs), st.sampled_from((1, -1)))
+
+            def product(steps):
+                u = identity(size)
+                for (i, j), sign in steps:
+                    u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+                return u
+
+            return st.lists(step, min_size=1, max_size=3).map(product)
+
+        def combine(coefficients, polys, zero):
+            # sum of c * p over the nonzero integer coefficients c.
+            return sum((p.scale(c) for c, p in zip(coefficients, polys) if c), zero)
+
+        def transformed(m, p, q, phi):
+            vs = m.vars
+            zero = Polynomial.zero(vs)
+            images = [Polynomial.variable(vs, name) for name in vs.names]
+            subs = {name: combine(row, images, zero) for name, row in zip(vs.names, phi)}
+            moved = [[e.substitute(subs) for e in row] for row in m.entries]
+            left = [[combine(prow, [r[c] for r in moved], zero) for c in range(m.cols)] for prow in p]
+            entries = [[combine(col, row, zero) for col in zip(*q)] for row in left]
+            return PresentationMatrix(m.dtype, entries, vs)
+
+        def outcome(compute, error):
+            try:
+                return compute()
+            except error as exc:
+                return type(exc).__name__
+
+        def verdicts(m):
+            a = Analysis(m)
+            out = []
+            for i in range(1, m.dtype.t + 1):
+                if not a.stratum(i).present:
+                    continue
+                out.append((i, a.dimension(i)))
+                if a.dimension(i) == 0:
+                    out.append(outcome(lambda: a.origin_colength(i), PreconditionError))
+            out.append(outcome(lambda: a.eids().overall, DimensionMismatchError))
+            return a, out
+
+        def compare(m, p, q, phi):
+            # phi None: the identity, under which the bases agree too.
+            a, expected = verdicts(m)
+            b, got = verdicts(transformed(m, p, q, phi or identity(m.q)))
+            assert got == expected, (m.entries, p, q, phi)
+            if phi is None:
+                for i in range(1, m.dtype.t + 1):
+                    basis = a.stratum(i).ideal.groebner_basis().elements
+                    assert b.stratum(i).ideal.groebner_basis().elements == basis, (m.entries, p, q, i)
+
+        fixed = [omega_model(k) for k in (1, 2, 3)]
+        fixed += [generic_entry_model(2, 0, 2), generic_entry_model(2, 1, 2)]
+        shapes = [(2, 2, 3), (3, 2, 3), (1, 2, 3), (2, 2, 2)]
+
+        # Derandomized draws follow this function's source, so the checks
+        # live in compare, where editing them does not change the draws.
+        @hypothesis.settings(max_examples=6, deadline=None, derandomize=True)
+        @hypothesis.given(st.integers(0, 63).filter(lambda seed: seed not in SWELL_3X2), st.data())
+        def check(seed, data):
+            drawn = [random_matrix_model(random.Random(seed), *shape, max_degree=2) for shape in shapes]
+            for m in fixed + drawn:
+                move_coordinates = data.draw(st.booleans())
+                p = data.draw(unimodular(m.rows))
+                q = data.draw(unimodular(m.cols))
+                compare(m, p, q, data.draw(unimodular(m.q)) if move_coordinates else None)
+
+        check()
 
 
 class TestGoodFamilyScan:
