@@ -7,21 +7,27 @@ codimension condition (Jacobian criterion) on each stratum away from the
 next deeper stratum; everything stays inside ideal arithmetic.  A
 zero-dimensional stratum whose elements show it lies in the origin
 passes without its non-smooth locus being built.  A non-smooth locus is
-tested from its generators, then from Buchberger's input phase, and only
-then from its reduced basis (``groebner._origin_certified``); the
-saturation by the deeper stratum runs only when none of them shows by
-itself that the locus lies in the origin.  The stratum's reduced basis comes back
-from the engine in its packed integer form (see ``poly``), its Jacobian
-is differentiated in that form, and the Jacobian minors stay in it from
-the determinant to the basis engine: when the basis's layout holds the
-minors' degree, no monomial is unpacked or packed on the way.
-All checks are affine/global: supports and saturations are measured
-over the whole coordinate space, which matches germ-at-origin semantics
-for models whose interesting locus sits at the origin.
+tested first from a few of its generators, before it is built: the
+stratum's reduced basis and one witness Jacobian minor per variable,
+each led by a pure power of that variable (for a generic matrix the
+non-smooth locus of stratum 2 is the origin, and each witness is
+±z^codim).  Then the built locus is tested from its generators, then from
+Buchberger's input phase, and only then from its reduced basis
+(``groebner._origin_certified``); the saturation by the deeper stratum
+runs only when none of them shows by itself that the locus lies in the
+origin.  The stratum's reduced basis comes back from the engine in its
+packed integer form (see ``poly``), its Jacobian is differentiated in
+that form, and the Jacobian minors stay in it from the determinant to
+the basis engine: when the basis's layout holds the minors' degree, no
+monomial is unpacked or packed on the way.  All checks are
+affine/global: supports and saturations are measured over the whole
+coordinate space, which matches germ-at-origin semantics for models
+whose interesting locus sits at the origin.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .analysis import Analysis
@@ -29,6 +35,7 @@ from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors
 from .errors import DimensionMismatchError, LimitError, PreconditionError, ValidationError
 from .groebner import (
     Ideal,
+    _certify_step,
     _origin_certified,
     saturation,
     support_is_origin_only,
@@ -56,7 +63,11 @@ def singular_locus_ideal(a: Ideal, codim: int) -> Ideal:
     Generators born packed (a reduced basis) are differentiated in their
     packed maps, so the Jacobian reaches ``detmodel._all_minors`` in the
     basis's layout and, when that layout holds the minors' degree, no
-    monomial is packed; a zero derivative or minor is not packed."""
+    monomial is packed; a zero derivative or minor is not packed.
+    ``eids_check`` builds it only when a few of its generators, formed
+    first, do not settle the stratum (``_witnesses_certify``: single
+    minors of this Jacobian, each equal to the generator at its
+    position)."""
     if codim < 1:
         raise ValidationError("codimension must be at least 1")
     gens = a.generators
@@ -67,6 +78,101 @@ def singular_locus_ideal(a: Ideal, codim: int) -> Ideal:
         )
     jac = [[g.derivative(n) for n in names] for g in gens]
     return Ideal(list(gens) + _all_minors(jac, codim, a.vars), a.vars, a.max_degree)
+
+
+def _witnesses_certify(a: Ideal, codim: int) -> bool:
+    """True when a few generators of ``singular_locus_ideal(a, codim)``
+    prove that its zero set lies in the origin, with the locus not built.
+    Each is one :func:`groebner._certify_step`: first a's generators,
+    then one Jacobian minor for each variable x_j not yet covered, last
+    variable first.  In grevlex a pure power of the last variable leads
+    only a one-term element, so a miss tends to show at once.
+
+    The minor's rows and columns are a matching of size codim (Kuhn's
+    augmenting paths, rows and columns in increasing order) along
+    entries with a term x_j^d, d > 0: the entry in row r, column c has
+    one when generator r has the term x_j^d·x_c.  Only homogeneous
+    generators give rows, so that the minor is homogeneous, as the
+    step needs.  Rows and columns sorted, the minor is the locus
+    generator at that position.  The first variable its minor leaves
+    uncovered ends the step with False.  Every element stepped is a
+    locus generator, so step 2 of ``groebner._origin_certified`` on the
+    locus would certify it too.
+
+    It runs only with no degree cap on a, and when the locus's minor
+    count is within the cap of ``detmodel._all_minors``, so a capped or
+    oversized locus is left to ``singular_locus_ideal`` as before.  It
+    forms at most one minor per variable, each in its own call, and a
+    call costs about as much as ten small minors formed together, so it
+    also runs only when the locus has more than ten minors per
+    variable."""
+    gens = a.generators
+    width = len(a.vars)
+    count = comb(len(gens), codim) * comb(width, codim)
+    cap = _all_minors.__defaults__[0]  # the cap singular_locus_ideal meets
+    if a.max_degree is not None or not 10 * width < count <= cap:
+        return False
+    # A reduced basis is born packed in grevlex, and so are its nonzero
+    # derivatives and their minors.
+    powers = set()
+    if any(_certify_step(powers, g._packed, g._packing) for g in gens):
+        return True
+    edges = {}  # edges[j][r]: the columns c where generator r has x_j^d·x_c
+    for r, g in enumerate(gens):
+        packing = g._packing
+        if packing.degree(min(g._packed)) != packing.degree(max(g._packed)):
+            continue
+        for m in g._packed:
+            e = packing.unpack(m)
+            support = [i for i, x in enumerate(e) if x]
+            if len(support) == 1 and e[support[0]] > 1:
+                pairs = [(support[0], support[0])]
+            elif len(support) == 2:
+                pairs = [(j, c) for j, c in (support, support[::-1]) if e[c] == 1]
+            else:
+                continue
+            for j, c in pairs:
+                edges.setdefault(j, {}).setdefault(r, set()).add(c)
+    names = a.vars.names
+    for j in reversed(range(width)):
+        if j in powers:
+            continue
+        match = _matching(edges.get(j, {}), codim)
+        if match is None:
+            return False
+        rows, cols = sorted(match.values()), sorted(match)
+        grid = [[gens[r].derivative(names[c]) for c in cols] for r in rows]
+        witness = _all_minors(grid, codim, a.vars)[0]
+        if witness and _certify_step(powers, witness._packed, witness._packing):
+            return True
+        if j not in powers:
+            return False
+    return False
+
+
+def _matching(adj, size):
+    """A matching of ``size`` rows to distinct columns along ``adj`` (row
+    -> columns), as column -> row, or None when there is none: Kuhn's
+    augmenting paths, rows and columns tried in increasing order."""
+    owner = {}
+    if len(adj) >= size:
+        for r in sorted(adj):
+            if _augment(adj, owner, r, set()) and len(owner) == size:
+                return owner
+    return None
+
+
+def _augment(adj, owner, r, seen):
+    """Match row r along an augmenting path, moving matched rows in
+    ``owner`` to other columns.  A module-level function, not a closure
+    that calls itself, so no reference cycle outlives the call."""
+    for c in sorted(adj[r]):
+        if c not in seen:
+            seen.add(c)
+            if c not in owner or _augment(adj, owner, owner[c], seen):
+                owner[c] = r
+                return True
+    return False
 
 
 def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
@@ -83,8 +189,13 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
     of every saturation of the locus: the stratum passes, with no
     witness, and no Jacobian, locus or saturation is built.  A stratum of
     positive dimension cannot lie in the origin, so it skips that test.
-    Otherwise the same test runs on the locus, built on the stratum's
-    reduced basis: on its generators, then on the interreduced
+    Otherwise the same test runs on the locus built on the stratum's
+    reduced basis.  First, with no degree cap and a locus within the
+    minor cap, it runs on a few of the locus's generators with the locus
+    not built: the basis and one Jacobian minor per variable
+    (``_witnesses_certify``).  These are among the generators the next
+    test reads, so they certify only a locus it certifies.  Then it runs
+    on the built locus: on its generators, then on the interreduced
     generators of its Buchberger input phase, then on its reduced basis.
     A certified locus passes with no witness and no saturation, and one
     certified before its reduced basis has none built, so under a degree
@@ -123,6 +234,9 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
             continue
         # Reduced bases as generators keep the Jacobian and the saturation lean.
         reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
+        if _witnesses_certify(reduced, s.expected_codim):
+            records.append(StratumCheck(i, s.expected_dim, actual, True))
+            continue
         try:
             locus = off_deeper = singular_locus_ideal(reduced, s.expected_codim)
         except LimitError as exc:

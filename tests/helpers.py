@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
+from pathlib import Path
 
 from detsing import (
     DeterminantalType,
@@ -12,6 +13,8 @@ from detsing import (
     singular_locus_ideal,
     stratum,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 XY = VariableSet(("x", "y"))
 XYZ = VariableSet(("x", "y", "z"))
@@ -67,14 +70,20 @@ def generic_entry_model(n, k, t):
     return PresentationMatrix(DeterminantalType(n, k, t), entries, vs)
 
 
+def reduced_stratum(model, i):
+    """Stratum i of the model on its reduced basis, as ``eids_check``
+    tests it, and the stratum's expected codimension."""
+    s = stratum(model, i)
+    reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
+    return reduced, s.expected_codim
+
+
 def saturation_inputs(model, i):
     """The two ideals ``eids_check`` saturates for stratum i > 1 when the
     locus is not certified without a saturation: the stratum's non-smooth
     locus, built on the stratum's reduced basis and carrying its own, and
     stratum i - 1."""
-    s = stratum(model, i)
-    reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
-    locus = singular_locus_ideal(reduced, s.expected_codim)
+    locus = singular_locus_ideal(*reduced_stratum(model, i))
     locus = Ideal.from_basis(locus.groebner_basis(), locus.vars, locus.max_degree)
     return locus, stratum(model, i - 1).ideal
 
@@ -126,3 +135,17 @@ def watch_term_maps(monkeypatch):
         Polynomial, "terms", property(lambda p: read.append(p) or terms.fget(p))
     )
     return built, read
+
+
+def bundled_members():
+    """The specialized bundled models and every sampled member of each."""
+    from detsing.modelfile import build_model, load_model_file
+
+    models = []
+    for path in sorted(MODELS.glob("*.model")):
+        mf = load_model_file(path)
+        m = build_model(mf)
+        if m.is_specialized():
+            models.append(m)
+        models += [m.specialize(dict(point)) for point in mf.samples]
+    return models

@@ -1,7 +1,6 @@
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -49,10 +48,12 @@ from helpers import (
     P,
     XY,
     XYZ,
+    bundled_members,
     generic_entry_model,
     omega_model,
     omega_vars,
     random_poly,
+    reduced_stratum,
     saturation_inputs,
     sheared_omega_model,
 )
@@ -67,9 +68,6 @@ from oracles import (
     stable_corank,
     standard_monomial_count,
 )
-
-
-MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def ideal(vs, *texts):
@@ -95,23 +93,7 @@ def sheared_omega_locus():
     as ``eids_check`` builds it."""
     perm = ("x4", "x5", "y", "x3", "x2", "x1")
     m = sheared_omega_model(3, perm, ((("x4", "x1"), 1), (("x1", "x2"), -2)))
-    s = stratum(m, 2)
-    reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
-    return singular_locus_ideal(reduced, s.expected_codim)
-
-
-def bundled_members():
-    """The specialized bundled models and every sampled member of each."""
-    from detsing.modelfile import build_model, load_model_file
-
-    models = []
-    for path in sorted(MODELS.glob("*.model")):
-        mf = load_model_file(path)
-        m = build_model(mf)
-        if m.is_specialized():
-            models.append(m)
-        models += [m.specialize(dict(point)) for point in mf.samples]
-    return models
+    return singular_locus_ideal(*reduced_stratum(m, 2))
 
 
 def generator_order_cases():

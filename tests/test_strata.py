@@ -3,7 +3,6 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -33,18 +32,19 @@ from detsing import (
 )
 from detsing.poly import Polynomial, poly_to_str
 from helpers import (
+    MODELS,
     P,
     XY,
     XYZ,
+    bundled_members,
     generic_entry_model,
     omega_model,
     random_matrix_model,
+    reduced_stratum,
     saturation_inputs,
     watch_term_maps,
 )
 from oracles import cofactor_det
-
-MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def ideal(vs, *texts):
@@ -199,6 +199,38 @@ def _in_radical(J, f):
 SWELL_3X2 = {0, 6, 18, 23, 24, 37, 38, 39, 49, 55, 58, 61}
 
 
+def eids_outcome(m):
+    """eids_check's records, witness ideals included, or its error."""
+    try:
+        verdict = eids_check(m)
+    except DimensionMismatchError as exc:
+        return str(exc)
+    return verdict.overall, [
+        (
+            r.index,
+            r.expected_dim,
+            r.actual_dim,
+            r.transversal_off_origin,
+            None if r.witness is None else r.witness.generators,
+        )
+        for r in verdict.strata
+    ]
+
+
+def spy_witnesses(monkeypatch):
+    """Record each (codim, result) of the witness step of eids_check."""
+    from detsing import strata
+
+    calls = []
+    real = strata._witnesses_certify
+    monkeypatch.setattr(
+        strata,
+        "_witnesses_certify",
+        lambda a, codim: calls.append((codim, real(a, codim))) or calls[-1][1],
+    )
+    return calls
+
+
 class TestEidsCheck:
     def test_omega_passes(self):
         verdict = eids_check(omega_model(1))
@@ -216,8 +248,8 @@ class TestEidsCheck:
 
     def test_generic_three_by_three_rank_one_passes(self, monkeypatch):
         # Generic (3,0,2): stratum 2's singular locus has 15876 quartic
-        # Jacobian minors (pinned in TestSingularLocus).  Its generators
-        # certify it, so its reduced basis is never built.
+        # Jacobian minors (pinned in TestSingularLocus).  One witness
+        # minor per variable certifies it, so the locus is never built.
         from detsing import strata
 
         loci = []
@@ -225,11 +257,34 @@ class TestEidsCheck:
         monkeypatch.setattr(
             strata, "singular_locus_ideal", lambda a, codim: loci.append(real(a, codim)) or loci[-1]
         )
+        witnessed = spy_witnesses(monkeypatch)
         verdict = eids_check(generic_entry_model(3, 0, 2))
         assert verdict.overall
         assert [(r.index, r.expected_dim) for r in verdict.strata] == [(1, 0), (2, 5)]
         assert all(r.actual_dim == r.expected_dim for r in verdict.strata)
-        assert len(loci) == 1 and loci[0].cached_basis() is None
+        assert witnessed == [(4, True)]
+        assert loci == []
+
+    def test_larger_generic_cases_pass(self, monkeypatch):
+        # Witness minors settle stratum 2 of each: 12 minors on (2,4,2),
+        # which took 4.4 s when its locus (2,378,376 minors, about
+        # 667,000 of them nonzero) was formed and read.
+        from detsing import strata
+
+        loci = []
+        real = strata.singular_locus_ideal
+        monkeypatch.setattr(
+            strata, "singular_locus_ideal", lambda a, codim: loci.append(codim) or real(a, codim)
+        )
+        for case in [(2, 3, 2), (3, 0, 2), (3, 0, 3), (2, 4, 2)]:
+            loci.clear()
+            start = time.perf_counter()
+            verdict = eids_check(generic_entry_model(*case))
+            assert time.perf_counter() - start < 1, case
+            assert verdict.overall, case
+            assert all(r.actual_dim == r.expected_dim for r in verdict.strata), case
+            # Only (3,0,3) builds a locus: its stratum 3's, of codimension 1.
+            assert loci == ([1] if case[2] == 3 else []), case
 
     def test_minor_count_cap_names_the_stratum(self):
         # Generic 5x4, t = 2: stratum 2's dimension is certified and its
@@ -249,13 +304,17 @@ class TestEidsCheck:
         seen = []
         real = strata._origin_certified
         monkeypatch.setattr(strata, "_origin_certified", lambda a: seen.append(a) or real(a))
+        witnessed = spy_witnesses(monkeypatch)
         a = Analysis(generic_entry_model(3, 0, 3))
         verdict = eids_check(a)
         assert verdict.overall
         assert [r.actual_dim for r in verdict.strata] == [0, 5, 8]
         ideals = [a.stratum(i).ideal for i in (1, 2, 3)]
         assert [i for i, x in enumerate(ideals, 1) for y in seen if x is y] == [1]
-        assert len(seen) == 3
+        # Witnesses settle stratum 2's locus; stratum 3's, one cubic and
+        # its 9 quadric derivatives, is too small for them and is built.
+        assert witnessed == [(4, True), (1, False)]
+        assert len(seen) == 2
 
     def test_dimension_mismatch_is_an_error(self):
         vs = XY
@@ -334,11 +393,14 @@ class TestEidsCheck:
 
     def test_certified_loci_skip_the_saturation(self, monkeypatch):
         # The t = 2 cases of the generic grid, omega1, omega3 and omega1
-        # with x3 + y for x3 have non-smooth loci that their generators or
-        # interreduced generators certify, so no locus basis is built; the
-        # last only through homogeneity, since no one-term element of its
-        # locus is a power of x3.  The omega1_family member at u = 1 is
-        # not certified and saturates.
+        # with x3 + y for x3 have non-smooth loci that witness minors,
+        # their generators or interreduced generators certify, so no
+        # locus basis is built: witnesses settle (2,2,2), whose locus is
+        # not built at all, and the other loci are too small for them.
+        # The sheared model's locus is certified only through
+        # homogeneity, since no one-term element of it is a power of x3.
+        # The omega1_family member at u = 1 is not certified and
+        # saturates.
         from detsing import strata
         from detsing.modelfile import build_model, load_model_file, parse_model_file
 
@@ -361,10 +423,12 @@ class TestEidsCheck:
             "singular_locus_ideal",
             lambda a, codim: loci.append(real_locus(a, codim)) or loci[-1],
         )
+        witnessed = spy_witnesses(monkeypatch)
         for m in models:
             assert eids_check(m).overall
         assert saturated == []
-        assert len(loci) == 6
+        assert [ok for _, ok in witnessed] == [False, False, True, False, False, False]
+        assert len(loci) == 5
         assert all(locus.cached_basis() is None for locus in loci)
         assert eids_check(load("omega1_family").specialize({"u": 1})).overall
         assert len(saturated) == 1
@@ -372,19 +436,12 @@ class TestEidsCheck:
     def test_certificate_keeps_verdicts_and_witnesses(self, monkeypatch):
         # Differential oracle: every eids_check outcome (records with
         # their witnesses, or the error) is the same with the saturation-
-        # free certificate switched off, over the generic grid, the bundled
-        # models with their sampled members, two failing models and random
-        # quadratic models.
+        # free certificate and the witness step switched off, over the
+        # generic grid, the bundled models with their sampled members,
+        # two failing models and random quadratic models.
         from detsing import groebner, strata
-        from detsing.modelfile import build_model, load_model_file
 
-        models = [generic_entry_model(*c) for c in GENERIC_GRID]
-        for path in sorted(MODELS.glob("*.model")):
-            mf = load_model_file(path)
-            m = build_model(mf)
-            if m.is_specialized():
-                models.append(m)
-            models += [m.specialize(dict(point)) for point in mf.samples]
+        models = [generic_entry_model(*c) for c in GENERIC_GRID] + bundled_members()
         models.append(sliced_omega())
         # An A1 point at the origin and another at (0, 0, 1).
         far = P("x^2 + y^2 + z^2*(z - 1)^2", XYZ)
@@ -392,26 +449,11 @@ class TestEidsCheck:
         rng = random.Random(13)
         models += [random_matrix_model(rng, 2, 2, 3) for _ in range(8)]
 
-        def outcome(m):
-            try:
-                verdict = eids_check(m)
-            except DimensionMismatchError as exc:
-                return str(exc)
-            return verdict.overall, [
-                (
-                    r.index,
-                    r.expected_dim,
-                    r.actual_dim,
-                    r.transversal_off_origin,
-                    None if r.witness is None else r.witness.generators,
-                )
-                for r in verdict.strata
-            ]
-
-        certified = [outcome(m) for m in models]
+        certified = [eids_outcome(m) for m in models]
         for module in (groebner, strata):
             monkeypatch.setattr(module, "_origin_certified", lambda a: False)
-        assert [outcome(m) for m in models] == certified
+        monkeypatch.setattr(strata, "_witnesses_certify", lambda a, codim: False)
+        assert [eids_outcome(m) for m in models] == certified
         assert any(o[0] is False for o in certified if isinstance(o, tuple))
 
     def test_certified_strata_skip_the_locus(self, monkeypatch):
@@ -624,6 +666,125 @@ class TestEidsCheck:
                 compare(m, p, q, data.draw(unimodular(m.q)) if move_coordinates else None)
 
         check()
+
+
+def spy_witness_minors(monkeypatch):
+    """Record the minor each ``_all_minors`` call in strata returns first."""
+    from detsing import strata
+
+    formed = []
+    real = strata._all_minors
+
+    def spy(grid, size, vars, cap=real.__defaults__[0]):
+        out = real(grid, size, vars, cap)
+        formed.append(out[0])
+        return out
+
+    monkeypatch.setattr(strata, "_all_minors", spy)
+    return formed
+
+
+class TestWitnessStep:
+    @pytest.mark.parametrize("case", [(2, 2, 2), (3, 0, 2)])
+    def test_witnesses_are_one_term_powers_and_locus_generators(self, monkeypatch, case):
+        from detsing import strata
+
+        reduced, codim = reduced_stratum(generic_entry_model(*case), 2)
+        generators = singular_locus_ideal(reduced, codim).generators
+        formed = spy_witness_minors(monkeypatch)
+        assert strata._witnesses_certify(reduced, codim)
+        width = len(reduced.vars)
+        assert len(formed) == width
+        powers = set()
+        for w in formed:
+            (mono,) = w.terms
+            (j,) = [i for i, e in enumerate(mono) if e]
+            assert mono[j] == codim
+            powers.add(j)
+        assert powers == set(range(width))
+        assert all(w in generators for w in formed)
+
+    def test_omega_stratum_two_falls_back(self, monkeypatch):
+        # Its locus, 45 minors over 6 variables, is too small for the step.
+        # With the size gate lifted the step runs, and misses at once: the
+        # last variable, y, occurs only in the two generators that are not
+        # homogeneous, so no witness can be formed for it.
+        from detsing import strata
+        from detsing.modelfile import build_model, load_model_file
+
+        omega1 = build_model(load_model_file(MODELS / "omega1.model"))
+        codims = []
+        real = strata.singular_locus_ideal
+        monkeypatch.setattr(
+            strata, "singular_locus_ideal", lambda a, codim: codims.append(codim) or real(a, codim)
+        )
+        witnessed = spy_witnesses(monkeypatch)
+        formed = spy_witness_minors(monkeypatch)
+        gated = eids_outcome(omega1)
+        assert gated[0]
+        assert witnessed == [(2, False)] and codims == [2]
+        assert len(formed) == 1  # the locus, with no witness before it
+        formed.clear()
+        monkeypatch.setattr(strata, "comb", lambda n, k: 1000)
+        assert eids_outcome(omega1) == gated
+        assert witnessed[1:] == [(2, False)] and codims == [2, 2]
+        assert len(formed) == 1
+
+    def test_a_missed_variable_falls_back(self, monkeypatch):
+        # Generic (2,2,2) with z4_2 -> z4_2 + z1_1: the last variable's
+        # witness is a cubic in z1_1 and z4_2, not a one-term power, so
+        # the step stops after that one minor and the locus is built.
+        from detsing import strata
+
+        m = generic_entry_model(2, 2, 2)
+        vs = m.vars
+        shear = {"z4_2": Polynomial.variable(vs, "z4_2") + Polynomial.variable(vs, "z1_1")}
+        sheared = PresentationMatrix(
+            m.dtype, [[e.substitute(shear) for e in row] for row in m.entries], vs
+        )
+        formed = spy_witness_minors(monkeypatch)
+        witnessed = spy_witnesses(monkeypatch)
+        assert eids_check(sheared).overall
+        assert witnessed == [(3, False)]
+        # The witness, then the locus's 1120 minors in one call.
+        assert len(formed) == 2
+        assert len(formed[0].terms) > 1
+
+    def test_degree_cap_skips_the_step(self, monkeypatch):
+        from detsing import strata
+
+        formed = spy_witness_minors(monkeypatch)
+        witnessed = spy_witnesses(monkeypatch)
+        uncapped = eids_outcome(generic_entry_model(2, 2, 2))
+        assert witnessed == [(3, True)] and len(formed) == 8
+        formed.clear()
+        assert eids_outcome(Analysis(generic_entry_model(2, 2, 2), max_degree=4)) == uncapped
+        assert witnessed[1:] == [(3, False)]
+        assert len(formed) == 1  # the locus, with no witness before it
+        reduced, codim = reduced_stratum(generic_entry_model(2, 2, 2), 2)
+        capped = Ideal(reduced.generators, reduced.vars, 4)
+        assert strata._witnesses_certify(reduced, codim)
+        assert not strata._witnesses_certify(capped, codim)
+
+    def test_outcomes_equal_with_the_step_off(self, monkeypatch):
+        # The t >= 2 generic cases, the bundled models with their members
+        # and the random 3 x 2 models that do not swell: every outcome,
+        # witness ideals included, is the same without the witness step.
+        from detsing import strata
+
+        models = [generic_entry_model(*c) for c in GENERIC_GRID if c[2] >= 2]
+        models += [generic_entry_model(*c) for c in [(2, 3, 2), (3, 0, 2), (3, 0, 3)]]
+        models += bundled_members()
+        models += [
+            random_matrix_model(random.Random(seed), 3, 2, 3)
+            for seed in range(64)
+            if seed not in SWELL_3X2
+        ]
+        witnessed = spy_witnesses(monkeypatch)
+        on = [eids_outcome(m) for m in models]
+        assert any(ok for _, ok in witnessed)
+        monkeypatch.setattr(strata, "_witnesses_certify", lambda a, codim: False)
+        assert [eids_outcome(m) for m in models] == on
 
 
 class TestGoodFamilyScan:
