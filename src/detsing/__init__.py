@@ -67,6 +67,7 @@ from .invariants import (
     build_euler_system_for_type,
     m0_colength,
     md_consistency,
+    mvector,
     nit_coefficient,
     polar_term_bound,
     solve_for_chi_diffs,

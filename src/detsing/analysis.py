@@ -3,13 +3,15 @@ built once, and every verdict of a command reads it from here.
 
 The verdict functions and the report sections take an :class:`Analysis`
 or a bare ``PresentationMatrix``, which gets a fresh analysis for that
-one call.  The verdict modules import this one, so the methods that call
-back into them import them when called.
+one call.  This module sits below every verdict module: it imports none
+of them, and a verdict it keeps (``strata.eids_check``,
+``invariants.mvector``) is kept by that verdict's own function through
+:meth:`Analysis.once`.
 """
 
 from __future__ import annotations
 
-from .detmodel import PresentationMatrix, StratumModel, stratum
+from .detmodel import PresentationMatrix, StratumModel, slice_model, stratum
 from .errors import DetsingError
 from .groebner import colength, colength_at_origin, dimension
 
@@ -43,7 +45,9 @@ class Analysis:
         """``m`` itself when it is an analysis, else a fresh one of the matrix."""
         return m if isinstance(m, Analysis) else Analysis(m)
 
-    def _once(self, key, compute):
+    def once(self, key, compute):
+        """The value kept under ``key``, computed by ``compute()`` on the
+        first call; a ``DetsingError`` it raised is kept and raised again."""
         if key not in self._memo:
             try:
                 self._memo[key] = compute()
@@ -55,50 +59,26 @@ class Analysis:
         return value
 
     def stratum(self, i) -> StratumModel:
-        return self._once(("stratum", i), lambda: stratum(self.model, i, self.max_degree))
+        return self.once(("stratum", i), lambda: stratum(self.model, i, self.max_degree))
 
     def dimension(self, i) -> int:
-        return self._once(("dimension", i), lambda: dimension(self.stratum(i).ideal))
+        return self.once(("dimension", i), lambda: dimension(self.stratum(i).ideal))
 
     def colength(self, i) -> int:
-        return self._once(("colength", i), lambda: colength(self.stratum(i).ideal))
+        return self.once(("colength", i), lambda: colength(self.stratum(i).ideal))
 
     def origin_colength(self, i) -> int:
         ideal = self.stratum(i).ideal
-        return self._once(("origin colength", i), lambda: colength_at_origin(ideal))
-
-    def eids(self):
-        from .strata import eids_check
-
-        return self._once("eids", lambda: eids_check(self))
-
-    def euler_system(self):
-        from .invariants import build_euler_system
-
-        return self._once("euler system", lambda: build_euler_system(self.model))
-
-    def mvector(self, chi) -> dict:
-        """The Euler system solved with ``chi`` (stratum -> ChiData) and
-        the colengths of the zero-dimensional strata."""
-        from .invariants import m0_colength, solve_for_m
-
-        def solve():
-            sys = self.euler_system()
-            cols = {j: m0_colength(self, j) for j in sys.zero_dim_strata()}
-            return solve_for_m(sys, chi, cols)
-
-        return self._once(("mvector", tuple(sorted(chi.items()))), solve)
+        return self.once(("origin colength", i), lambda: colength_at_origin(ideal))
 
     def member(self, point) -> Analysis:
         def build():
             m = self.model.specialize(point)
-            return self._once(("member", m.entries), lambda: Analysis(m, self.max_degree))
+            return self.once(("member", m.entries), lambda: Analysis(m, self.max_degree))
 
-        return self._once(("point", frozenset(point.items())), build)
+        return self.once(("point", frozenset(point.items())), build)
 
     def section(self, h) -> Analysis:
-        from .genericity import slice_model
-
-        return self._once(
+        return self.once(
             ("section", h), lambda: Analysis(slice_model(self.model, h), self.max_degree)
         )

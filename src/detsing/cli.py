@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .genericity import Hyperplane
-from .invariants import m0_colength
+from .invariants import build_euler_system, m0_colength, mvector
 from .modelfile import build_model, format_model, load_model_file
 from .poly import GREVLEX, LEX, parse_polynomial, poly_to_str
 from .report import (
@@ -138,9 +138,9 @@ def _eids_check(a, mf, args, warnings):
 
 
 def _euler_solve(a, mf, args, warnings):
-    sys_ = a.euler_system()
+    sys_ = build_euler_system(a.model)
     chi = mf.chi_data()
-    mvec = a.mvector(chi)
+    mvec = mvector(a, chi)
     if chi:
         warnings.append("multiplicity vector uses user-supplied Euler characteristics")
     return {"euler_system": euler_system_echo(sys_), **mvector_echo(sys_, mvec)}

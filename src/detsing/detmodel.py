@@ -1,6 +1,7 @@
-"""Determinantal models: presentation matrices, rank-strata ideals via
-minors, expected dimensions, and the generator matrices of the Jacobian
-and deformation modules tied together by the chain rule.
+"""Determinantal models: presentation matrices, their family members and
+hyperplane sections, rank-strata ideals via minors, expected dimensions,
+and the generator matrices of the Jacobian and deformation modules tied
+together by the chain rule.
 
 Matrices are stored in the orientation they are written in; the type
 normalizes to n = min(rows, cols) and row excess k = |rows - cols|, so a
@@ -16,9 +17,10 @@ and shared by every larger minor that contains it, and no zero minor
 multiplied; the results are exact polynomials in packed integer form
 (see ``poly``), equal term for term to a cofactor expansion, which the
 engine takes as they are.  It raises LimitError, before forming any
-minor, when asked for more than 10**7 of them.  The strata ideals
-(:func:`minors`), the singular loci of ``strata.singular_locus_ideal``
-and the deformation generators (:func:`n_generators`) all use it.
+minor, when asked for more than ``_MINOR_CAP`` (10**7) of them.  The
+strata ideals (:func:`minors`), the singular loci of
+``strata.singular_locus_ideal`` and the deformation generators
+(:func:`n_generators`) all use it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from typing import NamedTuple
 from .errors import LimitError, PreconditionError, ValidationError, VariableSetMismatchError
 from .groebner import Ideal, _Packing, _packed_forms
 from .poly import GREVLEX, Polynomial, VariableSet, _PackedPolynomial
+
+# The most minors one _all_minors call forms; past it, LimitError.
+_MINOR_CAP = 10**7
 
 
 class DeterminantalType(namedtuple("DeterminantalType", ("n", "k", "t"))):
@@ -137,6 +142,28 @@ class PresentationMatrix:
         )
 
 
+def slice_model(m: PresentationMatrix, h) -> PresentationMatrix:
+    """Section by the hyperplane ``h`` (a ``genericity.Hyperplane``):
+    solve the linear form for its pivot variable and substitute; the
+    ambient dimension drops by one and the type is unchanged."""
+    if len(h.coefficients) != m.q:
+        raise ValidationError("hyperplane has the wrong number of coefficients")
+    pivot_name = m.vars.ambient[h.pivot]
+    target = m.vars.without_ambient(pivot_name)
+    replacement = Polynomial.zero(target)
+    for j, c in enumerate(h.coefficients):
+        if j == h.pivot or c == 0:
+            continue
+        replacement = replacement - Polynomial.variable(
+            target, m.vars.ambient[j]
+        ).scale(c)
+    subs = {pivot_name: replacement}
+    entries = [
+        [e.substitute(subs, target=target) for e in row] for row in m.entries
+    ]
+    return PresentationMatrix(m.dtype, entries, target)
+
+
 class StratumModel(NamedTuple):
     """One rank stratum: its minor ideal and dimension bookkeeping."""
 
@@ -197,7 +224,7 @@ class GeneratorMatrix:
         return GeneratorMatrix(out)
 
 
-def _all_minors(grid, size, vars, cap=10**7):
+def _all_minors(grid, size, vars, cap=_MINOR_CAP):
     """Every size x size minor of a polynomial grid, ordered by (row
     subset, column subset).  Before any minor is formed, their count
     C(rows, size)·C(cols, size) is checked against ``cap``, and

@@ -1,5 +1,7 @@
-"""Hyperplane sections: slicing models, a necessary-condition screen for
-candidate hyperplanes, and section-invariant comparison.
+"""Hyperplane sections: hyperplanes, a necessary-condition screen for
+candidate hyperplanes, and section-invariant comparison.  The section of
+a model, ``slice_model``, lives in ``detmodel`` beside
+``PresentationMatrix.specialize`` and is re-exported here.
 
 The screen can only reject; it never certifies genericity (membership in
 the set of limiting tangent hyperplanes is out of computational reach).
@@ -21,15 +23,16 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .analysis import Analysis
-from .detmodel import PresentationMatrix
+from .detmodel import PresentationMatrix, slice_model
 from .errors import (
     DimensionMismatchError,
     PreconditionError,
     ValidationError,
 )
 from .groebner import is_unit_ideal
-from .invariants import invariant_vector, solve_for_m
+from .invariants import build_euler_system, invariant_vector, solve_for_m
 from .poly import Polynomial, VariableSet, poly_to_str
+from .strata import eids_check
 
 
 class Hyperplane(namedtuple("Hyperplane", ("coefficients",))):
@@ -76,28 +79,6 @@ class Hyperplane(namedtuple("Hyperplane", ("coefficients",))):
         return poly_to_str(p)
 
 
-def slice_model(m: PresentationMatrix, h: Hyperplane) -> PresentationMatrix:
-    """Section by the hyperplane: solve the linear form for its pivot
-    variable and substitute; the ambient dimension drops by one and the
-    type is unchanged."""
-    if len(h.coefficients) != m.q:
-        raise ValidationError("hyperplane has the wrong number of coefficients")
-    pivot_name = m.vars.ambient[h.pivot]
-    target = m.vars.without_ambient(pivot_name)
-    replacement = Polynomial.zero(target)
-    for j, c in enumerate(h.coefficients):
-        if j == h.pivot or c == 0:
-            continue
-        replacement = replacement - Polynomial.variable(
-            target, m.vars.ambient[j]
-        ).scale(c)
-    subs = {pivot_name: replacement}
-    entries = [
-        [e.substitute(subs, target=target) for e in row] for row in m.entries
-    ]
-    return PresentationMatrix(m.dtype, entries, target)
-
-
 class ScreenVerdict(NamedTuple):
     hyperplane: Hyperplane
     passed: bool
@@ -115,7 +96,7 @@ def hyperplane_screen(m: PresentationMatrix | Analysis, h: Hyperplane) -> Screen
     section = a.section(h)
     reasons = []
     try:
-        verdict = section.eids()
+        verdict = eids_check(section)
         if not verdict.overall:
             bad = [r.index for r in verdict.strata if not r.transversal_off_origin]
             reasons.append(
@@ -185,7 +166,7 @@ def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes, eul
         section = a.section(h)
         sys = None
         try:
-            sys = section.euler_system()
+            sys = build_euler_system(section.model)
         except PreconditionError:
             pass
         dims = []

@@ -164,6 +164,20 @@ def m0_colength(m: PresentationMatrix | Analysis, i: int) -> int:
     return a.colength(i)
 
 
+def mvector(m: PresentationMatrix | Analysis, chi) -> dict:
+    """The model's Euler system solved with ``chi`` (stratum -> ChiData)
+    and the colengths of its zero-dimensional strata, kept on the
+    analysis per ``chi``."""
+    a = Analysis.of(m)
+
+    def solve():
+        sys = build_euler_system(a.model)
+        cols = {j: m0_colength(a, j) for j in sys.zero_dim_strata()}
+        return solve_for_m(sys, chi, cols)
+
+    return a.once(("mvector", tuple(sorted(chi.items()))), solve)
+
+
 def polar_term_bound(dtype: DeterminantalType, q: int, i: int):
     """0 when the polar intersection number must vanish, None when the
     rule says nothing (the caller may supply a value)."""
@@ -231,7 +245,7 @@ def whitney_report(
         warnings.append(
             "good-family scan failed on at least one sample; the report is unreliable"
         )
-    sys = a.euler_system() if samples else None
+    sys = build_euler_system(a.model) if samples else None
     rows = []
     for idx, point in enumerate(samples):
         member = a.member(point)

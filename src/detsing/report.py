@@ -21,8 +21,10 @@ from .errors import (
 )
 from .genericity import section_invariant_compare
 from .invariants import (
+    build_euler_system,
     m0_colength,
     md_consistency,
+    mvector,
     nit_coefficient,
     polar_term_bound,
     solve_for_chi_diffs,
@@ -30,7 +32,7 @@ from .invariants import (
 )
 from .modelfile import ModelFile, build_hyperplanes
 from .poly import GREVLEX, poly_to_str, rational_str
-from .strata import conormal_fiber_gap, stably_isolated_check
+from .strata import conormal_fiber_gap, eids_check, stably_isolated_check
 
 SCHEMA = "detsing-report/1"
 
@@ -104,7 +106,7 @@ def eids_section(a: Analysis, warnings):
         )
         return {"overall": None, "provenance": "not-computable", "strata": []}
     try:
-        verdict = a.eids()
+        verdict = eids_check(a)
     except DimensionMismatchError as exc:
         return {
             "overall": False,
@@ -154,7 +156,7 @@ def invariants_section(a: Analysis, mf: ModelFile, warnings):
     out = {"nit_rows": nit_rows}
 
     try:
-        sys = a.euler_system()
+        sys = build_euler_system(m)
         out["euler_system"] = euler_system_echo(sys)
     except PreconditionError as exc:
         sys = None
@@ -176,7 +178,7 @@ def invariants_section(a: Analysis, mf: ModelFile, warnings):
     mvec = None
     if sys is not None and chi and m.is_specialized():
         try:
-            mvec = a.mvector(chi)
+            mvec = mvector(a, chi)
             warnings.append(
                 "multiplicity vector uses user-supplied Euler characteristics"
             )
@@ -287,10 +289,10 @@ def consistency_section(a: Analysis, mf: ModelFile, warnings):
     mvec = {}
     if m.is_specialized():
         try:
-            a.euler_system()  # an empty system is reported even without chi data
+            build_euler_system(m)  # an empty system is reported even without chi data
             chi = mf.chi_data()
             if chi:
-                mvec = a.mvector(chi)
+                mvec = mvector(a, chi)
         except (PreconditionError, ValidationError) as exc:
             warnings.append(f"could not solve for multiplicities: {exc}")
     rows = []

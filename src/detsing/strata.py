@@ -31,7 +31,7 @@ from math import comb
 from typing import NamedTuple
 
 from .analysis import Analysis
-from .detmodel import DeterminantalType, PresentationMatrix, _all_minors, minors
+from .detmodel import _MINOR_CAP, DeterminantalType, PresentationMatrix, _all_minors, minors
 from .errors import DimensionMismatchError, LimitError, PreconditionError, ValidationError
 from .groebner import (
     Ideal,
@@ -100,7 +100,8 @@ def _witnesses_certify(a: Ideal, codim: int) -> bool:
     locus would certify it too.
 
     It runs only with no degree cap on a, and when the locus's minor
-    count is within the cap of ``detmodel._all_minors``, so a capped or
+    count is within ``detmodel._MINOR_CAP``, the cap that
+    ``singular_locus_ideal`` meets, so a capped or
     oversized locus is left to ``singular_locus_ideal`` as before.  It
     forms at most one minor per variable, each in its own call, and a
     call costs about as much as ten small minors formed together, so it
@@ -109,8 +110,7 @@ def _witnesses_certify(a: Ideal, codim: int) -> bool:
     gens = a.generators
     width = len(a.vars)
     count = comb(len(gens), codim) * comb(width, codim)
-    cap = _all_minors.__defaults__[0]  # the cap singular_locus_ideal meets
-    if a.max_degree is not None or not 10 * width < count <= cap:
+    if a.max_degree is not None or not 10 * width < count <= _MINOR_CAP:
         return False
     # A reduced basis is born packed in grevlex, and so are its nonzero
     # derivatives and their minors.
@@ -176,37 +176,29 @@ def _augment(adj, owner, r, seen):
 
 
 def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
-    """Per-stratum transversality off the origin.
+    """Per-stratum transversality off the origin, the one entry to the
+    EIDS verdict.  The verdict, or the ``DetsingError`` it raised, is kept
+    on the analysis (``Analysis.once``, key ``"eids"``), so a second call
+    on the same analysis reads it.  The strata come from the analysis
+    given, or from a fresh one of a bare matrix.
 
     A present stratum passes when it has its expected dimension and the
     non-smooth locus, saturated by the next deeper stratum, is empty or
     supported at the origin only.  The dimension is the analysis's
     (``Analysis.dimension``, one ``groebner.dimension`` per stratum),
     which certifies most uncapped strata from their generators with no
-    basis.  When elements of a zero-dimensional stratum show its zero set
-    lies in the origin (see ``groebner._origin_certified``), so does that
-    of its non-smooth locus, which contains the stratum's generators, and
-    of every saturation of the locus: the stratum passes, with no
-    witness, and no Jacobian, locus or saturation is built.  A stratum of
-    positive dimension cannot lie in the origin, so it skips that test.
-    Otherwise the same test runs on the locus built on the stratum's
-    reduced basis.  First, with no degree cap and a locus within the
-    minor cap, it runs on a few of the locus's generators with the locus
-    not built: the basis and one Jacobian minor per variable
-    (``_witnesses_certify``).  These are among the generators the next
-    test reads, so they certify only a locus it certifies.  Then it runs
-    on the built locus: on its generators, then on the interreduced
-    generators of its Buchberger input phase, then on its reduced basis.
-    A certified locus passes with no witness and no saturation, and one
-    certified before its reduced basis has none built, so under a degree
-    cap no S-pair of it can trip the cap.  A locus with more Jacobian
-    minors than ``detmodel._all_minors`` allows raises LimitError
-    prefixed with the stratum index.  A wrong-dimensional top stratum
-    means the model is not determinantal of its declared type and raises
-    DimensionMismatchError.  The strata come from the analysis given, or
-    from a fresh one of a bare matrix.
+    basis.  A wrong-dimensional top stratum means the model is not
+    determinantal of its declared type and raises DimensionMismatchError;
+    any other wrong-dimensional stratum fails with its ideal as witness.
+    A stratum of the expected dimension goes through
+    :func:`_failing_witness`.
     """
     a = Analysis.of(m)
+    return a.once("eids", lambda: _eids_verdict(a))
+
+
+def _eids_verdict(a: Analysis) -> EidsVerdict:
+    """The body of :func:`eids_check`, run once per analysis."""
     if not a.model.is_specialized():
         raise PreconditionError("eids check needs all family parameters specialized")
     t = a.model.dtype.t
@@ -222,38 +214,61 @@ def eids_check(m: PresentationMatrix | Analysis) -> EidsVerdict:
                     f"top stratum has dimension {actual}, expected "
                     f"{s.expected_dim}; not determinantal of the declared type"
                 )
-            records.append(
-                StratumCheck(i, s.expected_dim, actual, False, s.ideal)
-            )
-            continue
-        # The locus contains the stratum: V(locus) lies in V(stratum), so
-        # a stratum certified at the origin certifies its locus.  Only a
-        # zero-dimensional stratum can lie in the origin.
-        if actual == 0 and _origin_certified(s.ideal):
-            records.append(StratumCheck(i, s.expected_dim, actual, True))
-            continue
-        # Reduced bases as generators keep the Jacobian and the saturation lean.
-        reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
-        if _witnesses_certify(reduced, s.expected_codim):
-            records.append(StratumCheck(i, s.expected_dim, actual, True))
-            continue
-        try:
-            locus = off_deeper = singular_locus_ideal(reduced, s.expected_codim)
-        except LimitError as exc:
-            raise LimitError(f"stratum {i}: {exc}") from exc
-        if _origin_certified(locus):
-            records.append(StratumCheck(i, s.expected_dim, actual, True))
-            continue
-        if i > 1:
-            off_deeper = saturation(locus, a.stratum(i - 1).ideal)
-        ok = support_is_origin_only(off_deeper)
-        records.append(
-            StratumCheck(
-                i, s.expected_dim, actual, ok, None if ok else off_deeper
-            )
-        )
+            witness = s.ideal
+        else:
+            witness = _failing_witness(a, i)
+        records.append(StratumCheck(i, s.expected_dim, actual, witness is None, witness))
     overall = all(r.transversal_off_origin for r in records)
     return EidsVerdict(tuple(records), overall)
+
+
+def _failing_witness(a: Analysis, i: int) -> Ideal | None:
+    """None when stratum i, of its expected dimension, is smooth off the
+    origin and stratum i - 1; else the ideal whose support shows it is
+    not.  Each rung settles the stratum or passes it on, cheapest first:
+
+    1. A zero-dimensional stratum certified at the origin
+       (``groebner._origin_certified``) passes: its non-smooth locus
+       contains its generators, so the locus and every saturation of it
+       lie in the origin too, and no Jacobian, locus or saturation is
+       built.  A stratum of positive dimension cannot lie in the origin,
+       so it skips this rung.
+    2. With no degree cap and a locus within the minor cap, a few of the
+       locus's generators, with the locus not built: the stratum's
+       reduced basis and one Jacobian minor per variable
+       (:func:`_witnesses_certify`).  These are among the generators
+       rung 4's certificate reads, so they certify only a locus it
+       certifies.
+    3. The locus is built on the stratum's reduced basis
+       (:func:`singular_locus_ideal`); more Jacobian minors than
+       ``detmodel._all_minors`` allows raise LimitError prefixed with the
+       stratum index.
+    4. For i > 1, the built locus certified at the origin from its
+       generators, then from the interreduced generators of its
+       Buchberger input phase, then from its reduced basis, passes with
+       no saturation; one certified before its reduced basis has none
+       built, so under a degree cap no S-pair of it can trip the cap.
+       Otherwise the locus is saturated by stratum i - 1.
+    5. The locus (for i = 1, whose first rung is that same certificate)
+       or its saturation passes when ``support_is_origin_only`` holds,
+       and is the witness otherwise.
+    """
+    s = a.stratum(i)
+    if s.expected_dim == 0 and _origin_certified(s.ideal):
+        return None
+    # Reduced bases as generators keep the Jacobian and the saturation lean.
+    reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
+    if _witnesses_certify(reduced, s.expected_codim):
+        return None
+    try:
+        locus = singular_locus_ideal(reduced, s.expected_codim)
+    except LimitError as exc:
+        raise LimitError(f"stratum {i}: {exc}") from exc
+    if i > 1:
+        if _origin_certified(locus):
+            return None
+        locus = saturation(locus, a.stratum(i - 1).ideal)
+    return None if support_is_origin_only(locus) else locus
 
 
 class ScanRecord(NamedTuple):
@@ -279,7 +294,7 @@ def good_family_scan(m: PresentationMatrix | Analysis, samples):
     for point in samples:
         member = a.member(point)
         try:
-            records.append(ScanRecord(dict(point), member.eids(), None))
+            records.append(ScanRecord(dict(point), eids_check(member), None))
         except DimensionMismatchError as exc:
             records.append(ScanRecord(dict(point), None, str(exc)))
     return records

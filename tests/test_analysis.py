@@ -37,9 +37,10 @@ def count_calls(monkeypatch, *functions):
     return counts
 
 
-# (detmodel.stratum, genericity.slice_model, strata.eids_check) calls in one
-# analyze: the model's strata, one slice per hyperplane and one verdict per
-# distinct member or section.  omega2_family's three samples specialize to
+# (detmodel.stratum, genericity.slice_model, strata._eids_verdict) calls in
+# one analyze: the model's strata, one slice per hyperplane and one verdict
+# per distinct member or section.  _eids_verdict is eids_check's body, run
+# once per analysis; later eids_check calls read the kept verdict.  omega2_family's three samples specialize to
 # one matrix, so they share one member.
 ANALYZE_WORK = {
     "omega1": (8, 3, 4),
@@ -54,11 +55,11 @@ def test_analyze_builds_each_stratum_slice_and_member_once(name, monkeypatch, ca
     from detsing import detmodel, genericity, strata
 
     counts = count_calls(
-        monkeypatch, (detmodel, "stratum"), (genericity, "slice_model"), (strata, "eids_check")
+        monkeypatch, (detmodel, "stratum"), (genericity, "slice_model"), (strata, "_eids_verdict")
     )
     assert main(["analyze", str(MODELS / f"{name}.model"), "--format", "structured"]) == 0
     capsys.readouterr()
-    got = (counts["stratum"], counts["slice_model"], counts["eids_check"])
+    got = (counts["stratum"], counts["slice_model"], counts["_eids_verdict"])
     assert got == ANALYZE_WORK[name]
 
 
@@ -240,12 +241,53 @@ def test_failed_verdict_is_kept(monkeypatch):
     family = PresentationMatrix(
         DeterminantalType(2, 1, 2), [[P(e, vs) for e in row] for row in rows], vs
     )
-    counts = count_calls(monkeypatch, (strata, "eids_check"))
+    counts = count_calls(monkeypatch, (strata, "_eids_verdict"))
     records = good_family_scan(family, [{"u": 0}, {"u": 1}, {"u": 0}])
-    assert counts["eids_check"] == 2
+    assert counts["_eids_verdict"] == 2
     assert [r.error is None for r in records] == [False, True, False]
     assert records[0].error == records[2].error
     assert "top stratum has dimension 5" in records[0].error
+
+
+def test_second_eids_check_reads_the_kept_verdict(monkeypatch):
+    # One EIDS ladder per analysis: a second eids_check on the same
+    # analysis builds no locus and runs no origin certificate.
+    from detsing import Analysis, strata
+
+    a = Analysis(build_model(load_model_file(MODELS / "omega1.model")))
+    counts = count_calls(
+        monkeypatch, (strata, "singular_locus_ideal"), (groebner, "_origin_certified")
+    )
+    first = eids_check(a)
+    after_first = dict(counts)
+    assert after_first["singular_locus_ideal"] > 0 and after_first["_origin_certified"] > 0
+    second = eids_check(a)
+    assert counts == after_first
+    assert second is first
+
+
+# Each module imports only modules before it here: the analysis memo sits
+# below every verdict module, and the command line on top.
+LAYERS = (
+    "errors", "poly", "groebner", "detmodel", "analysis", "strata",
+    "invariants", "genericity", "modelfile", "report", "cli",
+)
+
+
+def test_the_package_is_layered():
+    # Every relative import is at module top and names an earlier layer;
+    # the package's __init__ and __main__ sit above them all.
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rank = LAYERS.index(path.stem) if path.stem in LAYERS else len(LAYERS)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node not in tree.body:
+                    bad.append(f"{path.name}:{node.lineno} imports .{node.module} inside a block")
+                elif node.module not in LAYERS[:rank]:
+                    bad.append(f"{path.name}:{node.lineno} imports .{node.module} from below")
+    assert not bad
 
 
 def test_no_module_keeps_global_state():

@@ -24,6 +24,7 @@ from detsing import (
     in_ideal,
     is_unit_ideal,
     minors,
+    mvector,
     saturation,
     singular_locus_ideal,
     stably_isolated_check,
@@ -535,7 +536,7 @@ class TestEidsCheck:
                 return type(exc).__name__, str(exc)
 
         def eids(a):
-            return a.eids().overall, [
+            return eids_check(a).overall, [
                 (
                     r.index,
                     r.expected_dim,
@@ -543,7 +544,7 @@ class TestEidsCheck:
                     r.transversal_off_origin,
                     r.witness and r.witness.groebner_basis().elements,
                 )
-                for r in a.eids().strata
+                for r in eids_check(a).strata
             ]
 
         def verdicts(m, chi):
@@ -557,7 +558,7 @@ class TestEidsCheck:
                     out.append(attempt(lambda: a.origin_colength(i)))
             out.append(attempt(lambda: eids(a)))
             if chi:
-                out.append(attempt(lambda: a.mvector(chi)))
+                out.append(attempt(lambda: mvector(a, chi)))
             return out
 
         cases = [(generic_entry_model(2, 2, 2), [{}], {})]
@@ -636,7 +637,7 @@ class TestEidsCheck:
                 out.append((i, a.dimension(i)))
                 if a.dimension(i) == 0:
                     out.append(outcome(lambda: a.origin_colength(i), PreconditionError))
-            out.append(outcome(lambda: a.eids().overall, DimensionMismatchError))
+            out.append(outcome(lambda: eids_check(a).overall, DimensionMismatchError))
             return a, out
 
         def compare(m, p, q, phi):
@@ -670,12 +671,12 @@ class TestEidsCheck:
 
 def spy_witness_minors(monkeypatch):
     """Record the minor each ``_all_minors`` call in strata returns first."""
-    from detsing import strata
+    from detsing import detmodel, strata
 
     formed = []
     real = strata._all_minors
 
-    def spy(grid, size, vars, cap=real.__defaults__[0]):
+    def spy(grid, size, vars, cap=detmodel._MINOR_CAP):
         out = real(grid, size, vars, cap)
         formed.append(out[0])
         return out
