@@ -144,7 +144,7 @@ class Ideal:
     (ideal, ordering) key.  ``max_degree`` (None: no cap) caps the degree
     of this ideal's basis computations; derived ideals carry it on.
     ``seed`` is a leading run of the generators that is already a reduced
-    basis in its ordering (see :meth:`seeded`); it is empty unless set.
+    basis in its ordering (see :meth:`from_basis`); it is empty unless set.
     ``_height`` (None: unknown) bounds the height of every minimal prime
     of the ideal when it is proper (see :func:`dimension`); only
     ``detmodel.stratum`` sets it, and no derived ideal carries it.
@@ -169,19 +169,15 @@ class Ideal:
         self._cache = {}
 
     @classmethod
-    def from_basis(cls, basis: GroebnerBasis, vars, max_degree) -> Ideal:
-        """The ideal a reduced basis generates, carrying that basis."""
-        ideal = cls(basis.elements, vars, max_degree)
-        ideal._cache[basis.ordering] = basis
-        return ideal
-
-    @classmethod
-    def seeded(cls, seed: GroebnerBasis, rest, vars, max_degree) -> Ideal:
-        """The ideal the seed's elements and ``rest`` generate.  A basis
-        in the seed's ordering starts from the seed: its elements are not
-        interreduced again and no S-pair joins two of them."""
-        ideal = cls(seed.elements + tuple(rest), vars, max_degree)
-        ideal.seed = seed
+    def from_basis(cls, basis: GroebnerBasis, vars, max_degree, rest=()) -> Ideal:
+        """The ideal the basis's elements and ``rest`` generate, with the
+        basis as its seed: a basis in the seed's ordering starts from it,
+        its elements not interreduced again and no S-pair joining two of
+        them.  With no ``rest`` the basis is the ideal's own, and cached."""
+        ideal = cls(basis.elements + tuple(rest), vars, max_degree)
+        ideal.seed = basis
+        if not rest:
+            ideal._cache[basis.ordering] = basis
         return ideal
 
     def cached_basis(self, ordering=GREVLEX):
@@ -886,7 +882,7 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
     """
     if a.vars != b.vars:
         raise VariableSetMismatchError("saturation over different variable sets")
-    gens = [g for g in b.generators if not g.is_zero()]
+    gens = b.generators
     if not gens:
         raise PreconditionError("saturation by the zero ideal")
     if any(g.is_constant() for g in gens):
@@ -901,7 +897,7 @@ def saturation(a: Ideal, b: Ideal) -> Ideal:
     order = MonomialOrdering.eliminating([ext.index(t) for t in tags])
     try:
         seed = GroebnerBasis([h.lift(ext) for h in a.groebner_basis(GREVLEX)], order)
-        return eliminate(Ideal.seeded(seed, [tagged], ext, a.max_degree), tags)
+        return eliminate(Ideal.from_basis(seed, ext, a.max_degree, [tagged]), tags)
     except LimitError as exc:
         plural = "s" if len(gens) != 1 else ""
         raise LimitError(f"saturation by {len(gens)} generator{plural}: {exc}") from exc
@@ -1087,7 +1083,8 @@ def _origin_certified(a: Ideal) -> bool:
     the basis does.  Grevlex is degree-compatible, so interreduction
     cannot raise a leading degree and no row of 3 exceeds the cap: a
     capped run that 2 or 3 certifies skips only cap trips of the S-pair
-    phase.  Seeds are in block orders, so 3 is the input phase unseeded.
+    phase.  Step 3 interreduces every generator and ignores any seed,
+    such as the grevlex one of an origin component.
     """
     width = len(a.vars)
     cap = a.max_degree
@@ -1197,7 +1194,7 @@ def _origin_component(a: Ideal, d=None) -> Ideal:
     if d is None:
         d = _standard_monomials(basis, len(a.vars))
     powers = [Polynomial.variable(a.vars, n) ** d for n in a.vars.names]
-    return Ideal.seeded(basis, powers, a.vars, a.max_degree)
+    return Ideal.from_basis(basis, a.vars, a.max_degree, powers)
 
 
 def colength_at_origin(a: Ideal) -> int:

@@ -225,9 +225,10 @@ def whitney_report(
 ) -> WhitneyReport:
     """Constancy scan of the computable invariants across a family.
 
-    Per sample: stratum dimensions, origin colengths of the
-    zero-dimensional strata, and the solved multiplicity vector when chi
-    data is supplied.  The verdict states only that the necessary
+    Per sample: stratum dimensions, origin colengths of the strata
+    expected and found zero-dimensional (or empty), and the solved
+    multiplicity vector when chi data is supplied and every dimension is
+    the expected one.  The verdict states only that the necessary
     conditions hold; pair multiplicities and polar terms are never
     computed here, so sufficiency is never claimed.  Each distinct
     member is built and reduced once, shared with the scan.
@@ -253,11 +254,12 @@ def whitney_report(
         cols = {}
         for j, d in zip(sys.strata, sys.dims):
             dims.append(member.dimension(j))
-            if d == 0:
+            if d == 0 and dims[-1] <= 0:
                 cols[j] = member.origin_colength(j)
+        chi = euler_data[idx] if euler_data is not None else None
         mvec = None
-        if euler_data is not None and euler_data[idx] is not None:
-            mvec = solve_for_m(sys, euler_data[idx], cols)
+        if chi is not None and tuple(dims) == sys.dims:
+            mvec = solve_for_m(sys, chi, cols)
         rows.append(SampleInvariants(dict(point), tuple(dims), cols, mvec))
     if not rows:
         return WhitneyReport(

@@ -8,9 +8,11 @@ diff-friendly and round-trips through :func:`format_model`.
 
 Input is checked here, where it enters: a keyed line of ``[type]``, of
 ``[euler]`` or of ``[supplied]`` takes only its section's keys, each
-once, with integer values.  Every error in a file names its line.  A
-record built in code gets the same checks of its matrix, samples and
-forms, and its errors name a line only where the record carries one.
+once, with integer values, and a stratum line names a stratum in 1..t.
+A variable or parameter name is an identifier as ``poly`` reads one.
+Every error in a file names its line.  A record built in code gets the
+same checks of its matrix, samples and forms, and its errors name a
+line only where the record carries one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .detmodel import DeterminantalType, PresentationMatrix
 from .errors import ParseError, PreconditionError, ValidationError
 from .genericity import Hyperplane
 from .invariants import ChiData
-from .poly import VariableSet, parse_polynomial, poly_to_str
+from .poly import _IDENT_RE, VariableSet, parse_polynomial, poly_to_str
 
 _SECTIONS = (
     "variables",
@@ -156,7 +158,7 @@ def parse_model_file(text) -> ModelFile:
     for section in sorted(names, key=lambda s: headers.get(s, 0)):
         for line_no, line in sections.get(section, []):
             for name in line.replace(",", " ").split():
-                if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+                if not _IDENT_RE.fullmatch(name):
                     raise ParseError(f"bad variable name {name!r}", line=line_no)
                 if name in seen:
                     raise ParseError(f"variable name {name!r} repeats", line=line_no)
@@ -194,6 +196,8 @@ def parse_model_file(text) -> ModelFile:
         m = _STRATUM_LINE.match(line)
         if m:
             idx = int(m.group(1))
+            if not 1 <= idx <= t:
+                raise ParseError(f"euler stratum {idx} outside 1..{t}", line=line_no)
             if idx in euler:
                 raise ParseError(f"euler stratum {idx} repeats", line=line_no)
             fields = _int_fields(m.group(2), line_no, ("chi_stab", "chi_section"), "euler")
@@ -238,6 +242,8 @@ def parse_model_file(text) -> ModelFile:
                 line=line_no,
             )
         idx = int(m.group(1))
+        if not 1 <= idx <= t:
+            raise ParseError(f"supplied stratum {idx} outside 1..{t}", line=line_no)
         if idx in supplied:
             raise ParseError(f"supplied stratum {idx} repeats", line=line_no)
         supplied[idx] = _int_fields(m.group(2), line_no, ("e_pair", "polar"), "supplied")

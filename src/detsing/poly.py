@@ -191,7 +191,8 @@ class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     It stores ``_ints`` (exponent tuple -> nonzero integer numerator) and
-    ``_den`` (a positive integer), set when it is constructed.  A
+    ``_den`` (a positive integer), set when it is constructed: its
+    integer form.  The map is shared; readers must not change it.  A
     polynomial born packed is a :class:`_PackedPolynomial`; every other
     one has no packing."""
 
@@ -267,11 +268,6 @@ class Polynomial:
             den = self._den
             terms = self._terms = {m: Fraction(c, den) for m, c in self._ints.items()}
         return terms
-
-    def _integer_form(self):
-        """``(ints, den)``: nonzero integer numerators over one positive
-        denominator.  The map is shared; callers must not change it."""
-        return self._ints, self._den
 
     # -- inspection ----------------------------------------------------
 
@@ -383,13 +379,12 @@ class Polynomial:
     def derivative(self, name):
         """Formal partial derivative with respect to one variable."""
         j = self.vars.index(name)
-        ints, den = self._integer_form()
         out = {}
-        for m, c in ints.items():
+        for m, c in self._ints.items():
             e = m[j]
             if e:
                 out[m[:j] + (e - 1,) + m[j + 1 :]] = c * e
-        return Polynomial._integral(self.vars, out, den)
+        return Polynomial._integral(self.vars, out, self._den)
 
     def substitute(self, assignment, target=None):
         """Simultaneous substitution of polynomials for variables.
@@ -434,7 +429,7 @@ class Polynomial:
         positions = [target._index.get(n) for n in names]
         for k, i in enumerate(values):
             positions[i] = width + k
-        ints, den = self._integer_form()
+        ints, den = self._ints, self._den
         out = {}
         groups = {}
         for m, c in ints.items():

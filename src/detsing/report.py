@@ -199,15 +199,9 @@ def invariants_section(a: Analysis, mf: ModelFile, warnings):
         )
     out["polar_bounds"] = bounds
 
-    verified = False
-    if m.is_specialized():
-        for i in range(1, d.n):
-            try:
-                if stably_isolated_check(a, i):
-                    verified = True
-                    break
-            except (PreconditionError, ValidationError):
-                continue
+    verified = m.is_specialized() and any(
+        stably_isolated_check(a, i) for i in range(1, d.n)
+    )
     out["conormal_fiber_gap"] = {
         "value": conormal_fiber_gap(d),
         "provenance": "computed",
@@ -548,9 +542,6 @@ def render_text(report) -> str:
                 f"polar {_render_prov(row['polar'])}, m {_render_prov(row['m'])} "
                 f"-> {verdict}"
             )
-    if "sliced_model" in report:
-        lines.append("sliced model:")
-        lines.append(report["sliced_model"].rstrip())
     for w in report.get("warnings", []):
         lines.append(f"warning: {w}")
     return "\n".join(lines) + "\n"

@@ -188,7 +188,7 @@ class TestMinors:
 
 def _tuple_born(p):
     """A copy of p that stores only its exponent-tuple integer form."""
-    return Polynomial._integral(p.vars, dict(p._integer_form()[0]), p._den)
+    return Polynomial._integral(p.vars, dict(p._ints), p._den)
 
 
 class TestPackedBorn:
@@ -233,7 +233,7 @@ class TestPackedBorn:
                         assert g._unpacked is None  # the readers unpack nothing
                         assert g == w
                         assert g.leading_monomial(LEX) == w.leading_monomial(LEX)
-                        ints, den = g._integer_form()
+                        ints, den = g._ints, g._den
                         assert {packing.pack(e): c for e, c in ints.items()} == g._packed
                         assert _tuple_born(g) == w and hash(g) == hash(w)
                         assert g.terms == w.terms

@@ -138,6 +138,14 @@ class TestScreen:
             "section of zero-dimensional stratum 1 extends beyond the origin"
         )
 
+    def test_section_that_empties_a_stratum_is_not_screened(self):
+        # Stratum 1 is the point x = 0, y = 1, which the y section
+        # misses: the sliced stratum is the unit ideal, so neither its
+        # colength nor the model's (off the origin) is asked for.
+        m = model(omega_vars(), [["x1", "x2", "x3"], ["x4", "x5", "x1 + y - 1"]])
+        verdict = hyperplane_screen(m, hp(0, 0, 0, 0, 0, 1))
+        assert verdict.passed and verdict.reasons == ()
+
     def test_model_not_supported_at_the_origin(self):
         # The y section of stratum 1 is the maximal ideal, but stratum 1
         # itself holds the point y = 1, so its colength is undefined.

@@ -387,7 +387,7 @@ class TestBuchberger:
         distinct = {m for g in locus.generators for m in g.terms}
         assert len(distinct) < sum(len(g.terms) for g in locus.generators)
         tuples = Ideal(
-            [Polynomial._integral(locus.vars, *g._integer_form()) for g in locus.generators],
+            [Polynomial._integral(locus.vars, g._ints, g._den) for g in locus.generators],
             locus.vars,
         )
         calls = {}
@@ -1304,6 +1304,10 @@ class TestColength:
     def test_rejects_support_off_origin(self):
         with pytest.raises(PreconditionError):
             colength(ideal(XY, "x - 1", "y"))
+
+    def test_rejects_the_unit_ideal(self):
+        with pytest.raises(PreconditionError, match="colength of the unit ideal is undefined"):
+            colength(ideal(XY, "x", "x - 1"))
 
     def test_standard_monomials_counted_once(self, monkeypatch):
         # Not certified at the origin, so the support test builds the

@@ -38,6 +38,32 @@ stratum 2: chi_stab = -1, chi_section = 2
 """
 LAST_LINE = "stratum 2: chi_stab = -1, chi_section = 2\n"
 
+# The omega matrix with last entry x1 + u*y^2: at u = 0 stratum 1 is the
+# y-axis, at u = 1 a fat point of colength 2.
+FAMILY = """
+[variables]
+x1 x2 x3 x4 x5 y
+
+[parameters]
+u
+
+[type]
+rows = 2
+cols = 3
+t = 2
+
+[matrix]
+x1, x2, x3
+x4, x5, x1 + u*y^2
+
+[samples]
+u = 0
+u = 1
+
+"""
+VARYING = "invariants vary across samples; the family is not equisingular"
+UNRELIABLE = "good-family scan failed on at least one sample; the report is unreliable"
+
 
 class TestModelFile:
     def test_parse_round_trip(self):
@@ -106,6 +132,25 @@ class TestModelFile:
         with pytest.raises(ParseError) as err:
             parse_model_file(bad)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("index", [0, 3, 99])
+    @pytest.mark.parametrize(
+        "section, line, field", [("euler", 17, "chi_stab"), ("supplied", 20, "e_pair")]
+    )
+    def test_stratum_outside_the_type_names_its_line(self, capsys, tmp_path, index, section, line, field):
+        # omega3 has t = 2: a stratum line past 1..2 is rejected where it
+        # stands, not ignored until a solve misses stratum 2 or printed
+        # as a consistency row.
+        text = (MODELS / "omega3.model").read_text()
+        text = text.replace(f"stratum 2: {field}", f"stratum {index}: {field}")
+        message = f"{section} stratum {index} outside 1..2 (line {line})"
+        with pytest.raises(ParseError) as err:
+            parse_model_file(text)
+        assert str(err.value) == message
+        path = tmp_path / "out_of_range.model"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_section(self):
         with pytest.raises(ParseError, match="unknown section"):
@@ -295,6 +340,35 @@ class TestCli:
         for row in fam["samples"]:
             assert row["colengths"] == {"1": 3}
             assert row["mvector"] == {"1": 3, "2": 0}
+
+    @pytest.mark.parametrize("command", ["analyze", "family-scan"])
+    @pytest.mark.parametrize(
+        "euler, mvector",
+        [("", None), ("[euler]\nstratum 2: chi_stab = 0, chi_section = 2\n", {"1": 2, "2": 0})],
+    )
+    def test_family_sample_with_a_larger_stratum(self, capsys, tmp_path, command, euler, mvector):
+        # At u = 0 stratum 1 is the y-axis, of dimension 1 where 0 is
+        # expected: the sample gets no origin colength and no m-vector,
+        # and the family is reported as varying, not aborted.
+        path = tmp_path / "family.model"
+        path.write_text(FAMILY + euler)
+        code, report = self.structured(capsys, command, str(path))
+        assert code == 0
+        fam = report["family_scan"]
+        assert [(r["dims"], r["colengths"], r["mvector"]) for r in fam["samples"]] == [
+            ([1, 4], {}, None),
+            ([0, 4], {"1": 2}, mvector),
+        ]
+        assert (fam["reliable"], fam["constant"]) == (False, False)
+        assert fam["verdict"] == VARYING
+        assert UNRELIABLE in report["warnings"]
+        code, out = self.run(capsys, command, str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert f"family scan: UNRELIABLE; {VARYING}" in lines
+        assert "  {'u': '0'}: dims [1, 4], colengths {}, mvector None" in lines
+        assert f"  {{'u': '1'}}: dims [0, 4], colengths {{'1': 2}}, mvector {mvector}" in lines
+        assert f"warning: {UNRELIABLE}" in lines
 
     def test_screen_hyperplanes(self, capsys):
         code, report = self.structured(
@@ -543,6 +617,86 @@ class TestCli:
         assert forms == ["x1 - 2*x2 + x5", "y"]
         assert report["genericity"][0]["screen_passed"]
         assert not report["genericity"][1]["screen_passed"]
+
+
+class TestReportBranches:
+    """Report branches that no bundled model reaches, each run through
+    ``main`` in both formats."""
+
+    def both(self, capsys, tmp_path, text, command):
+        path = tmp_path / "case.model"
+        path.write_text(text)
+        assert main([command, str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main([command, str(path), "--format", "structured"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        validate_report(report)
+        return lines, report
+
+    def test_top_stratum_of_the_wrong_dimension(self, capsys, tmp_path):
+        # Two equal rows: the 2x2 minors vanish, so stratum 2 is all of
+        # the 4-space, where dimension 2 is expected.
+        text = "[variables]\nx y z w\n\n[type]\nrows = 2\ncols = 3\nt = 2\n\n"
+        text += "[matrix]\nx, y, z\nx, y, z\n"
+        error = "top stratum has dimension 4, expected 2; not determinantal of the declared type"
+        lines, report = self.both(capsys, tmp_path, text, "eids-check")
+        assert report["eids"] == {
+            "overall": False, "provenance": "computed", "error": error, "strata": []
+        }
+        assert lines[-2:] == ["transversality off origin: fail", f"  error: {error}"]
+
+    def test_hyperplanes_of_a_family(self, capsys, tmp_path):
+        text = FAMILY.replace("[samples]\nu = 0\nu = 1\n", "[hyperplanes]\ny\n")
+        warning = "hyperplane screening needs a specialized model"
+        lines, report = self.both(capsys, tmp_path, text, "analyze")
+        assert "genericity" not in report
+        assert warning in report["warnings"]
+        assert f"warning: {warning}" in lines
+        assert "hyperplane screen:" not in lines
+
+    def test_chi_data_on_a_zero_dimensional_stratum(self, capsys, tmp_path):
+        text = (MODELS / "omega3.model").read_text().replace(
+            "stratum 2: chi_stab", "stratum 1: chi_stab = 1, chi_section = 1\nstratum 2: chi_stab"
+        )
+        warning = (
+            "multiplicity solve failed: stratum 1 is zero-dimensional and carries no chi data"
+        )
+        lines, report = self.both(capsys, tmp_path, text, "analyze")
+        assert report["invariants"]["mvector"] == {"value": None, "provenance": "not-computable"}
+        assert warning in report["warnings"]
+        assert "multiplicity vector: not computable" in lines
+        assert f"warning: {warning}" in lines
+
+    def test_supplied_polar_term_the_rule_forces_to_zero(self, capsys, tmp_path):
+        text = (MODELS / "omega1.model").read_text().replace(
+            "stratum 2: e_pair = 0", "stratum 2: e_pair = 0, polar = 1"
+        )
+        warning = "supplied polar term for stratum 2 is 1, but the vanishing rule forces 0"
+        lines, report = self.both(capsys, tmp_path, text, "consistency")
+        (row,) = report["consistency"]
+        assert row["polar"] == {"value": 1, "provenance": "user-supplied"}
+        assert row["holds"] is False
+        assert report["warnings"] == [warning]
+        assert lines[-2:] == [
+            "  stratum 2: e_pair 0 (user-supplied), polar 1 (user-supplied), m 0 -> VIOLATED",
+            f"warning: {warning}",
+        ]
+
+    def test_polar_term_no_rule_settles(self, capsys, tmp_path):
+        # A 2x3 matrix in 4 variables: neither vanishing rule applies.
+        text = "[variables]\nx y z w\n\n[type]\nrows = 2\ncols = 3\nt = 2\n\n"
+        text += "[matrix]\nx, y, z\nw, x, y\n\n[supplied]\nstratum 2: e_pair = 1\n"
+        warning = "consistency identity for stratum 2 not checkable: a term is missing"
+        lines, report = self.both(capsys, tmp_path, text, "consistency")
+        (row,) = report["consistency"]
+        assert row["polar"] == {"value": None, "provenance": "not-computable"}
+        assert row["holds"] is None
+        assert report["warnings"] == [warning]
+        assert lines[-2:] == [
+            "  stratum 2: e_pair 1 (user-supplied), polar not computable, m not computable "
+            "-> not checkable",
+            f"warning: {warning}",
+        ]
 
 
 # Pieces a fuzzed model file or argument list is made of: section

@@ -321,7 +321,7 @@ class TestIntegerForm:
             assert integral._terms is None  # no Fraction built so far
             assert integral == rational and hash(integral) == hash(rational)
             assert integral.terms == rational.terms
-            assert Polynomial._integral(xyu, *rational._integer_form()) == rational
+            assert Polynomial._integral(xyu, rational._ints, rational._den) == rational
             fresh = Polynomial._integral(xyu, dict(ints), den)
             for name in xyu.names:
                 expected = reference_derivative(rational, name)
@@ -331,7 +331,7 @@ class TestIntegerForm:
             assert Polynomial._integral(xyu, dict(ints), den).lift(wide) == lifted
             assert rational.lift(wide) == lifted
             assert lifted.restrict(xyu) == rational
-            assert Polynomial._integral(wide, *lifted._integer_form()).restrict(xyu) == (
+            assert Polynomial._integral(wide, lifted._ints, lifted._den).restrict(xyu) == (
                 reference_restrict(lifted, xyu)
             )
             q, q_rational = both(second)
@@ -382,7 +382,7 @@ class TestIntegerForm:
                 results += [g.lift(wide), g.lift(wide).restrict(xyu)]
                 results += [g.substitute({"x": q, "u": r}), g.substitute(at_c, target=xy)]
             for p in results:
-                ints, den = p._integer_form()
+                ints, den = p._ints, p._den
                 assert type(den) is int and den > 0
                 assert all(len(m) == len(p.vars) and min(m) >= 0 for m in ints)
 

@@ -569,7 +569,7 @@ class TestEidsCheck:
         for m, points, chi in cases:
             sm = scaled(m)
             top = stratum(sm.specialize(points[0]) if points[0] else sm, sm.dtype.t)
-            assert any(g._integer_form()[1] > 1 for g in top.ideal.generators)
+            assert any(g._den > 1 for g in top.ideal.generators)
             for point in points:
                 member = m.specialize(point) if point else m
                 scaled_member = sm.specialize(point) if point else sm
@@ -829,6 +829,15 @@ class TestStablyIsolated:
     def test_no_deeper_stratum(self):
         with pytest.raises(PreconditionError):
             stably_isolated_check(omega_model(1), 2)
+
+    def test_deeper_locus_past_the_type(self):
+        # With t = 1 the model has no stratum 2, so the deeper locus of
+        # stratum 1 is the ideal of the 2x2 minors x^2, xy, y^2, formed
+        # afresh; it lies in the origin and q = 2 is its codimension.
+        zero = Polynomial.zero(XY)
+        entries = [[P("x", XY), P("y", XY), zero], [zero, P("x", XY), P("y", XY)]]
+        m = PresentationMatrix(DeterminantalType(2, 1, 1), entries, XY)
+        assert stably_isolated_check(m, 1) is True
 
     def test_deeper_locus_is_the_analysis_stratum(self, monkeypatch, tmp_path, capsys):
         # The deeper locus of stratum 1 of [[x, y, 0], [0, x, y]] is its
