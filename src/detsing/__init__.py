@@ -3,15 +3,15 @@
 Given a polynomial presentation matrix, the package computes rank-strata
 ideals and their dimensions, transversality verdicts off the origin,
 colengths of zero-dimensional strata, the triangular Euler-characteristic
-system for polar multiplicities, chain-rule generator matrices,
-hyperplane sections, and family constancy reports.
+system for polar multiplicities, the chain-rule check that the stratum
+Jacobian factors through the deformation generators, hyperplane
+sections, and family constancy reports.
 """
 
 from .analysis import Analysis
 from .detmodel import (
     ChainRuleResult,
     DeterminantalType,
-    GeneratorMatrix,
     PresentationMatrix,
     StratumModel,
     chain_rule_check,
@@ -48,13 +48,11 @@ from .groebner import (
     dimension,
     eliminate,
     ideal_intersection,
-    ideal_product,
     ideal_quotient,
     ideal_sum,
     ideals_equal,
     in_ideal,
     is_unit_ideal,
-    is_zero_ideal,
     normal_form,
     s_polynomial,
     saturation,

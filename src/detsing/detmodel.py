@@ -1,7 +1,8 @@
 """Determinantal models: presentation matrices, their family members and
 hyperplane sections, rank-strata ideals via minors, expected dimensions,
-and the generator matrices of the Jacobian and deformation modules tied
-together by the chain rule.
+and the Jacobian and deformation-module generators, each a grid (a tuple
+of rows of polynomials) as :func:`_all_minors` reads it, tied together by
+the chain rule.
 
 Matrices are stored in the orientation they are written in; the type
 normalizes to n = min(rows, cols) and row excess k = |rows - cols|, so a
@@ -177,53 +178,6 @@ class StratumModel(NamedTuple):
         return self.expected_dim >= 0
 
 
-class GeneratorMatrix:
-    """A matrix of polynomials whose columns are module generators."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(row) for row in entries)
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    def __eq__(self, other):
-        return isinstance(other, GeneratorMatrix) and self.entries == other.entries
-
-    def first_mismatch(self, other):
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if self.entries[r][c] != other.entries[r][c]:
-                    return (r, c)
-        return None
-
-    def multiply(self, other):
-        if self.cols != other.rows:
-            raise ValidationError("generator matrix shapes do not compose")
-        vars = self.entries[0][0].vars
-        zero = Polynomial.zero(vars)
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = zero
-                for m in range(self.cols):
-                    a = self.entries[r][m]
-                    b = other.entries[m][c]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return GeneratorMatrix(out)
-
-
 def _all_minors(grid, size, vars, cap=_MINOR_CAP):
     """Every size x size minor of a polynomial grid, ordered by (row
     subset, column subset).  Before any minor is formed, their count
@@ -362,19 +316,18 @@ def stratum(m: PresentationMatrix, i: int, max_degree=None) -> StratumModel:
     return StratumModel(i, ideal, codim, m.dtype.expected_dim(i, m.q))
 
 
-def jacobian_generators(polys, vars: VariableSet) -> GeneratorMatrix:
-    """Jacobian module generators: one row per polynomial, one column per
-    ambient variable."""
+def jacobian_generators(polys, vars: VariableSet):
+    """Jacobian module generators as a grid (a tuple of rows): one row
+    per polynomial, one column per ambient variable."""
     if not polys:
         raise ValidationError("need at least one polynomial")
-    return GeneratorMatrix(
-        [[p.derivative(z) for z in vars.ambient] for p in polys]
-    )
+    return tuple(tuple(p.derivative(z) for z in vars.ambient) for p in polys)
 
 
-def n_generators(m: PresentationMatrix, i: int) -> GeneratorMatrix:
-    """Generators of the module of determinantal first-order deformations:
-    the Jacobian of the generic-matrix minors, evaluated on the entries.
+def n_generators(m: PresentationMatrix, i: int):
+    """Generators of the module of determinantal first-order deformations,
+    as a grid (a tuple of rows): the Jacobian of the generic-matrix
+    minors, evaluated on the entries.
 
     Rows are indexed by the i x i minors, columns by matrix positions in
     row-major order.  By Laplace expansion, the entry of the minor on
@@ -398,19 +351,15 @@ def n_generators(m: PresentationMatrix, i: int) -> GeneratorMatrix:
                 for b, c in enumerate(C):
                     cofactor = sub[R[:a] + R[a + 1 :], C[:b] + C[b + 1 :]]
                     row[r * m.cols + c] = -cofactor if (a + b) & 1 else cofactor
-            out.append(row)
-    return GeneratorMatrix(out)
+            out.append(tuple(row))
+    return tuple(out)
 
 
-def dm_matrix(m: PresentationMatrix) -> GeneratorMatrix:
-    """Gradients of the entries: row (r, s) in row-major order, one
-    column per ambient variable (matches the column order of
-    n_generators)."""
-    out = []
-    for row in m.entries:
-        for e in row:
-            out.append([e.derivative(z) for z in m.vars.ambient])
-    return GeneratorMatrix(out)
+def dm_matrix(m: PresentationMatrix):
+    """Gradients of the entries as a grid (a tuple of rows): row (r, s)
+    in row-major order, one column per ambient variable (matches the
+    column order of n_generators)."""
+    return jacobian_generators([e for row in m.entries for e in row], m.vars)
 
 
 class ChainRuleResult(NamedTuple):
@@ -425,8 +374,18 @@ class ChainRuleResult(NamedTuple):
 
 def chain_rule_check(m: PresentationMatrix, i: int) -> ChainRuleResult:
     """Verify that the stratum Jacobian factors through the deformation
-    generators: jacobian(minors) == n_generators * dm_matrix exactly."""
+    generators: jacobian(minors) == n_generators * dm_matrix exactly.
+    On a mismatch, ``mismatch`` is the (row, column) of the first entry
+    that differs, in row-major order."""
     jac = jacobian_generators(minors(m, i), m.vars)
-    product = n_generators(m, i).multiply(dm_matrix(m))
-    pos = jac.first_mismatch(product)
-    return ChainRuleResult(pos is None, pos)
+    columns = list(zip(*dm_matrix(m)))
+    zero = Polynomial.zero(m.vars)
+    for r, (jac_row, n_row) in enumerate(zip(jac, n_generators(m, i))):
+        for c, column in enumerate(columns):
+            entry = zero
+            for a, b in zip(n_row, column):
+                if not (a.is_zero() or b.is_zero()):
+                    entry = entry + a * b
+            if jac_row[c] != entry:
+                return ChainRuleResult(False, (r, c))
+    return ChainRuleResult(True)

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .groebner import is_unit_ideal
-from .invariants import build_euler_system, invariant_vector, solve_for_m
+from .invariants import EulerSystem, build_euler_system_for_type
 from .poly import Polynomial, VariableSet, poly_to_str
 from .strata import eids_check
 
@@ -138,55 +138,48 @@ class SectionInvariants(NamedTuple):
     screen: ScreenVerdict
     dims: tuple
     colengths: dict
-    mvector: dict | None
     minimal: bool = False
 
-    vector = invariant_vector
+    def vector(self):
+        """Dims and colengths, in order."""
+        return (self.dims, tuple(sorted(self.colengths.items())))
 
 
-def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes, euler_data=None):
+def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes):
     """Per-hyperplane section invariants, with the screen verdicts.
 
-    Among hyperplanes passing the screen, those whose invariant vector
-    attains the componentwise minimum are marked; flagged hyperplanes
-    are still reported but excluded from the comparison.  This compares
-    computable proxies for the topological minimality of sections, not
-    the section Euler characteristics themselves.  Each section is
-    sliced and analyzed once, shared with its screen.
+    Every section keeps the model's type at q - 1, so one Euler system
+    serves them all; with no present stratum, each section gets empty
+    dims and colengths.  Among hyperplanes passing the screen, those
+    whose invariant vector (dims, then colengths) attains the
+    componentwise minimum are marked; flagged hyperplanes are still
+    reported but excluded from the comparison.  This compares computable
+    proxies for the topological minimality of sections, not the section
+    Euler characteristics themselves.  Each section is sliced and
+    analyzed once, shared with its screen.
     """
     a = Analysis.of(m)
     hyperplanes = list(hyperplanes)
     if not hyperplanes:
         raise PreconditionError("need at least one hyperplane to compare")
-    if euler_data is not None and len(euler_data) != len(hyperplanes):
-        raise ValidationError("per-section chi data does not match the list")
+    try:
+        sys = build_euler_system_for_type(a.model.dtype, a.model.q - 1)
+    except PreconditionError:  # no present stratum
+        sys = EulerSystem((), (), ())
     rows = []
-    for idx, h in enumerate(hyperplanes):
+    for h in hyperplanes:
         screen = hyperplane_screen(a, h)
         section = a.section(h)
-        sys = None
-        try:
-            sys = build_euler_system(section.model)
-        except PreconditionError:
-            pass
         dims = []
         cols = {}
-        if sys is not None:
-            for j, d in zip(sys.strata, sys.dims):
-                dims.append(section.dimension(j))
-                if d == 0:
-                    try:
-                        cols[j] = section.colength(j)
-                    except PreconditionError:
-                        pass
-        mvec = None
-        if (
-            sys is not None
-            and euler_data is not None
-            and euler_data[idx] is not None
-        ):
-            mvec = solve_for_m(sys, euler_data[idx], cols)
-        rows.append(SectionInvariants(h, screen, tuple(dims), cols, mvec))
+        for j, d in zip(sys.strata, sys.dims):
+            dims.append(section.dimension(j))
+            if d == 0:
+                try:
+                    cols[j] = section.colength(j)
+                except PreconditionError:
+                    pass
+        rows.append(SectionInvariants(h, screen, tuple(dims), cols))
     passing = [pos for pos, r in enumerate(rows) if r.screen.passed]
     vectors = [rows[pos].vector() for pos in passing]
     if vectors and all(_vector_shape(v) == _vector_shape(vectors[0]) for v in vectors):
@@ -199,13 +192,10 @@ def section_invariant_compare(m: PresentationMatrix | Analysis, hyperplanes, eul
 
 
 def _vector_shape(v):
-    dims, cols, mv = v
-    return (len(dims), tuple(k for k, _ in cols), None if mv is None else tuple(k for k, _ in mv))
+    dims, cols = v
+    return (len(dims), tuple(k for k, _ in cols))
 
 
 def _flatten(v):
-    dims, cols, mv = v
-    out = list(dims) + [c for _, c in cols]
-    if mv is not None:
-        out += [c for _, c in mv]
-    return out
+    dims, cols = v
+    return list(dims) + [c for _, c in cols]

@@ -53,7 +53,7 @@ range; a field above ``limit`` or below 0 shows as a set guard bit.  On
 overflow the basis is recomputed from the start with fields twice as
 wide.  Order, S-pair sequence and basis do not depend on the width.
 
-On top of the basis engine: membership, sums, products, elimination,
+On top of the basis engine: membership, sums, elimination,
 intersection, quotient, saturation, Krull dimension, and colength
 (standard-monomial count) for ideals supported at the origin.  The
 standard monomials are counted slice by slice in the last variable's
@@ -768,10 +768,6 @@ def is_unit_ideal(ideal: Ideal) -> bool:
     return ideal.groebner_basis(GREVLEX).is_unit()
 
 
-def is_zero_ideal(ideal: Ideal) -> bool:
-    return not ideal.groebner_basis(GREVLEX).elements
-
-
 def ideals_equal(a: Ideal, b: Ideal) -> bool:
     """Equality via uniqueness of the reduced grevlex basis."""
     return a.groebner_basis(GREVLEX).elements == b.groebner_basis(GREVLEX).elements
@@ -790,13 +786,6 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.vars != b.vars:
         raise VariableSetMismatchError("ideal sum over different variable sets")
     return Ideal(a.generators + b.generators, a.vars, a.max_degree)
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    if a.vars != b.vars:
-        raise VariableSetMismatchError("ideal product over different variable sets")
-    gens = [f * g for f in a.generators for g in b.generators]
-    return Ideal(gens, a.vars, a.max_degree)
 
 
 def eliminate(a: Ideal, drop) -> Ideal:

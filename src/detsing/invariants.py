@@ -57,9 +57,6 @@ class EulerSystem(NamedTuple):
     dims: tuple  # their expected dimensions
     matrix: tuple  # rows of coefficients aligned with `strata`
 
-    def row(self, j):
-        return self.matrix[self.strata.index(j)]
-
     def zero_dim_strata(self):
         return tuple(s for s, d in zip(self.strata, self.dims) if d == 0)
 
@@ -196,19 +193,16 @@ def md_consistency(e_pair: int, polar_term: int, m_d: int) -> bool:
     return e_pair + polar_term == m_d
 
 
-def invariant_vector(record):
-    """Dims, colengths and m-vector of a sample or a section, in order."""
-    mv = tuple(sorted(record.mvector.items())) if record.mvector is not None else None
-    return (record.dims, tuple(sorted(record.colengths.items())), mv)
-
-
 class SampleInvariants(NamedTuple):
     point: dict
     dims: tuple
     colengths: dict  # stratum -> colength of the origin component
     mvector: dict | None
 
-    vector = invariant_vector
+    def vector(self):
+        """Dims, colengths and m-vector, in order."""
+        mv = tuple(sorted(self.mvector.items())) if self.mvector is not None else None
+        return (self.dims, tuple(sorted(self.colengths.items())), mv)
 
 
 class WhitneyReport(NamedTuple):
@@ -221,21 +215,22 @@ class WhitneyReport(NamedTuple):
 
 
 def whitney_report(
-    m: PresentationMatrix | Analysis, samples, euler_data=None
+    m: PresentationMatrix | Analysis, samples, chi=None
 ) -> WhitneyReport:
     """Constancy scan of the computable invariants across a family.
 
     Per sample: stratum dimensions, origin colengths of the strata
-    expected and found zero-dimensional (or empty), and the solved
-    multiplicity vector when chi data is supplied and every dimension is
-    the expected one.  The verdict states only that the necessary
-    conditions hold; pair multiplicities and polar terms are never
-    computed here, so sufficiency is never claimed.  Each distinct
-    member is built and reduced once, shared with the scan.
+    expected and found zero-dimensional (or empty), and the multiplicity
+    vector solved with ``chi`` (stratum -> ChiData, the same for every
+    sample) when ``chi`` is a nonempty mapping and every dimension is the
+    expected one.  A type with no present stratum has no Euler system,
+    so each sample gets empty dims and colengths.  The verdict states
+    only that the necessary conditions hold; pair multiplicities and
+    polar terms are never computed here, so sufficiency is never
+    claimed.  Each distinct member is built and reduced once, shared
+    with the scan.
     """
     a = Analysis.of(m)
-    if euler_data is not None and len(euler_data) != len(samples):
-        raise ValidationError("per-sample chi data does not match the sample list")
     warnings = [
         "pair multiplicities e(JM, N) and polar intersection numbers are "
         "not computed; the verdict covers necessary conditions only"
@@ -246,9 +241,12 @@ def whitney_report(
         warnings.append(
             "good-family scan failed on at least one sample; the report is unreliable"
         )
-    sys = build_euler_system(a.model) if samples else None
+    try:
+        sys = build_euler_system(a.model)
+    except PreconditionError:  # no present stratum
+        sys = EulerSystem((), (), ())
     rows = []
-    for idx, point in enumerate(samples):
+    for point in samples:
         member = a.member(point)
         dims = []
         cols = {}
@@ -256,9 +254,8 @@ def whitney_report(
             dims.append(member.dimension(j))
             if d == 0 and dims[-1] <= 0:
                 cols[j] = member.origin_colength(j)
-        chi = euler_data[idx] if euler_data is not None else None
         mvec = None
-        if chi is not None and tuple(dims) == sys.dims:
+        if chi and sys.strata and tuple(dims) == sys.dims:
             mvec = solve_for_m(sys, chi, cols)
         rows.append(SampleInvariants(dict(point), tuple(dims), cols, mvec))
     if not rows:

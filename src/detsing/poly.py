@@ -97,9 +97,6 @@ class VariableSet(namedtuple("VariableSet", ("ambient", "parameters"), defaults=
         except KeyError:
             raise UnknownVariableError(f"unknown variable {name!r}") from None
 
-    def is_parameter(self, name):
-        return name in self.parameters
-
     def without_ambient(self, name):
         """Variable set with one ambient coordinate removed (slicing)."""
         if name not in self.ambient:

@@ -246,9 +246,7 @@ def family_section(a: Analysis, mf: ModelFile, warnings):
     if not mf.samples:
         return None
     samples = [dict(s) for s in mf.samples]
-    chi = mf.chi_data()
-    euler = [chi or None] * len(samples) if chi else None
-    rep = whitney_report(a, samples, euler)
+    rep = whitney_report(a, samples, mf.chi_data())
     warnings.extend(rep.warnings)
     return {
         "reliable": rep.reliable,

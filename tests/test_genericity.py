@@ -220,7 +220,6 @@ class TestSectionCompare:
         # codimension 2 of every stratum: no Euler system, so no dims.
         rows = section_invariant_compare(model(XY, [["x", "y", "0"], ["0", "x", "y"]]), [hp(1, 0)])
         assert rows[0].dims == () and rows[0].colengths == {}
-        assert rows[0].mvector is None
 
     def test_section_colength_off_the_origin(self):
         # The x section of x + y^2 - y^3 is (y^2 - y^3), zero-dimensional
@@ -228,16 +227,6 @@ class TestSectionCompare:
         rows = section_invariant_compare(model(XY, [["x + y^2 - y^3"]]), [hp(1, 0)])
         assert rows[0].dims == (0,) and rows[0].colengths == {}
 
-    def test_section_mvector_with_chi(self):
-        from detsing import ChiData
-
-        m = omega_model(1)
-        h = hp(1, 1, 0, -1, 2, 0)
-        rows = section_invariant_compare(m, [h], [{2: ChiData(2, 2)}])
-        assert rows[0].screen.passed
-        # Section system is 1x1 over the top stratum at dimension 3:
-        # m = (-1)^3*chi + (-1)^2*chi_section = 0 for equal inputs.
-        assert rows[0].mvector == {2: 0}
 
 
 class TestSlicedStratumDimensionDrop:

@@ -8,12 +8,15 @@ from detsing import (
     DeterminantalType,
     InconsistentDataError,
     PreconditionError,
+    PresentationMatrix,
     ValidationError,
+    VariableSet,
     build_euler_system,
     build_euler_system_for_type,
     m0_colength,
     md_consistency,
     nit_coefficient,
+    parse_polynomial,
     polar_term_bound,
     solve_for_chi_diffs,
     solve_for_m,
@@ -224,17 +227,29 @@ class TestWhitneyReport:
         assert report.samples == ()
 
     def test_solves_mvector_with_chi(self):
+        # One chi mapping serves every sample.
         m = omega_model(3, params=("u",))
         chi = {2: ChiData(-2, 2)}
-        report = whitney_report(m, [{"u": 0}], [chi])
-        assert report.samples[0].mvector == {1: 4, 2: 0}
+        report = whitney_report(m, [{"u": 0}, {"u": 1}], chi)
+        assert [s.mvector for s in report.samples] == [{1: 4, 2: 0}] * 2
+
+    def test_empty_chi_solves_nothing(self):
+        # Every present stratum of x^2 + u*x^3 is zero-dimensional, so an
+        # empty chi mapping would be enough to solve its system; a model
+        # file with no [euler] section passes one, and gets no m-vector.
+        vs = VariableSet(("x",), ("u",))
+        m = PresentationMatrix(
+            DeterminantalType(1, 0, 1), [[parse_polynomial("x^2 + u*x^3", vs)]], vs
+        )
+        samples = [{"u": 0}, {"u": 1}]
+        assert solve_for_m(build_euler_system(m), {}, {1: 2}) == {1: 2}
+        for chi in ({}, None):
+            report = whitney_report(m, samples, chi)
+            assert [(s.dims, s.colengths, s.mvector) for s in report.samples] == [
+                ((0,), {1: 2}, None)
+            ] * 2
 
     def test_never_claims_sufficiency(self):
         m = omega_model(1, params=("u",))
         report = whitney_report(m, [{"u": 0}])
         assert any("necessary conditions only" in w for w in report.warnings)
-
-    def test_mismatched_data_lists(self):
-        m = omega_model(1, params=("u",))
-        with pytest.raises(ValidationError):
-            whitney_report(m, [{"u": 0}], [])

@@ -61,6 +61,28 @@ u = 0
 u = 1
 
 """
+# A type with no present stratum at q = 1: codimensions 6 and 2.
+NO_STRATUM_FAMILY = """
+[variables]
+x
+
+[parameters]
+u
+
+[type]
+rows = 2
+cols = 3
+t = 2
+
+[matrix]
+x, u, 0
+0, x, u*x
+
+[samples]
+u = 0
+u = 1
+"""
+HOLDS = "necessary conditions for Whitney equisingularity hold across samples"
 VARYING = "invariants vary across samples; the family is not equisingular"
 UNRELIABLE = "good-family scan failed on at least one sample; the report is unreliable"
 
@@ -369,6 +391,29 @@ class TestCli:
         assert "  {'u': '0'}: dims [1, 4], colengths {}, mvector None" in lines
         assert f"  {{'u': '1'}}: dims [0, 4], colengths {{'1': 2}}, mvector {mvector}" in lines
         assert f"warning: {UNRELIABLE}" in lines
+
+    @pytest.mark.parametrize("command", ["analyze", "family-scan"])
+    @pytest.mark.parametrize("euler", ["", "[euler]\nstratum 2: chi_stab = 0, chi_section = 2\n"])
+    def test_family_of_a_type_with_no_present_stratum(self, capsys, tmp_path, command, euler):
+        # No stratum is present, so there is no Euler system: each sample
+        # gets empty dims and colengths, as a section with no system does,
+        # no m-vector even with chi data, and the command does not fail.
+        path = tmp_path / "family.model"
+        path.write_text(NO_STRATUM_FAMILY + euler)
+        code, report = self.structured(capsys, command, str(path))
+        assert code == 0
+        fam = report["family_scan"]
+        assert [(r["dims"], r["colengths"], r["mvector"]) for r in fam["samples"]] == [
+            ([], {}, None),
+            ([], {}, None),
+        ]
+        assert (fam["reliable"], fam["constant"], fam["verdict"]) == (True, True, HOLDS)
+        code, out = self.run(capsys, command, str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert f"family scan: reliable; {HOLDS}" in lines
+        assert "  {'u': '0'}: dims [], colengths {}, mvector None" in lines
+        assert "  {'u': '1'}: dims [], colengths {}, mvector None" in lines
 
     def test_screen_hyperplanes(self, capsys):
         code, report = self.structured(

@@ -263,8 +263,7 @@ class TestVariableSet:
 
     def test_roles(self):
         vs = VariableSet(("x",), ("u",))
-        assert vs.is_parameter("u")
-        assert not vs.is_parameter("x")
+        assert vs.parameters == ("u",) and vs.ambient == ("x",)
         assert vs.ambient_only().names == ("x",)
 
 

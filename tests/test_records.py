@@ -65,9 +65,9 @@ EXPECTED = {
     "Hyperplane": (("coefficients",), HYPERPLANE),
     "ScreenVerdict": (("hyperplane", "passed", "reasons"), SCREEN),
     "SectionInvariants": (
-        ("hyperplane", "screen", "dims", "colengths", "mvector", "minimal"),
+        ("hyperplane", "screen", "dims", "colengths", "minimal"),
         f"SectionInvariants(hyperplane={HYPERPLANE}, screen={SCREEN}, dims=(1, 0), "
-        "colengths={2: 3}, mvector=None, minimal=False)",
+        "colengths={2: 3}, minimal=False)",
     ),
     "ChiData": (("chi_stab", "chi_section"), "ChiData(chi_stab=0, chi_section=2)"),
     "EulerSystem": (
@@ -126,7 +126,7 @@ def build(name):
         "StratumModel": lambda: StratumModel(1, ideal, 2, 0),
         "Hyperplane": lambda: h,
         "ScreenVerdict": lambda: screen,
-        "SectionInvariants": lambda: SectionInvariants(h, screen, (1, 0), {2: 3}, None),
+        "SectionInvariants": lambda: SectionInvariants(h, screen, (1, 0), {2: 3}),
         "ChiData": lambda: ChiData.from_input(-1, 1, reduced=True),
         "EulerSystem": lambda: EulerSystem((1, 2), (0, 1), ((1,), (-2, 1))),
         "SampleInvariants": lambda: SampleInvariants(
@@ -228,7 +228,7 @@ def test_replace_builds_through_the_constructor():
     assert Hyperplane((1, 0))._replace(coefficients=(0, 3)).coefficients == (0, 1)
     with pytest.raises(ValidationError, match="cutoff"):
         DeterminantalType(2, 0, 1)._replace(t=3)
-    rows = SectionInvariants(Hyperplane((1,)), None, (), {}, None)
+    rows = SectionInvariants(Hyperplane((1,)), None, (), {})
     assert rows._replace(minimal=True).minimal and not rows.minimal
 
 
