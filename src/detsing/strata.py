@@ -7,22 +7,26 @@ codimension condition (Jacobian criterion) on each stratum away from the
 next deeper stratum; everything stays inside ideal arithmetic.  A
 zero-dimensional stratum whose elements show it lies in the origin
 passes without its non-smooth locus being built.  A non-smooth locus is
-tested first from a few of its generators, before it is built: the
-stratum's reduced basis and one witness Jacobian minor per variable,
-each led by a pure power of that variable (for a generic matrix the
-non-smooth locus of stratum 2 is the origin, and each witness is
-±z^codim).  Then the built locus is tested from its generators, then from
-Buchberger's input phase, and only then from its reduced basis
-(``groebner._origin_certified``); the saturation by the deeper stratum
-runs only when none of them shows by itself that the locus lies in the
-origin.  The stratum's reduced basis comes back from the engine in its
-packed integer form (see ``poly``), its Jacobian is differentiated in
-that form, and the Jacobian minors stay in it from the determinant to
-the basis engine: when the basis's layout holds the minors' degree, no
-monomial is unpacked or packed on the way.  All checks are
-affine/global: supports and saturations are measured over the whole
-coordinate space, which matches germ-at-origin semantics for models
-whose interesting locus sits at the origin.
+tested first from a few of its elements, before it is built: the
+stratum's reduced basis and one witness Jacobian minor of that basis per
+variable, each led by a pure power of that variable (for a generic
+matrix the non-smooth locus of stratum 2 is the origin, and each witness
+is ±z^codim).  Then the locus is built on the stratum's own minors and
+tested from its generators, then from Buchberger's input phase, and
+only then from its reduced basis (``groebner._origin_certified``); the
+saturation by the deeper stratum runs only when none of them shows by
+itself that the locus lies in the origin.  The locus ideal I + I_c(Jac G)
+does not depend on the generators G of I (it is the preimage of a
+Fitting ideal of the module of differentials), so the witnesses, read
+from the basis, and the built locus, from the minors, are elements of
+one ideal.  Minors and reduced bases are in packed integer form (see
+``poly``), their Jacobians are differentiated in that form, and the
+Jacobian minors stay in it from the determinant to the basis engine:
+when the layout holds the minors' degree, no monomial is unpacked or
+packed on the way.  All checks are affine/global: supports and
+saturations are measured over the whole coordinate space, which matches
+germ-at-origin semantics for models whose interesting locus sits at the
+origin.
 """
 
 from __future__ import annotations
@@ -60,14 +64,19 @@ def singular_locus_ideal(a: Ideal, codim: int) -> Ideal:
     its zero set is where the variety fails to be smooth of that
     codimension.
 
-    Generators born packed (a reduced basis) are differentiated in their
-    packed maps, so the Jacobian reaches ``detmodel._all_minors`` in the
-    basis's layout and, when that layout holds the minors' degree, no
-    monomial is packed; a zero derivative or minor is not packed.
-    ``eids_check`` builds it only when a few of its generators, formed
-    first, do not settle the stratum (``_witnesses_certify``: single
-    minors of this Jacobian, each equal to the generator at its
-    position)."""
+    Its generators follow those of a, but the ideal does not: any two
+    generating sets of a give the same ideal (the preimage of a Fitting
+    ideal of the module of differentials).  ``eids_check`` builds it on
+    the stratum's minors, and only when a few elements of the locus
+    built on the stratum's reduced basis, formed first, do not settle
+    the stratum (``_witnesses_certify``: single minors of that basis's
+    Jacobian).
+
+    Generators born packed (minors, or a reduced basis) are
+    differentiated in their packed maps, so the Jacobian reaches
+    ``detmodel._all_minors`` in their layout and, when that layout holds
+    the minors' degree, no monomial is packed; a zero derivative or
+    minor is not packed."""
     if codim < 1:
         raise ValidationError("codimension must be at least 1")
     gens = a.generators
@@ -95,9 +104,10 @@ def _witnesses_certify(a: Ideal, codim: int) -> bool:
     generators give rows, so that the minor is homogeneous, as the
     step needs.  Rows and columns sorted, the minor is the locus
     generator at that position.  The first variable its minor leaves
-    uncovered ends the step with False.  Every element stepped is a
-    locus generator, so step 2 of ``groebner._origin_certified`` on the
-    locus would certify it too.
+    uncovered ends the step with False.  Every element stepped is an
+    element of the same locus ideal as ``singular_locus_ideal`` of the
+    stratum's minors, so the step certifies only a locus whose zero set
+    lies in the origin.
 
     It runs only with no degree cap on a, and when the locus's minor
     count is within ``detmodel._MINOR_CAP``, the cap that
@@ -233,16 +243,16 @@ def _failing_witness(a: Analysis, i: int) -> Ideal | None:
        lie in the origin too, and no Jacobian, locus or saturation is
        built.  A stratum of positive dimension cannot lie in the origin,
        so it skips this rung.
-    2. With no degree cap and a locus within the minor cap, a few of the
-       locus's generators, with the locus not built: the stratum's
-       reduced basis and one Jacobian minor per variable
-       (:func:`_witnesses_certify`).  These are among the generators
-       rung 4's certificate reads, so they certify only a locus it
-       certifies.
-    3. The locus is built on the stratum's reduced basis
-       (:func:`singular_locus_ideal`); more Jacobian minors than
-       ``detmodel._all_minors`` allows raise LimitError prefixed with the
-       stratum index.
+    2. With no degree cap and a locus within the minor cap, a few
+       elements of the locus, with the locus not built: the stratum's
+       reduced basis and one minor per variable of that basis's
+       Jacobian (:func:`_witnesses_certify`).  They lie in the ideal
+       that rung 3 builds, so they certify only a locus that lies in
+       the origin.
+    3. The locus is built on the stratum's own minors
+       (:func:`singular_locus_ideal`); the reduced basis feeds only rung
+       2.  More Jacobian minors than ``detmodel._all_minors`` allows
+       raise LimitError prefixed with the stratum index.
     4. For i > 1, the built locus certified at the origin from its
        generators, then from the interreduced generators of its
        Buchberger input phase, then from its reduced basis, passes with
@@ -256,12 +266,11 @@ def _failing_witness(a: Analysis, i: int) -> Ideal | None:
     s = a.stratum(i)
     if s.expected_dim == 0 and _origin_certified(s.ideal):
         return None
-    # Reduced bases as generators keep the Jacobian and the saturation lean.
     reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
     if _witnesses_certify(reduced, s.expected_codim):
         return None
     try:
-        locus = singular_locus_ideal(reduced, s.expected_codim)
+        locus = singular_locus_ideal(s.ideal, s.expected_codim)
     except LimitError as exc:
         raise LimitError(f"stratum {i}: {exc}") from exc
     if i > 1:

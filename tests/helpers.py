@@ -71,8 +71,8 @@ def generic_entry_model(n, k, t):
 
 
 def reduced_stratum(model, i):
-    """Stratum i of the model on its reduced basis, as ``eids_check``
-    tests it, and the stratum's expected codimension."""
+    """Stratum i of the model on its reduced basis, as ``eids_check``'s
+    witness step reads it, and the stratum's expected codimension."""
     s = stratum(model, i)
     reduced = Ideal.from_basis(s.ideal.groebner_basis(), s.ideal.vars, s.ideal.max_degree)
     return reduced, s.expected_codim
@@ -81,9 +81,10 @@ def reduced_stratum(model, i):
 def saturation_inputs(model, i):
     """The two ideals ``eids_check`` saturates for stratum i > 1 when the
     locus is not certified without a saturation: the stratum's non-smooth
-    locus, built on the stratum's reduced basis and carrying its own, and
-    stratum i - 1."""
-    locus = singular_locus_ideal(*reduced_stratum(model, i))
+    locus, built on the stratum's minors and carrying its reduced basis,
+    and stratum i - 1."""
+    s = stratum(model, i)
+    locus = singular_locus_ideal(s.ideal, s.expected_codim)
     locus = Ideal.from_basis(locus.groebner_basis(), locus.vars, locus.max_degree)
     return locus, stratum(model, i - 1).ideal
 

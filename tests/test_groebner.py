@@ -87,8 +87,8 @@ def generic_locus():
 
 def sheared_omega_locus():
     """Non-smooth locus of stratum 2 of omega3 sheared as one omega-coords
-    benchmark model (94 generators), built on the stratum's reduced basis
-    as ``eids_check`` builds it."""
+    benchmark model (94 generators), built on the stratum's reduced
+    basis."""
     perm = ("x4", "x5", "y", "x3", "x2", "x1")
     m = sheared_omega_model(3, perm, ((("x4", "x1"), 1), (("x1", "x2"), -2)))
     return singular_locus_ideal(*reduced_stratum(m, 2))

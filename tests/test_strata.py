@@ -1,8 +1,8 @@
 import hashlib
 import random
-import time
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -145,11 +145,13 @@ class TestSingularLocus:
         assert len(loci[0].generators) == 6 + 704
 
 
-# SHA-256 of the poly_to_str lines of the non-smooth loci that eids_check
-# would build on each generic-grid case (and (3,0,2)): for each present
+# SHA-256 of the poly_to_str lines of the non-smooth loci built on the
+# reduced bases of each generic-grid case (and (3,0,2)): for each present
 # stratum, singular_locus_ideal of its reduced grevlex basis at its
-# expected codimension, strata in order.  The CLI reference runs reach
-# none of these, so they pin the determinant and the Jacobian that the
+# expected codimension, strata in order.  eids_check's witness step forms
+# single minors of these loci, and it builds its locus on the stratum's
+# minors, the same ideal.  The CLI reference runs reach none of these,
+# so they pin the determinant and the Jacobian of reduced bases that the
 # verdicts rest on.
 LOCUS_DIGESTS = {
     (1, 0, 1): (2, "1b6b2cc4a973d30f4a0bda763b695c8624656bdb329e3d67d59a71372bbec541"),
@@ -193,11 +195,29 @@ def _in_radical(J, f):
 
 
 # Seeds among 0-63 whose random_matrix_model(Random(seed), 3, 2, 3)
-# takes over 0.25 s in its uncapped verdicts, six of them over 3 s:
+# takes over 0.25 s in its uncapped verdicts, seed 0 over 3 s:
 # coefficient swell in the input phase of a non-smooth locus (ROADMAP
 # item 12), which no degree cap bounds.  They wait for that item; the
 # G-equivalence property below does not draw them.
-SWELL_3X2 = {0, 6, 18, 23, 24, 37, 38, 39, 49, 55, 58, 61}
+SWELL_3X2 = {0, 24, 38, 39, 58, 61}
+
+
+def _combine(coefficients, polys, zero):
+    # sum of c * p over the nonzero integer coefficients c.
+    return sum((p.scale(c) for c, p in zip(coefficients, polys) if c), zero)
+
+
+def g_transformed(m, p, q, phi):
+    """P*(M o phi)*Q for integer matrices P, Q and phi, where phi sends
+    variable v to the sum of phi[v][w] * w."""
+    vs = m.vars
+    zero = Polynomial.zero(vs)
+    images = [Polynomial.variable(vs, name) for name in vs.names]
+    subs = {name: _combine(row, images, zero) for name, row in zip(vs.names, phi)}
+    moved = [[e.substitute(subs) for e in row] for row in m.entries]
+    left = [[_combine(prow, [r[c] for r in moved], zero) for c in range(m.cols)] for prow in p]
+    entries = [[_combine(col, row, zero) for col in zip(*q)] for row in left]
+    return PresentationMatrix(m.dtype, entries, vs)
 
 
 def eids_outcome(m):
@@ -267,9 +287,9 @@ class TestEidsCheck:
         assert loci == []
 
     def test_larger_generic_cases_pass(self, monkeypatch):
-        # Witness minors settle stratum 2 of each: 12 minors on (2,4,2),
-        # which took 4.4 s when its locus (2,378,376 minors, about
-        # 667,000 of them nonzero) was formed and read.
+        # Witness minors settle stratum 2 of each, one minor per variable:
+        # 12 minors on (2,4,2), which took 4.4 s when its locus (2,378,376
+        # minors, about 667,000 of them nonzero) was formed and read.
         from detsing import strata
 
         loci = []
@@ -277,24 +297,52 @@ class TestEidsCheck:
         monkeypatch.setattr(
             strata, "singular_locus_ideal", lambda a, codim: loci.append(codim) or real(a, codim)
         )
-        for case in [(2, 3, 2), (3, 0, 2), (3, 0, 3), (2, 4, 2)]:
+        asked = []  # the minor positions of each _all_minors call in strata
+        real_minors = strata._all_minors
+
+        def counted(grid, size, vars, *rest):
+            asked.append(comb(len(grid), size) * comb(len(grid[0]), size))
+            return real_minors(grid, size, vars, *rest)
+
+        monkeypatch.setattr(strata, "_all_minors", counted)
+        # (3,0,3) also builds stratum 3's locus: one cubic, codimension 1,
+        # so its 9 derivatives.
+        work = {(2, 3, 2): [1] * 10, (3, 0, 2): [1] * 9, (3, 0, 3): [1] * 9 + [9], (2, 4, 2): [1] * 12}
+        for case, minors_asked in work.items():
             loci.clear()
-            start = time.perf_counter()
+            asked.clear()
             verdict = eids_check(generic_entry_model(*case))
-            assert time.perf_counter() - start < 1, case
             assert verdict.overall, case
             assert all(r.actual_dim == r.expected_dim for r in verdict.strata), case
-            # Only (3,0,3) builds a locus: its stratum 3's, of codimension 1.
+            assert asked == minors_asked, case
             assert loci == ([1] if case[2] == 3 else []), case
 
-    def test_minor_count_cap_names_the_stratum(self):
-        # Generic 5x4, t = 2: stratum 2's dimension is certified and its
-        # 60-quadric basis is quick, but its locus would need
-        # C(60, 12)*C(20, 12) Jacobian minors of size 12.
-        start = time.perf_counter()
+    def test_minor_count_cap_names_the_stratum(self, monkeypatch):
+        # Generic 5x4, t = 2: stratum 2's dimension is certified with no
+        # basis, and its 60-quadric basis is one Buchberger run, but its
+        # locus would need C(60, 12)*C(20, 12) Jacobian minors of size 12.
+        # The cap refuses them before any is formed: the only entries
+        # packed for minors are the matrix's 20, for strata 1 and 2.  A
+        # call that packed the Jacobian's 1,200 entries would go on to
+        # form its minors, so the spy stops the check there.
+        from detsing import detmodel, groebner
+
+        packed = []
+        real_forms = detmodel._packed_forms
+
+        def forms(polys, packing):
+            packed.append(len(polys))
+            assert len(polys) <= 20, "Jacobian entries packed for minors"
+            return real_forms(polys, packing)
+
+        monkeypatch.setattr(detmodel, "_packed_forms", forms)
+        runs = []
+        real_run = groebner.buchberger
+        monkeypatch.setattr(groebner, "buchberger", lambda *args: runs.append(args) or real_run(*args))
         with pytest.raises(LimitError, match="^stratum 2: minors exceeded the cap 10000000: "):
             eids_check(generic_entry_model(4, 1, 2))
-        assert time.perf_counter() - start < 1
+        assert packed == [20, 20]
+        assert len(runs) == 1
 
     def test_origin_certificate_only_on_zero_dimensional_strata(self, monkeypatch):
         # Generic 3x3, t = 3: strata of dimensions 0, 5 and 8.  Only
@@ -482,14 +530,49 @@ class TestEidsCheck:
         assert codims == []
 
     def test_random_three_by_two_model_passes(self):
-        # Its stratum-2 locus basis has 35 generators of up to 95 terms;
-        # pseudo-reduction that scaled by the whole leading coefficient,
-        # not by lc / gcd(lc, c), took about 13 s on it.
-        verdict = eids_check(random_matrix_model(random.Random(13), 3, 2, 3))
+        # eids_check builds the stratum-2 locus on the stratum's 3 minors
+        # (12 generators).  The same ideal built on the stratum's reduced
+        # basis has 35 generators of up to 95 terms, and its input phase
+        # certifies it at the origin, stopping at the proof.  That phase
+        # in full swells: about 1 s with pseudo-reduction scaled by
+        # lc / gcd(lc, c), about 12 s scaled by the whole leading
+        # coefficient.
+        from detsing.groebner import _origin_certified
+
+        m = random_matrix_model(random.Random(13), 3, 2, 3)
+        verdict = eids_check(m)
         assert verdict.overall
         assert [
             (r.index, r.expected_dim, r.actual_dim, r.witness) for r in verdict.strata
         ] == [(2, 1, 1, None)]
+        locus = singular_locus_ideal(*reduced_stratum(m, 2))
+        assert len(locus.generators) == 35
+        assert max(len(g.terms) for g in locus.generators) == 95
+        assert _origin_certified(locus)
+        assert locus.cached_basis() is None
+
+    def test_linear_transform_builds_the_locus_on_the_minors(self, monkeypatch):
+        # A linear G-transform of a fast random 3 x 2 draw.  Its stratum 2
+        # has 3 minors and a reduced basis of 7 elements; the locus built
+        # on that basis swelled in its input phase (4.7 s against 0.02 s
+        # for the draw), the locus on the minors does not.
+        from detsing import strata
+
+        m = random_matrix_model(random.Random(46), 3, 2, 3)
+        p, q = [[1, 0, 0], [-1, 1, 1], [0, 0, 1]], [[1, 1], [1, 2]]
+        phi = [[1, 0, 0], [2, 1, 0], [1, 0, 1]]
+        records = lambda v: [(r.index, r.expected_dim, r.actual_dim, r.transversal_off_origin) for r in v.strata]
+        expected = records(eids_check(m))
+        built = []
+        real = strata.singular_locus_ideal
+        monkeypatch.setattr(
+            strata, "singular_locus_ideal", lambda b, codim: built.append(b) or real(b, codim)
+        )
+        a = Analysis(g_transformed(m, p, q, phi))
+        assert records(eids_check(a)) == expected == [(2, 1, 1, False)]
+        assert len(a.stratum(2).ideal.groebner_basis().elements) == 7
+        assert [len(b.generators) for b in built] == [3]
+        assert built[0] is a.stratum(2).ideal
 
     def test_verdict_path_stays_in_integer_form(self, monkeypatch):
         # Once the model is built, eids_check builds every polynomial in
@@ -608,20 +691,6 @@ class TestEidsCheck:
 
             return st.lists(step, min_size=1, max_size=3).map(product)
 
-        def combine(coefficients, polys, zero):
-            # sum of c * p over the nonzero integer coefficients c.
-            return sum((p.scale(c) for c, p in zip(coefficients, polys) if c), zero)
-
-        def transformed(m, p, q, phi):
-            vs = m.vars
-            zero = Polynomial.zero(vs)
-            images = [Polynomial.variable(vs, name) for name in vs.names]
-            subs = {name: combine(row, images, zero) for name, row in zip(vs.names, phi)}
-            moved = [[e.substitute(subs) for e in row] for row in m.entries]
-            left = [[combine(prow, [r[c] for r in moved], zero) for c in range(m.cols)] for prow in p]
-            entries = [[combine(col, row, zero) for col in zip(*q)] for row in left]
-            return PresentationMatrix(m.dtype, entries, vs)
-
         def outcome(compute, error):
             try:
                 return compute()
@@ -643,7 +712,7 @@ class TestEidsCheck:
         def compare(m, p, q, phi):
             # phi None: the identity, under which the bases agree too.
             a, expected = verdicts(m)
-            b, got = verdicts(transformed(m, p, q, phi or identity(m.q)))
+            b, got = verdicts(g_transformed(m, p, q, phi or identity(m.q)))
             assert got == expected, (m.entries, p, q, phi)
             if phi is None:
                 for i in range(1, m.dtype.t + 1):
